@@ -39,8 +39,6 @@ from .orders import (
     complete_relation,
     empty_poset,
     enumerate_all_posets,
-    enumerate_interval_posets,
-    interval_contains,
     intersect_family,
     make_poset,
     resolve_cap,

@@ -34,7 +34,7 @@ from .ufg import (
     is_generic,
     is_ufg,
     is_ufg_by_distinguishing,
-    is_union_free,
+    is_union_free_bruteforce,
 )
 
 EXIT_OK = 0
@@ -48,6 +48,16 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_ERROR)
+
+
+def _positive_int(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
+def _positive_ints(text: str) -> list[int]:
+    return [_positive_int(part) for part in text.split(",")]
 
 
 def _relation_str(p: Poset) -> str:
@@ -76,7 +86,7 @@ def _effective_cap(args) -> int:
 
 
 def _load_inputs(args) -> tuple[GroundSet, list[Poset] | None]:
-    if getattr(args, "size", None):
+    if getattr(args, "size", None) is not None:
         return GroundSet.numbered(args.size), None
     ground, members = jsonio.load_family_file(args.input)
     return ground, members
@@ -84,15 +94,13 @@ def _load_inputs(args) -> tuple[GroundSet, list[Poset] | None]:
 
 def _add_io_flags(sub, pool: bool = True) -> None:
     grp = sub.add_mutually_exclusive_group(required=pool)
-    grp.add_argument("-n", "--size", type=int, metavar="N",
+    grp.add_argument("-n", "--size", type=_positive_int, metavar="N",
                      help="ground set of N items labelled x1..xN")
     grp.add_argument("--input", metavar="FILE.json",
                      help="family file: {\"elements\": [...], \"posets\": [...]}")
     sub.add_argument("--json", action="store_true",
                      help="machine JSON on stdout instead of text")
     sub.add_argument("--out", metavar="FILE", help="write machine JSON to a file")
-    sub.add_argument("--threads", type=int, default=1,
-                     help="worker count; never affects results")
     sub.add_argument("--cap-override-ack", action="store_true",
                      help="acknowledge enumeration beyond the size cap")
 
@@ -123,8 +131,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("enumerate", help="catalog all ufg families")
     _add_io_flags(sub)
-    sub.add_argument("--max-size", type=int, default=None)
-    sub.add_argument("--budget", type=int, default=None)
+    sub.add_argument("--max-size", type=_positive_int, default=None)
+    sub.add_argument("--budget", type=_positive_int, default=None)
     sub.add_argument("--strategy", choices=("exhaustive", "connected"),
                      default="connected")
     sub.add_argument("--verify", action="store_true",
@@ -133,8 +141,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("connectedness", help="verify the predecessor property")
     _add_io_flags(sub)
-    sub.add_argument("--max-size", type=int, default=None)
-    sub.add_argument("--budget", type=int, default=None)
+    sub.add_argument("--max-size", type=_positive_int, default=None)
+    sub.add_argument("--budget", type=_positive_int, default=None)
     sub.set_defaults(func=cmd_connectedness)
 
     sub = subs.add_parser("corrigendum",
@@ -143,14 +151,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(func=cmd_corrigendum)
 
     sub = subs.add_parser("falsify", help="seeded random stress of connectedness")
-    sub.add_argument("-n", "--sizes", default="4", metavar="N[,N...]",
-                     help="comma-separated ground sizes (default 4)")
-    sub.add_argument("--budget", type=int, default=1000, help="trial count")
+    sub.add_argument("-n", "--sizes", type=_positive_ints, default="4",
+                     metavar="N[,N...]", help="comma-separated ground sizes (default 4)")
+    sub.add_argument("--budget", type=_positive_int, default=1000, help="trial count")
     sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--pool-size", type=int, default=8)
+    sub.add_argument("--pool-size", type=_positive_int, default=8)
     sub.add_argument("--json", action="store_true")
     sub.add_argument("--out", metavar="FILE")
-    sub.add_argument("--threads", type=int, default=1)
+    sub.add_argument("--threads", type=_positive_int, default=1,
+                     help="worker count; never affects results")
     sub.set_defaults(func=cmd_falsify)
 
     return parser
@@ -212,7 +221,7 @@ def cmd_check_ufg(args) -> int:
     cert = is_ufg(family)
     if args.debug and len(family) >= 2:
         by_attrs = is_ufg_by_distinguishing(family) is not None
-        by_conditions = is_generic(family) and is_union_free(family, debug=True)
+        by_conditions = is_generic(family) and is_union_free_bruteforce(family)
         if (cert is not None) != by_attrs or (cert is not None) != by_conditions:
             raise UfgkitError("ufg deciders disagree; this is a bug")
     if cert is None:
@@ -310,13 +319,8 @@ def cmd_corrigendum(args) -> int:
 
 
 def cmd_falsify(args) -> int:
-    try:
-        sizes = [int(part) for part in str(args.sizes).split(",") if part]
-    except ValueError:
-        print(f"error: cannot parse sizes {args.sizes!r}", file=sys.stderr)
-        return EXIT_ERROR
     report = falsification_search(
-        sizes, args.budget, args.seed, pool_size=args.pool_size, threads=args.threads
+        args.sizes, args.budget, args.seed, pool_size=args.pool_size, threads=args.threads
     )
     lines = [
         f"falsify: seed={report.seed} budget={report.budget} "

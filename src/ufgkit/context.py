@@ -334,20 +334,21 @@ class DistinguishingSet:
 
 
 def _loo_and_or(bits_list: list[int], full: int) -> tuple[list[int], list[int]]:
-    """Per-index AND / OR over all *other* members."""
-    n = len(bits_list)
-    pre_and = [full] * (n + 1)
-    pre_or = [0] * (n + 1)
-    for i, b in enumerate(bits_list):
-        pre_and[i + 1] = pre_and[i] & b
-        pre_or[i + 1] = pre_or[i] | b
-    suf_and = [full] * (n + 1)
-    suf_or = [0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        suf_and[i] = suf_and[i + 1] & bits_list[i]
-        suf_or[i] = suf_or[i + 1] | bits_list[i]
-    others_and = [pre_and[i] & suf_and[i + 1] for i in range(n)]
-    others_or = [pre_or[i] | suf_or[i + 1] for i in range(n)]
+    """Per-index AND / OR over all *other* members, in a forward and a backward pass."""
+    others_and: list[int] = []
+    others_or: list[int] = []
+    acc_and, acc_or = full, 0
+    for b in bits_list:
+        others_and.append(acc_and)
+        others_or.append(acc_or)
+        acc_and &= b
+        acc_or |= b
+    acc_and, acc_or = full, 0
+    for i in range(len(bits_list) - 1, -1, -1):
+        others_and[i] &= acc_and
+        others_or[i] |= acc_or
+        acc_and &= bits_list[i]
+        acc_or |= bits_list[i]
     return others_and, others_or
 
 

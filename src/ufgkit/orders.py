@@ -22,6 +22,7 @@ from .errors import (
     NotAntisymmetric,
     NotTransitive,
     ReflexivePairRejected,
+    UfgkitError,
     UnknownLabel,
 )
 
@@ -34,9 +35,11 @@ def resolve_cap(override: int | None = None) -> int:
     if override is not None:
         return override
     env = os.environ.get(CAP_ENV_VAR)
-    if env:
-        return int(env)
-    return DEFAULT_GROUND_CAP
+    if not env:
+        return DEFAULT_GROUND_CAP
+    if not env.isdecimal() or int(env) < 1:
+        raise UfgkitError(f"{CAP_ENV_VAR} must be a positive integer, not {env!r}")
+    return int(env)
 
 
 class GroundSet:
@@ -340,7 +343,12 @@ class PosetInterval:
         return not (self.lower.bits & ~q.bits) and not (q.bits & ~self.upper.bits)
 
     def posets(self) -> Iterator[Poset]:
-        return _interval_dfs(self.lower.ground, self.lower.bits, self.upper.bits)
+        """Stream the members in canonical-key order; the lower bound comes first."""
+        ground = self.lower.ground
+        return (
+            Poset(ground, bits, check=False)
+            for bits in _interval_bits(ground, self.lower.bits, self.upper.bits)
+        )
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -354,10 +362,6 @@ class PosetInterval:
 
     def __repr__(self) -> str:
         return f"PosetInterval(lower={self.lower!r}, upper={self.upper!r})"
-
-
-def interval_contains(iv: PosetInterval, q: Poset) -> bool:
-    return iv.contains(q)
 
 
 def _rows_add_edge(
@@ -386,38 +390,39 @@ def _rows_add_edge(
     return out
 
 
-def _interval_dfs(ground: GroundSet, lower_bits: int, upper_bits: int) -> Iterator[Poset]:
-    """Yield every poset in [lower, upper], in canonical-key order.
+def _interval_bits(ground: GroundSet, lower_bits: int, upper_bits: int) -> Iterator[int]:
+    """Yield the bits of every poset in [lower, upper], in canonical-key order.
 
     Depth-first over the free pair positions in row-major order,
-    exclude-branch first, maintaining the transitive closure of the
-    chosen pairs incrementally.  A branch dies as soon as the closure
-    needs an excluded pair or would break asymmetry, so leaves are
-    exactly the valid posets and are emitted without duplicates.
+    exclude-branch first, on an explicit stack, maintaining the
+    transitive closure of the chosen pairs incrementally.  A branch dies
+    as soon as the closure needs an excluded pair or would break
+    asymmetry, so leaves are exactly the valid posets and are emitted
+    without duplicates.  A pair the closure already holds is taken
+    without a choice, so a leaf's bits are the lower bound plus the
+    free pairs taken on its path.
     """
-    free = [ground.pair_at(k) for k in sorted(_iter_bits(upper_bits & ~lower_bits))]
-    closed = _bits_to_rows(ground, lower_bits)
-    allowed = _bits_to_rows(ground, upper_bits)
-
-    def rec(idx: int, rows: list[int], allowed: list[int]) -> Iterator[Poset]:
-        if idx == len(free):
-            yield Poset(ground, _rows_to_bits(ground, rows), check=False)
-            return
-        i, j = free[idx]
-        if not (rows[i] >> j) & 1:  # closure does not force (i, j): may exclude
-            shrunk = allowed[:]
-            shrunk[i] &= ~(1 << j)
-            yield from rec(idx + 1, rows, shrunk)
+    free = sorted(_iter_bits(upper_bits & ~lower_bits))
+    pairs = [ground.pair_at(k) for k in free]
+    depth = len(free)
+    stack = [(0, lower_bits, _bits_to_rows(ground, lower_bits),
+              _bits_to_rows(ground, upper_bits))]
+    while stack:
+        idx, bits, rows, allowed = stack.pop()
+        if idx == depth:
+            yield bits
+            continue
+        i, j = pairs[idx]
+        taken = bits | (1 << free[idx])
+        if (rows[i] >> j) & 1:  # forced by the closure: no exclude-branch
+            stack.append((idx + 1, taken, rows, allowed))
+            continue
         grown = _rows_add_edge(rows, i, j, allowed)
         if grown is not None:
-            yield from rec(idx + 1, grown, allowed)
-
-    return rec(0, closed, allowed)
-
-
-def enumerate_interval_posets(iv: PosetInterval) -> Iterator[Poset]:
-    """Stream the members of an interval; the lower bound comes first."""
-    return iv.posets()
+            stack.append((idx + 1, taken, grown, allowed))
+        shrunk = allowed[:]
+        shrunk[i] &= ~(1 << j)
+        stack.append((idx + 1, bits, rows, shrunk))  # popped first
 
 
 def enumerate_all_posets(ground: GroundSet, cap: int | None = None) -> Iterator[Poset]:

@@ -16,12 +16,11 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from collections.abc import Iterable, Iterator
-from itertools import combinations
+from itertools import combinations, islice
 from math import comb
 
 from .context import (
     DistinguishingSet,
-    _distinguishing_masks,
     _loo_and_or,
     distinguishing,
     gamma_interval,
@@ -57,47 +56,70 @@ def family_key(S: Iterable[Poset]) -> tuple[bytes, ...]:
     return tuple(canonical_key(m) for m in canonical_family(S))
 
 
-def _loo_bounds(members: tuple[Poset, ...]) -> list[tuple[int, int]]:
-    """(lower, upper) interval bits of every leave-one-out subfamily."""
+def _blocker(qb: int, loo: list[tuple[int, int]]) -> int | None:
+    """The escape test: index of the first leave-one-out closure, given
+    as (lower, upper) bits, that holds the order ``qb``; None when the
+    order escapes them all."""
+    for i, (lo, up) in enumerate(loo):
+        if not (lo & ~qb or qb & ~up):
+            return i
+    return None
+
+
+def _distinguishable(
+    bits_list: list[int], others_and: list[int], others_or: list[int]
+) -> bool:
+    """Whether every member keeps an unrestricted distinguishing attribute:
+    a pair all other members have and it lacks, or one only it has.
+
+    A member without one lies in the closure of the other members, which
+    is then the whole closure: no order escapes it, so there is no witness.
+    """
+    for b, lo, up in zip(bits_list, others_and, others_or):
+        if not (lo & ~b or b & ~up):
+            return False
+    return True
+
+
+def _witness_bits(members: tuple[Poset, ...]) -> Iterator[int]:
+    """The witness kernel: bits of every witness of a canonical family,
+    in canonical order.
+
+    A witness is a closure order outside every leave-one-out closure.
+    Singletons have none.  From two members on, no member is a witness,
+    because each lies in the closure of the family without any other one.
+    A plain function rather than a generator, so that the many families
+    the prefilter turns away cost no generator frame.
+    """
+    if len(members) < 2:
+        return iter(())
     bits_list = [m.bits for m in members]
-    full = members[0].ground.full_bits
-    others_and, others_or = _loo_and_or(bits_list, full)
-    return list(zip(others_and, others_or))
+    others_and, others_or = _loo_and_or(bits_list, members[0].ground.full_bits)
+    if not _distinguishable(bits_list, others_and, others_or):
+        return iter(())
+    loo = list(zip(others_and, others_or))
+    closure = gamma_interval(members).posets()
+    return (q.bits for q in closure if _blocker(q.bits, loo) is None)
 
 
 def is_generic(S: Iterable[Poset]) -> bool:
     """Whether the closure of S strictly exceeds S."""
     members = canonical_family(S)
-    member_bits = {m.bits for m in members}
-    for q in gamma_interval(members).posets():
-        if q.bits not in member_bits:
-            return True
-    return False
+    # every member lies in the closure, so one order more means one outside S
+    beyond = islice(gamma_interval(members).posets(), len(members), None)
+    return next(beyond, None) is not None
 
 
-def is_union_free(S: Iterable[Poset], debug: bool = False) -> bool:
+def is_union_free(S: Iterable[Poset]) -> bool:
     """Whether no family of proper-subset closures covers the closure of S.
 
-    Decided through the leave-one-out reduction; ``debug`` additionally
-    runs the naive check over every family of proper subsets (tiny
-    families only) and asserts agreement.
+    Decided through the leave-one-out reduction: some closure order must
+    escape every leave-one-out closure.
     """
     members = canonical_family(S)
     if len(members) == 1:
-        result = True  # proper subsets of a singleton carry no orders
-    else:
-        loo = _loo_bounds(members)
-        result = False
-        for q in gamma_interval(members).posets():
-            qb = q.bits
-            if all((lo & ~qb) or (qb & ~up) for lo, up in loo):
-                result = True
-                break
-    if debug:
-        assert result == is_union_free_bruteforce(members), (
-            "leave-one-out reduction disagrees with the naive family check"
-        )
-    return result
+        return True  # proper subsets of a singleton carry no orders
+    return next(_witness_bits(members), None) is not None
 
 
 def is_union_free_bruteforce(S: Iterable[Poset]) -> bool:
@@ -124,25 +146,19 @@ def is_witness(S: Iterable[Poset], q: Poset) -> bool:
     members = canonical_family(S)
     if q.ground != members[0].ground:
         raise MixedGroundSets("witness candidate on a different ground set")
-    iv = gamma_interval(members)
-    if not iv.contains(q) or any(q.bits == m.bits for m in members):
+    if len(members) < 2 or not gamma_interval(members).contains(q):
         return False
-    return all((lo & ~q.bits) or (q.bits & ~up) for lo, up in _loo_bounds(members))
+    bits_list = [m.bits for m in members]
+    loo = list(zip(*_loo_and_or(bits_list, q.ground.full_bits)))
+    return _blocker(q.bits, loo) is None
 
 
 def iter_witnesses(S: Iterable[Poset]) -> Iterator[Poset]:
     """All witness orders for S, in canonical order."""
     members = canonical_family(S)
-    if len(members) < 2:
-        return
-    member_bits = {m.bits for m in members}
-    loo = _loo_bounds(members)
-    for q in gamma_interval(members).posets():
-        qb = q.bits
-        if qb in member_bits:
-            continue
-        if all((lo & ~qb) or (qb & ~up) for lo, up in loo):
-            yield q
+    ground = members[0].ground
+    for qb in _witness_bits(members):
+        yield Poset(ground, qb, check=False)
 
 
 @dataclass
@@ -185,26 +201,10 @@ def _certificate(members: tuple[Poset, ...], witness: Poset) -> UfgCertificate:
 
 def _is_ufg_sorted(members: tuple[Poset, ...]) -> UfgCertificate | None:
     """Witness scan over a canonical family; None when no witness exists."""
-    if len(members) < 2:
+    qb = next(_witness_bits(members), None)
+    if qb is None:
         return None
-    ground = members[0].ground
-    full = ground.full_bits
-    bits_list = [m.bits for m in members]
-    others_and, others_or = _loo_and_or(bits_list, full)
-    # a member with no unrestricted distinguishing attribute sinks the family
-    for i, b in enumerate(bits_list):
-        leq, nleq = _distinguishing_masks(b, others_and[i], others_or[i], None, full)
-        if not leq and not nleq:
-            return None
-    loo = list(zip(others_and, others_or))
-    member_bits = set(bits_list)
-    for q in gamma_interval(members).posets():
-        qb = q.bits
-        if qb in member_bits:
-            continue
-        if all((lo & ~qb) or (qb & ~up) for lo, up in loo):
-            return _certificate(members, q)
-    return None
+    return _certificate(members, Poset(members[0].ground, qb, check=False))
 
 
 def is_ufg(S: Iterable[Poset]) -> UfgCertificate | None:
@@ -254,18 +254,9 @@ def candidate_filter(Q: Iterable[Poset], p: Poset) -> bool:
         return False
     if gamma_interval(members).contains(p):
         return False
-    merged = canonical_family(members + (p,))
-    bits_list = [m.bits for m in merged]
-    full = p.ground.full_bits
-    others_and, others_or = _loo_and_or(bits_list, full)
-    existing = {m.bits for m in members}
-    for i, b in enumerate(bits_list):
-        if b not in existing:
-            continue
-        leq, nleq = _distinguishing_masks(b, others_and[i], others_or[i], None, full)
-        if not leq and not nleq:
-            return False
-    return True
+    # p itself lies outside the closure of Q, so it keeps an attribute
+    bits_list = [m.bits for m in canonical_family(members + (p,))]
+    return _distinguishable(bits_list, *_loo_and_or(bits_list, p.ground.full_bits))
 
 
 class UfgCatalog:
@@ -446,22 +437,20 @@ def explain_not_ufg(S: Iterable[Poset]) -> dict:
             "ufg": False,
             "reason": "a single order is closed already: the closure adds nothing",
         }
-    iv = gamma_interval(members)
     member_bits = {m.bits for m in members}
-    outside = [q for q in iv.posets() if q.bits not in member_bits]
+    outside = [q for q in gamma_interval(members).posets() if q.bits not in member_bits]
     if not outside:
         return {
             "ufg": False,
             "reason": "not generic: the closure holds no order beyond the family",
         }
-    loo = _loo_bounds(members)
+    bits_list = [m.bits for m in members]
+    loo = list(zip(*_loo_and_or(bits_list, members[0].ground.full_bits)))
     blockers = []
     for q in outside:
-        qb = q.bits
-        for i, (lo, up) in enumerate(loo):
-            if not (lo & ~qb) and not (qb & ~up):
-                blockers.append({"candidate": q, "covered_without": members[i]})
-                break
+        i = _blocker(q.bits, loo)
+        if i is not None:
+            blockers.append({"candidate": q, "covered_without": members[i]})
     return {
         "ufg": False,
         "reason": (

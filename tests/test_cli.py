@@ -201,6 +201,32 @@ def test_usage_errors_exit_one(capsys):
     assert run(capsys, "falsify", "-n", "wat")[0] == EXIT_ERROR
 
 
+@pytest.mark.parametrize(
+    "argv, env",
+    [
+        (("enumerate", "-n", "0"), {}),
+        (("enumerate", "-n", "3", "--max-size", "-5"), {}),
+        (("enumerate", "-n", "3", "--budget", "0"), {}),
+        (("enumerate", "-n", "2", "--threads", "2"), {}),  # a falsify flag only
+        (("connectedness", "-n", "-1"), {}),
+        (("connectedness", "-n", "3", "--max-size", "0"), {}),
+        (("falsify", "--budget", "0"), {}),
+        (("falsify", "--pool-size", "-2"), {}),
+        (("falsify", "--threads", "0"), {}),
+        (("falsify", "-n", "4,0"), {}),
+        (("falsify", "-n", ""), {}),
+        (("posets", "-n", "3"), {"UFGKIT_CAP": "abc"}),
+        (("posets", "-n", "3"), {"UFGKIT_CAP": "0"}),
+    ],
+)
+def test_bad_input_exits_one_without_traceback(capsys, monkeypatch, argv, env):
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    code, _, err = run(capsys, *argv)
+    assert code == EXIT_ERROR
+    assert "error:" in err and "Traceback" not in err
+
+
 # --- machine output round-trips -----------------------------------------------------
 
 

@@ -20,17 +20,17 @@ from ufgkit import (
     Poset,
     PosetInterval,
     ReflexivePairRejected,
+    UfgkitError,
     UnknownLabel,
     canonical_family,
     canonical_key,
     complete_relation,
     empty_poset,
     enumerate_all_posets,
-    enumerate_interval_posets,
     gamma_interval,
-    interval_contains,
     intersect_family,
     make_poset,
+    resolve_cap,
     transitive_closure,
     union_family,
 )
@@ -204,15 +204,15 @@ def test_intersection_of_random_posets_validates(pool3):
 
 def test_interval_membership_counterexample(corr):
     _, p1, p2, p3, q = corr
-    assert interval_contains(gamma_interval([p1, p2, p3]), q)
-    assert not interval_contains(gamma_interval([p1, p2]), q)
+    assert gamma_interval([p1, p2, p3]).contains(q)
+    assert not gamma_interval([p1, p2]).contains(q)
 
 
 def test_degenerate_interval(corr):
     _, p1, _, _, _ = corr
     iv = gamma_interval([p1])
-    assert interval_contains(iv, p1)
-    assert list(enumerate_interval_posets(iv)) == [p1]
+    assert iv.contains(p1)
+    assert list(iv.posets()) == [p1]
 
 
 def test_interval_rejects_mixed_grounds():
@@ -305,6 +305,13 @@ def test_enumeration_cap(monkeypatch):
     # explicit override beats the environment
     with pytest.raises(GroundSetTooLarge):
         enumerate_all_posets(GroundSet.numbered(4), cap=2)
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-3"])
+def test_cap_env_must_be_a_positive_integer(monkeypatch, value):
+    monkeypatch.setenv("UFGKIT_CAP", value)
+    with pytest.raises(UfgkitError, match="UFGKIT_CAP"):
+        resolve_cap()
 
 
 def test_zero_items_rejected_before_enumeration():

@@ -1,0 +1,67 @@
+"""Property tests on 4 items: the interval walk and the witness kernel
+against the brute-force references and the independent deciders."""
+
+from __future__ import annotations
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ufgkit import (
+    BinaryRelation,
+    GroundSet,
+    PosetInterval,
+    canonical_family,
+    canonical_key,
+    enumerate_all_posets,
+    explain_not_ufg,
+    gamma_interval,
+    is_generic,
+    is_ufg,
+    is_ufg_by_distinguishing,
+    is_union_free_bruteforce,
+)
+
+from oracles import brute_force_interval
+
+G4 = GroundSet.numbered(4)
+ORDERS4 = tuple(enumerate_all_posets(G4))
+
+seeded = settings(derandomize=True, deadline=None)
+orders = st.sampled_from(ORDERS4)
+families = st.lists(orders, min_size=2, max_size=4)
+
+
+@seeded
+@given(orders, st.integers(0, G4.full_bits))
+def test_interval_walk_matches_brute_force(lower, extra):
+    upper = BinaryRelation(G4, lower.bits | extra)
+    walked = list(PosetInterval(lower, upper).posets())
+    assert {frozenset(q.pairs) for q in walked} == brute_force_interval(lower, upper.pairs)
+    keys = [canonical_key(q) for q in walked]
+    assert all(a < b for a, b in zip(keys, keys[1:]))
+    assert walked[0] == lower
+
+
+@seeded
+@given(families)
+def test_witness_kernel_agrees_with_independent_deciders(family):
+    by_witness = is_ufg(family) is not None
+    assert by_witness == (is_ufg_by_distinguishing(family) is not None)
+    assert by_witness == (is_generic(family) and is_union_free_bruteforce(family))
+
+
+@seeded
+@given(families, st.data())
+def test_reported_blockers_lie_in_their_leave_one_out_closure(base, data):
+    # adding an order from the closure of the others never leaves a witness
+    closure = [q for q in gamma_interval(base).posets() if q not in base]
+    extra = data.draw(st.sampled_from(closure or base))
+    members = canonical_family(base + [extra])
+    assert is_ufg(members) is None
+    report = explain_not_ufg(members)
+    for entry in report.get("blockers", []):
+        rest = [m for m in members if m != entry["covered_without"]]
+        assert gamma_interval(rest).contains(entry["candidate"])
+    if "blockers" in report:  # not union-free: every order outside is blocked
+        outside = set(gamma_interval(members).posets()) - set(members)
+        assert len(report["blockers"]) == len(outside)

@@ -8,9 +8,11 @@ from itertools import combinations
 import pytest
 
 from ufgkit import (
+    BinaryRelation,
     CombinatorialBudgetExceeded,
     GroundSet,
     MixedGroundSets,
+    Poset,
     candidate_filter,
     canonical_family,
     default_max_family_size,
@@ -29,6 +31,7 @@ from ufgkit import (
     is_witness,
     iter_witnesses,
     make_poset,
+    transitive_closure,
 )
 
 
@@ -59,7 +62,8 @@ def test_interval_closed_families_are_not_generic(g3, pool3):
 
 def test_counterexample_family_is_union_free(corr):
     _, p1, p2, p3, _ = corr
-    assert is_union_free([p1, p2, p3], debug=True)
+    assert is_union_free([p1, p2, p3])
+    assert is_union_free_bruteforce([p1, p2, p3])
 
 
 def test_redundant_member_breaks_union_freeness(corr):
@@ -67,7 +71,8 @@ def test_redundant_member_breaks_union_freeness(corr):
     ground, p1, p2, _, _ = corr
     r = empty_poset(ground)  # the intersection, inside gamma({p1, p2})
     assert gamma_interval([p1, p2]).contains(r)
-    assert not is_union_free([p1, p2, r], debug=True)
+    assert not is_union_free([p1, p2, r])
+    assert not is_union_free_bruteforce([p1, p2, r])
 
 
 def test_singleton_union_free_vacuously(corr):
@@ -111,6 +116,17 @@ def test_two_member_counterexample_subfamily(corr):
     assert cert.witness.bits == 0  # the empty order comes first canonically
     other = make_poset(ground, [("a", "b"), ("a1", "b1")])
     assert is_witness([p1, p2], other)
+
+
+def test_reversed_forty_item_chains_witness_is_empty_order():
+    # the interval walk is as deep as there are free pairs (1,560 here)
+    g = GroundSet.numbered(40)
+    up = BinaryRelation.from_pairs(g, [(i, i + 1) for i in range(39)])
+    down = BinaryRelation.from_pairs(g, [(i + 1, i) for i in range(39)])
+    chains = [Poset(g, transitive_closure(r).bits) for r in (up, down)]
+    cert = is_ufg(chains)
+    assert cert is not None
+    assert cert.witness.bits == 0
 
 
 def test_duplicates_collapse_to_singleton(corr):
