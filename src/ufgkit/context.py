@@ -34,10 +34,8 @@ from .orders import (
     canonical_family,
     canonical_key,
     enumerate_all_posets,
-    intersect_family,
     resolve_cap,
     transitive_closure,
-    union_family,
 )
 
 LEQ = "leq"
@@ -268,7 +266,13 @@ def phi(B: Iterable[Attribute], ctx: FormalContext) -> PhiExtent:
 def gamma_interval(S: Iterable[Poset]) -> PosetInterval:
     """Closure of a nonempty family, as the interval form."""
     members = canonical_family(S)
-    return PosetInterval(intersect_family(members), union_family(members))
+    ground = members[0].ground
+    lower, upper = ground.full_bits, 0
+    for m in members:
+        lower &= m.bits
+        upper |= m.bits
+    # an intersection of orders is an order: no validation needed
+    return PosetInterval(Poset(ground, lower, check=False), BinaryRelation(ground, upper))
 
 
 def gamma_explicit(S: Iterable[Poset], ctx: FormalContext) -> frozenset[Poset]:

@@ -322,32 +322,48 @@ def union_family(family: Iterable[Poset]) -> BinaryRelation:
 
 
 class PosetInterval:
-    """All posets between a lower poset and an upper relation.
+    """All posets between a lower poset and an upper relation, minus the
+    members of any ``outside`` sub-interval.
 
-    Membership of a poset ``q`` means ``lower.pairs <= q.pairs <= upper.pairs``.
+    Membership of a poset ``q`` means ``lower.pairs <= q.pairs <= upper.pairs``
+    and, for no ``(lo, up)`` in ``outside``, ``lo <= q.bits <= up`` as bit
+    sets.  Sub-intervals are given as packed bits and may reach beyond
+    ``[lower, upper]`` or be empty.
     """
 
-    __slots__ = ("lower", "upper")
+    __slots__ = ("lower", "upper", "outside")
 
-    def __init__(self, lower: Poset, upper: BinaryRelation):
+    def __init__(
+        self,
+        lower: Poset,
+        upper: BinaryRelation,
+        outside: Iterable[tuple[int, int]] = (),
+    ):
         if lower.ground != upper.ground:
             raise MixedGroundSets("interval bounds live on different ground sets")
         if lower.bits & ~upper.bits:
             raise ValueError("interval lower bound is not contained in the upper bound")
         self.lower = lower
         self.upper = upper
+        self.outside = tuple(outside)
 
     def contains(self, q: Poset) -> bool:
         if q.ground != self.lower.ground:
             raise MixedGroundSets("query poset lives on a different ground set")
-        return not (self.lower.bits & ~q.bits) and not (q.bits & ~self.upper.bits)
+        qb = q.bits
+        if self.lower.bits & ~qb or qb & ~self.upper.bits:
+            return False
+        return all(lo & ~qb or qb & ~up for lo, up in self.outside)
 
     def posets(self) -> Iterator[Poset]:
-        """Stream the members in canonical-key order; the lower bound comes first."""
+        """Stream the members in canonical-key order; the lower bound comes
+        first unless an ``outside`` sub-interval holds it."""
         ground = self.lower.ground
         return (
             Poset(ground, bits, check=False)
-            for bits in _interval_bits(ground, self.lower.bits, self.upper.bits)
+            for bits in _interval_bits(
+                ground, self.lower.bits, self.upper.bits, self.outside
+            )
         )
 
     def __eq__(self, other: object) -> bool:
@@ -355,13 +371,15 @@ class PosetInterval:
             isinstance(other, PosetInterval)
             and self.lower == other.lower
             and self.upper == other.upper
+            and self.outside == other.outside
         )
 
     def __hash__(self) -> int:
-        return hash((self.lower, self.upper))
+        return hash((self.lower, self.upper, self.outside))
 
     def __repr__(self) -> str:
-        return f"PosetInterval(lower={self.lower!r}, upper={self.upper!r})"
+        tail = f", outside={self.outside!r}" if self.outside else ""
+        return f"PosetInterval(lower={self.lower!r}, upper={self.upper!r}{tail})"
 
 
 def _rows_add_edge(
@@ -390,8 +408,49 @@ def _rows_add_edge(
     return out
 
 
-def _interval_bits(ground: GroundSet, lower_bits: int, upper_bits: int) -> Iterator[int]:
-    """Yield the bits of every poset in [lower, upper], in canonical-key order.
+def _prune_tests(
+    lower_bits: int,
+    upper_bits: int,
+    free: list[int],
+    outside: Iterable[tuple[int, int]],
+) -> list[list[tuple[int, int]]] | None:
+    """Per free pair index, the ``(mask, want)`` tests that decide, once
+    the pair is decided, whether a subtree lies inside a sub-interval.
+
+    A leaf lies inside ``[lo, up]`` iff ``leaf & mask == want`` with
+    ``mask = free & (lo | ~up)`` and ``want = free & lo``; the test hangs
+    on the pair at ``mask``'s highest bit, the last of its pairs the walk
+    decides.  Sub-intervals holding no member are dropped.  None when
+    one holds every member.
+    """
+    free_bits = upper_bits & ~lower_bits
+    index = {k: idx for idx, k in enumerate(free)}
+    tests: list[list[tuple[int, int]]] = [[] for _ in free]
+    for lo, up in outside:
+        if lo & ~(upper_bits & up) or lower_bits & ~up:
+            continue
+        mask = free_bits & (lo | ~up)
+        if not mask:
+            return None
+        tests[index[mask.bit_length() - 1]].append((mask, free_bits & lo))
+    return tests
+
+
+def _inside(bits: int, tests: list[tuple[int, int]]) -> bool:
+    for mask, want in tests:
+        if bits & mask == want:
+            return True
+    return False
+
+
+def _interval_bits(
+    ground: GroundSet,
+    lower_bits: int,
+    upper_bits: int,
+    outside: Iterable[tuple[int, int]] = (),
+) -> Iterator[int]:
+    """Yield the bits of every poset in [lower, upper] outside every
+    ``outside`` sub-interval, in canonical-key order.
 
     Depth-first over the free pair positions in row-major order,
     exclude-branch first, on an explicit stack, maintaining the
@@ -400,10 +459,17 @@ def _interval_bits(ground: GroundSet, lower_bits: int, upper_bits: int) -> Itera
     asymmetry, so leaves are exactly the valid posets and are emitted
     without duplicates.  A pair the closure already holds is taken
     without a choice, so a leaf's bits are the lower bound plus the
-    free pairs taken on its path.
+    free pairs taken on its path.  A child whose decided pairs place its
+    whole subtree inside a sub-interval is never pushed (branch and
+    bound); at a leaf that is exactly the membership test, so pruning
+    removes the members of the sub-intervals and nothing else.
     """
     free = sorted(_iter_bits(upper_bits & ~lower_bits))
-    pairs = [ground.pair_at(k) for k in free]
+    prune = _prune_tests(lower_bits, upper_bits, free, outside)
+    if prune is None:
+        return
+    # per decision: the pair, its bit and the tests hung on it
+    steps = [(*ground.pair_at(k), 1 << k, tests) for k, tests in zip(free, prune)]
     depth = len(free)
     stack = [(0, lower_bits, _bits_to_rows(ground, lower_bits),
               _bits_to_rows(ground, upper_bits))]
@@ -412,17 +478,19 @@ def _interval_bits(ground: GroundSet, lower_bits: int, upper_bits: int) -> Itera
         if idx == depth:
             yield bits
             continue
-        i, j = pairs[idx]
-        taken = bits | (1 << free[idx])
+        i, j, bit, tests = steps[idx]
+        taken = bits | bit
         if (rows[i] >> j) & 1:  # forced by the closure: no exclude-branch
-            stack.append((idx + 1, taken, rows, allowed))
+            if not (tests and _inside(taken, tests)):
+                stack.append((idx + 1, taken, rows, allowed))
             continue
         grown = _rows_add_edge(rows, i, j, allowed)
-        if grown is not None:
+        if grown is not None and not (tests and _inside(taken, tests)):
             stack.append((idx + 1, taken, grown, allowed))
-        shrunk = allowed[:]
-        shrunk[i] &= ~(1 << j)
-        stack.append((idx + 1, bits, rows, shrunk))  # popped first
+        if not (tests and _inside(bits, tests)):
+            shrunk = allowed[:]
+            shrunk[i] &= ~(1 << j)
+            stack.append((idx + 1, bits, rows, shrunk))  # popped first
 
 
 def enumerate_all_posets(ground: GroundSet, cap: int | None = None) -> Iterator[Poset]:

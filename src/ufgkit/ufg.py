@@ -29,10 +29,12 @@ from .errors import (
     CombinatorialBudgetExceeded,
     EmptyFamily,
     MixedGroundSets,
+    UfgkitError,
 )
 from .orders import (
     GroundSet,
     Poset,
+    PosetInterval,
     canonical_family,
     canonical_key,
     enumerate_all_posets,
@@ -85,9 +87,12 @@ def _witness_bits(members: tuple[Poset, ...]) -> Iterator[int]:
     """The witness kernel: bits of every witness of a canonical family,
     in canonical order.
 
-    A witness is a closure order outside every leave-one-out closure.
-    Singletons have none.  From two members on, no member is a witness,
-    because each lies in the closure of the family without any other one.
+    A witness is a closure order outside every leave-one-out closure, so
+    the kernel walks the closure interval with the leave-one-out closures
+    as its ``outside`` sub-intervals: every subtree inside one of them is
+    pruned whole.  Singletons have no witness.  From two members on, no
+    member is a witness, because each lies in the closure of the family
+    without any other one.
     A plain function rather than a generator, so that the many families
     the prefilter turns away cost no generator frame.
     """
@@ -97,9 +102,9 @@ def _witness_bits(members: tuple[Poset, ...]) -> Iterator[int]:
     others_and, others_or = _loo_and_or(bits_list, members[0].ground.full_bits)
     if not _distinguishable(bits_list, others_and, others_or):
         return iter(())
-    loo = list(zip(others_and, others_or))
-    closure = gamma_interval(members).posets()
-    return (q.bits for q in closure if _blocker(q.bits, loo) is None)
+    iv = gamma_interval(members)
+    witnesses = PosetInterval(iv.lower, iv.upper, zip(others_and, others_or))
+    return (q.bits for q in witnesses.posets())
 
 
 def is_generic(S: Iterable[Poset]) -> bool:
@@ -429,7 +434,8 @@ def explain_not_ufg(S: Iterable[Poset]) -> dict:
     """Re-checkable account of why a family is not union-free generic.
 
     Returns a dict whose values may contain Poset objects; the JSON
-    layer renders them.
+    layer renders them.  Raises :class:`UfgkitError` when the family has
+    a witness, since then there is nothing to explain.
     """
     members = canonical_family(S)
     if len(members) < 2:
@@ -437,6 +443,8 @@ def explain_not_ufg(S: Iterable[Poset]) -> dict:
             "ufg": False,
             "reason": "a single order is closed already: the closure adds nothing",
         }
+    if next(_witness_bits(members), None) is not None:
+        raise UfgkitError("the family is union-free generic: it has a witness")
     member_bits = {m.bits for m in members}
     outside = [q for q in gamma_interval(members).posets() if q.bits not in member_bits]
     if not outside:

@@ -26,11 +26,13 @@ from ufgkit import (
     GroundSet,
     implication_valid,
     incidence,
+    intersect_family,
     make_poset,
     parse_attribute,
     partition_distinguishing,
     phi,
     psi,
+    union_family,
 )
 
 
@@ -177,6 +179,24 @@ def test_gamma_counterexample_bounds(corr):
     small = gamma_interval([p1, p2])
     assert not small.upper.has_pair(ground.index("b1"), ground.index("c1"))
     assert not small.contains(q)
+
+
+def test_gamma_interval_canonicalises_once(corr, monkeypatch):
+    import ufgkit.context
+
+    _, p1, p2, p3, _ = corr
+    calls = []
+    original = ufgkit.context.canonical_family
+
+    def counting(S):
+        calls.append(1)
+        return original(S)
+
+    monkeypatch.setattr(ufgkit.context, "canonical_family", counting)
+    iv = gamma_interval([p3, p1, p2, p1])
+    assert len(calls) == 1
+    assert iv.lower == intersect_family([p1, p2, p3])
+    assert iv.upper == union_family([p1, p2, p3])
 
 
 def test_gamma_explicit_matches_interval_on_samples(pool3):

@@ -232,6 +232,18 @@ def test_interval_requires_nested_bounds():
         PosetInterval(ab, BinaryRelation(g, 0))
 
 
+def test_interval_outside_shapes_identity(corr):
+    _, p1, p2, p3, q = corr
+    iv = gamma_interval([p1, p2, p3])
+    rest = gamma_interval([p1, p2])
+    cut = PosetInterval(iv.lower, iv.upper, [(rest.lower.bits, rest.upper.bits)])
+    assert cut.outside == ((rest.lower.bits, rest.upper.bits),)
+    assert cut != iv and cut == PosetInterval(iv.lower, iv.upper, cut.outside)
+    assert hash(cut) == hash(PosetInterval(iv.lower, iv.upper, cut.outside))
+    assert "outside=" in repr(cut) and "outside=" not in repr(iv)
+    assert cut.contains(q) and not cut.contains(p1)
+
+
 def test_interval_stream_counterexample_contains_q(corr):
     _, p1, p2, p3, q = corr
     members = list(gamma_interval([p1, p2, p3]).posets())

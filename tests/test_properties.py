@@ -3,7 +3,7 @@ against the brute-force references and the independent deciders."""
 
 from __future__ import annotations
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ufgkit import (
@@ -40,6 +40,36 @@ def test_interval_walk_matches_brute_force(lower, extra):
     keys = [canonical_key(q) for q in walked]
     assert all(a < b for a, b in zip(keys, keys[1:]))
     assert walked[0] == lower
+
+
+# sub-intervals as raw bits: a sparse lower and a dense upper bound drawn
+# independently, so some are empty and many reach outside the interval
+sub_intervals = st.tuples(
+    st.tuples(*[st.integers(0, G4.full_bits)] * 3).map(lambda t: t[0] & t[1] & t[2]),
+    st.tuples(*[st.integers(0, G4.full_bits)] * 2).map(lambda t: t[0] | t[1]),
+)
+EVERYTHING = [(0, G4.full_bits)]
+
+
+@seeded
+@given(orders, st.integers(0, G4.full_bits), st.lists(sub_intervals, max_size=4))
+@example(ORDERS4[0], G4.full_bits, [])
+@example(ORDERS4[0], G4.full_bits, EVERYTHING)
+def test_pruned_walk_is_the_plain_walk_filtered(lower, extra, outside):
+    upper = BinaryRelation(G4, lower.bits | extra)
+    plain = PosetInterval(lower, upper).posets()
+    kept = [q for q in plain
+            if all(lo & ~q.bits or q.bits & ~up for lo, up in outside)]
+    assert list(PosetInterval(lower, upper, outside).posets()) == kept
+
+
+@seeded
+@given(orders, st.integers(0, G4.full_bits), st.lists(sub_intervals, max_size=4))
+@example(ORDERS4[0], G4.full_bits, EVERYTHING)
+def test_interval_contains_agrees_with_its_walk(lower, extra, outside):
+    iv = PosetInterval(lower, BinaryRelation(G4, lower.bits | extra), outside)
+    walked = set(iv.posets())
+    assert all(iv.contains(q) == (q in walked) for q in ORDERS4)
 
 
 @seeded

@@ -13,6 +13,7 @@ from ufgkit import (
     GroundSet,
     MixedGroundSets,
     Poset,
+    UfgkitError,
     candidate_filter,
     canonical_family,
     default_max_family_size,
@@ -31,8 +32,11 @@ from ufgkit import (
     is_witness,
     iter_witnesses,
     make_poset,
+    random_pool,
     transitive_closure,
 )
+from ufgkit.context import _loo_and_or
+from ufgkit.ufg import _blocker
 
 
 # --- the generic condition -------------------------------------------------------
@@ -311,6 +315,18 @@ def test_every_pair_inside_an_ufg_triple_is_ufg(catalog3):
             assert family_key(sub) in keys
 
 
+def test_pruned_kernel_matches_filtered_plain_walk():
+    # acceptance-6 pool 0: the pruned walk yields exactly the plain walk's
+    # leaves that escape every leave-one-out closure, in the same order
+    g5 = GroundSet.numbered(5)
+    pool = random_pool(g5, random.Random("pool:0"), 12)
+    for size in range(2, 5):
+        for S in combinations(pool, size):
+            loo = list(zip(*_loo_and_or([m.bits for m in S], g5.full_bits)))
+            plain = [q for q in gamma_interval(S).posets() if _blocker(q.bits, loo) is None]
+            assert list(iter_witnesses(S)) == plain
+
+
 # --- failure explanations ----------------------------------------------------------------
 
 
@@ -326,3 +342,9 @@ def test_explanations_name_the_failure(corr):
         fam = [p1, p2, r]
         rest = [m for m in canonical_family(fam) if m != entry["covered_without"]]
         assert gamma_interval(rest).contains(entry["candidate"])
+
+
+def test_explain_not_ufg_rejects_an_ufg_family(corr):
+    _, p1, p2, p3, _ = corr
+    with pytest.raises(UfgkitError, match="witness"):
+        explain_not_ufg([p1, p2, p3])
