@@ -18,8 +18,14 @@ from .connectedness import (
     run_corrigendum,
     verify_connectedness,
 )
-from .context import FormalContext, gamma_explicit, gamma_interval
+from .context import gamma_interval
 from .errors import UfgkitError
+from .oracles import (
+    FormalContext,
+    gamma_explicit,
+    is_ufg_by_distinguishing,
+    is_union_free_bruteforce,
+)
 from .orders import (
     GroundSet,
     Poset,
@@ -33,8 +39,6 @@ from .ufg import (
     explain_not_ufg,
     is_generic,
     is_ufg,
-    is_ufg_by_distinguishing,
-    is_union_free_bruteforce,
 )
 
 EXIT_OK = 0

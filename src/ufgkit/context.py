@@ -4,38 +4,28 @@ Each ordered pair (i, j), i != j, contributes two scaled attributes:
 ``leq(i,j)`` holds for an order that contains the pair, ``nleq(i,j)``
 for one that does not.  The induced closure of a family of orders is
 the interval between their intersection and their union; the explicit
-derivation operators below exist as the independent route to the same
-sets.
+derivation operators, the independent route to the same sets, live in
+:mod:`ufgkit.oracles`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 
 from .errors import (
-    EmptyFamily,
-    GroundSetTooLarge,
     IndexOutOfRange,
-    InconsistentAttributes,
     FamilyTooSmall,
     MemberNotInFamily,
     MixedGroundSets,
-    NotAntisymmetric,
-    ObjectNotInContext,
     ReflexivePairRejected,
 )
 from .orders import (
-    CAP_ENV_VAR,
     BinaryRelation,
     GroundSet,
     Poset,
     PosetInterval,
     canonical_family,
-    canonical_key,
-    enumerate_all_posets,
-    resolve_cap,
-    transitive_closure,
 )
 
 LEQ = "leq"
@@ -97,172 +87,6 @@ def all_attributes(ground: GroundSet) -> list[Attribute]:
     return out
 
 
-def incidence(p: Poset, m: Attribute) -> bool:
-    """Whether the order has the attribute."""
-    m._check_range(p.ground)
-    present = p.has_pair(m.i, m.j)
-    return present if m.kind == LEQ else not present
-
-
-class _AllPosets:
-    """Sentinel: the context objects are all partial orders."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "ALL_POSETS"
-
-
-ALL_POSETS = _AllPosets()
-
-
-class FormalContext:
-    """Objects (orders) against scaled pair attributes.
-
-    ``objects`` is either the :data:`ALL_POSETS` sentinel, in which case
-    incidence is computed and never stored, or an explicit duplicate-free
-    sample of orders (used when premises come from observed data).
-    """
-
-    def __init__(self, ground: GroundSet, objects=ALL_POSETS, cap: int | None = None):
-        self.ground = ground
-        self.cap = cap
-        if objects is ALL_POSETS:
-            self.objects = ALL_POSETS
-        else:
-            members = tuple(objects)
-            seen = set()
-            for p in members:
-                if p.ground != ground:
-                    raise MixedGroundSets("context object on a different ground set")
-                key = canonical_key(p)
-                if key in seen:
-                    raise ValueError("explicit context objects must be duplicate-free")
-                seen.add(key)
-            self.objects = tuple(sorted(members, key=canonical_key))
-
-    @property
-    def is_universal(self) -> bool:
-        return self.objects is ALL_POSETS
-
-    def contains_object(self, p: Poset) -> bool:
-        if p.ground != self.ground:
-            return False
-        if self.is_universal:
-            return True
-        return any(q.bits == p.bits for q in self.objects)
-
-    def iter_objects(self) -> Iterator[Poset]:
-        if self.is_universal:
-            return enumerate_all_posets(self.ground, self.cap)
-        return iter(self.objects)
-
-
-def psi(A: Iterable[Poset], ctx: FormalContext) -> frozenset[Attribute]:
-    """Attributes shared by every order in A; all of them for empty A."""
-    members = list(A)
-    ground = ctx.ground
-    if not members:
-        return frozenset(all_attributes(ground))
-    for g in members:
-        if not ctx.contains_object(g):
-            raise ObjectNotInContext(f"{g!r} is not an object of the context")
-    inter = ground.full_bits
-    union = 0
-    for g in members:
-        inter &= g.bits
-        union |= g.bits
-    attrs = []
-    for k in range(ground.pair_count):
-        i, j = ground.pair_at(k)
-        if (inter >> k) & 1:
-            attrs.append(Attribute(LEQ, i, j))
-        if not ((union >> k) & 1):
-            attrs.append(Attribute(NLEQ, i, j))
-    return frozenset(attrs)
-
-
-class PhiExtent:
-    """Lazy description of the orders that carry a set of attributes.
-
-    LEQ attributes become required pairs, NLEQ attributes forbidden
-    pairs.  The extent is used almost exclusively through the membership
-    predicate; materialization is explicit because the full object space
-    explodes with the ground size.
-    """
-
-    __slots__ = ("ctx", "required_bits", "forbidden_bits")
-
-    def __init__(self, ctx: FormalContext, required_bits: int, forbidden_bits: int):
-        self.ctx = ctx
-        self.required_bits = required_bits
-        self.forbidden_bits = forbidden_bits
-
-    @property
-    def required_pairs(self) -> frozenset[tuple[int, int]]:
-        return BinaryRelation(self.ctx.ground, self.required_bits).pairs
-
-    @property
-    def forbidden_pairs(self) -> frozenset[tuple[int, int]]:
-        return BinaryRelation(self.ctx.ground, self.forbidden_bits).pairs
-
-    def contains(self, p: Poset) -> bool:
-        if p.ground != self.ctx.ground:
-            raise MixedGroundSets("query poset lives on a different ground set")
-        if not self.ctx.contains_object(p):
-            return False
-        return not (self.required_bits & ~p.bits) and not (p.bits & self.forbidden_bits)
-
-    def materialize(self) -> tuple[Poset, ...]:
-        """Explicit extent in canonical order.
-
-        Raises :class:`InconsistentAttributes` when a pair is both
-        required and forbidden (the extent is empty in that case).
-        """
-        ground = self.ctx.ground
-        if self.required_bits & self.forbidden_bits:
-            raise InconsistentAttributes(
-                "a pair is both required (leq) and forbidden (nleq); the extent is empty"
-            )
-        if not self.ctx.is_universal:
-            return tuple(p for p in self.ctx.objects if self.contains(p))
-        limit = resolve_cap(self.ctx.cap)
-        if ground.size > limit:
-            raise GroundSetTooLarge(
-                f"materializing over all orders of {ground.size} items exceeds "
-                f"the cap {limit} (env {CAP_ENV_VAR} raises it)"
-            )
-        closed = transitive_closure(BinaryRelation(ground, self.required_bits))
-        if closed.bits & self.forbidden_bits:
-            return ()
-        try:
-            lower = Poset(ground, closed.bits)
-        except NotAntisymmetric:
-            return ()  # required pairs force a cycle: nothing qualifies
-        upper = BinaryRelation(ground, ground.full_bits & ~self.forbidden_bits)
-        return tuple(PosetInterval(lower, upper).posets())
-
-
-def phi(B: Iterable[Attribute], ctx: FormalContext) -> PhiExtent:
-    """Constraint form of the common objects of an attribute set."""
-    ground = ctx.ground
-    required = 0
-    forbidden = 0
-    for m in B:
-        m._check_range(ground)
-        k = ground.pair_index(m.i, m.j)
-        if m.kind == LEQ:
-            required |= 1 << k
-        else:
-            forbidden |= 1 << k
-    return PhiExtent(ctx, required, forbidden)
-
-
 def gamma_interval(S: Iterable[Poset]) -> PosetInterval:
     """Closure of a nonempty family, as the interval form."""
     members = canonical_family(S)
@@ -273,51 +97,6 @@ def gamma_interval(S: Iterable[Poset]) -> PosetInterval:
         upper |= m.bits
     # an intersection of orders is an order: no validation needed
     return PosetInterval(Poset(ground, lower, check=False), BinaryRelation(ground, upper))
-
-
-def gamma_explicit(S: Iterable[Poset], ctx: FormalContext) -> frozenset[Poset]:
-    """Closure computed the long way round, through both derivations.
-
-    Exists as the independent oracle for the interval shortcut; only
-    meaningful when the context objects are all partial orders.
-    """
-    if not ctx.is_universal:
-        raise ValueError("explicit closure requires the universal object space")
-    members = list(S)
-    if not members:
-        raise EmptyFamily("the family has no members")
-    return frozenset(phi(psi(members, ctx), ctx).materialize())
-
-
-def implication_valid(
-    Y: Iterable[Poset],
-    Z: Iterable[Poset],
-    ctx: FormalContext | None = None,
-    debug: bool = False,
-) -> bool:
-    """Whether the closure of Y contains the closure of Z.
-
-    Decided through interval bounds; with ``debug`` the materialized
-    closures are compared as well (small ground sets only).
-    """
-    y_members = canonical_family(Y)
-    z_members = list(Z)
-    if not z_members:
-        return True  # nothing to imply
-    iv_y = gamma_interval(y_members)
-    iv_z = gamma_interval(z_members)
-    if iv_y.lower.ground != iv_z.lower.ground:
-        raise MixedGroundSets("premise and conclusion on different ground sets")
-    ok = not (iv_y.lower.bits & ~iv_z.lower.bits) and not (
-        iv_z.upper.bits & ~iv_y.upper.bits
-    )
-    if debug:
-        check_ctx = ctx if ctx is not None else FormalContext(iv_y.lower.ground)
-        explicit = gamma_explicit(z_members, check_ctx) <= gamma_explicit(
-            y_members, check_ctx
-        )
-        assert ok == explicit, "interval decision disagrees with explicit closures"
-    return ok
 
 
 @dataclass(frozen=True)
@@ -331,10 +110,6 @@ class DistinguishingSet:
     member: Poset
     attributes: frozenset[Attribute]
     restriction: Poset | None = None
-
-    @property
-    def nonempty(self) -> bool:
-        return bool(self.attributes)
 
 
 def _loo_and_or(bits_list: list[int], full: int) -> tuple[list[int], list[int]]:

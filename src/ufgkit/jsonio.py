@@ -221,179 +221,190 @@ def scenario_to_obj(s: CorrigendumScenario) -> dict:
 # --- parsers for everything the CLI emits ------------------------------------
 #
 # write(read(write(x))) must reproduce the bytes, so each parser rebuilds
-# the semantic objects its serializer consumed.
+# the semantic objects its serializer consumed and accepts only what that
+# serializer writes: every key it writes, no other key, each value of its
+# JSON type.  A parser has the signature ``parse(value, where)``.
+
+
+def _record(obj: Any, where: str, fields: dict, optional: tuple[str, ...] = ()) -> dict:
+    """A JSON object with exactly the keys of ``fields``, those named in
+    ``optional`` maybe absent; returns each value read by its parser."""
+    _require(isinstance(obj, dict), where, "expected an object")
+    for key in obj:
+        _require(key in fields, where, f"unexpected key {key!r}")
+    out = {}
+    for key, parse in fields.items():
+        if key in obj:
+            out[key] = parse(obj[key], f"{where}.{key}")
+        else:
+            _require(key in optional, where, f"missing key {key!r}")
+    return out
+
+
+def _record_of(fields: dict):
+    return lambda obj, where: _record(obj, where, fields)
+
+
+def _scalar(kind: type, name: str):
+    def parse(value: Any, where: str):
+        # exact type: JSON true is no integer, although Python's bool is one
+        _require(type(value) is kind, where, f"expected {name}")
+        return value
+
+    return parse
+
+
+_int = _scalar(int, "an integer")
+_bool = _scalar(bool, "a boolean")
+_str = _scalar(str, "a string")
+
+
+def _list(item):
+    def parse(value: Any, where: str) -> list:
+        _require(isinstance(value, list), where, "expected a list")
+        return [item(v, f"{where}[{i}]") for i, v in enumerate(value)]
+
+    return parse
+
+
+def _posets(value: Any, where: str) -> tuple[Poset, ...]:
+    return tuple(_list(poset_from_obj)(value, where))
+
+
+def _raw(value: Any, where: str) -> Any:
+    """A value the caller checks itself, once it knows what to expect."""
+    return value
 
 
 def certificate_from_obj(obj: Any, where: str = "certificate") -> UfgCertificate:
-    _require(isinstance(obj, dict), where, "expected an object")
-    members = tuple(
-        poset_from_obj(m, f"{where}.members[{i}]")
-        for i, m in enumerate(obj.get("members", []))
-    )
+    rec = _record(obj, where, {
+        "members": _posets,
+        "witness": poset_from_obj,
+        "distinguishing": _raw,
+    })
+    members, witness = rec["members"], rec["witness"]
     _require(bool(members), f"{where}.members", "expected at least one member")
-    witness = poset_from_obj(obj.get("witness"), f"{where}.witness")
+    spot = f"{where}.distinguishing"
+    texts = _record(rec["distinguishing"], spot, {str(i): _list(_str) for i in range(len(members))})
     ground = members[0].ground
-    raw = obj.get("distinguishing")
-    _require(isinstance(raw, dict), f"{where}.distinguishing", "expected an object")
-    per_member = {}
-    for i, m in enumerate(members):
-        texts = raw.get(str(i), [])
-        attrs = frozenset(parse_attribute(ground, t) for t in texts)
-        per_member[m] = DistinguishingSet(m, attrs, witness)
+    try:
+        per_member = {
+            m: DistinguishingSet(
+                m, frozenset(parse_attribute(ground, t) for t in texts[str(i)]), witness
+            )
+            for i, m in enumerate(members)
+        }
+    except ValueError as exc:
+        raise InvalidFormat(f"{spot}: {exc}") from None
     return UfgCertificate(members, witness, per_member)
 
 
 def catalog_from_obj(obj: Any, where: str = "catalog") -> UfgCatalog:
-    _require(isinstance(obj, dict), where, "expected an object")
-    ground = _parse_elements(obj.get("ground"), f"{where}.ground")
-    certs = [
-        certificate_from_obj(entry, f"{where}.ufg_sets[{i}]")
-        for i, entry in enumerate(obj.get("ufg_sets", []))
-    ]
-    max_size = max((c.size for c in certs), default=0)
-    catalog = UfgCatalog(ground, "loaded", max_size)
+    rec = _record(obj, where, {
+        "ground": _parse_elements,
+        "ufg_sets": _list(certificate_from_obj),
+        "stats": _record_of({"count_by_size": _raw}),
+    })
+    certs = rec["ufg_sets"]
+    catalog = UfgCatalog(rec["ground"], "loaded", max((c.size for c in certs), default=0))
     for cert in certs:
         catalog.add(cert)
+    counts = {str(size): count for size, count in catalog.count_by_size().items()}
+    _require(
+        rec["stats"]["count_by_size"] == counts,
+        f"{where}.stats.count_by_size",
+        "does not match the ufg sets",
+    )
     return catalog
 
 
 def _analysis_from_obj(obj: Any, where: str) -> dict:
-    _require(isinstance(obj, dict), where, "expected an object")
-    out = {"ufg": obj.get("ufg"), "reason": obj.get("reason")}
-    if "blockers" in obj:
-        out["blockers"] = [
-            {
-                "candidate": poset_from_obj(e.get("candidate"), f"{where}.blockers[{i}]"),
-                "covered_without": poset_from_obj(
-                    e.get("covered_without"), f"{where}.blockers[{i}]"
-                ),
-            }
-            for i, e in enumerate(obj["blockers"])
-        ]
-    return out
+    blocker = _record_of({"candidate": poset_from_obj, "covered_without": poset_from_obj})
+    return _record(
+        obj, where, {"ufg": _bool, "reason": _str, "blockers": _list(blocker)}, ("blockers",)
+    )
 
 
 def violation_from_obj(obj: Any, where: str = "violation") -> ConnectednessViolation:
-    _require(isinstance(obj, dict), where, "expected an object")
-    family = tuple(
-        poset_from_obj(m, f"{where}.family[{i}]")
-        for i, m in enumerate(obj.get("family", []))
-    )
-    cert = certificate_from_obj(obj.get("certificate"), f"{where}.certificate")
-    failures = []
-    for i, entry in enumerate(obj.get("leave_one_out", [])):
-        spot = f"{where}.leave_one_out[{i}]"
-        failures.append(
-            {
-                "removed": poset_from_obj(entry.get("removed"), f"{spot}.removed"),
-                "members": tuple(
-                    poset_from_obj(m, f"{spot}.members[{k}]")
-                    for k, m in enumerate(entry.get("members", []))
-                ),
-                "analysis": _analysis_from_obj(entry.get("analysis"), f"{spot}.analysis"),
-            }
-        )
-    return ConnectednessViolation(family, cert, failures)
+    rec = _record(obj, where, {
+        "family": _posets,
+        "certificate": certificate_from_obj,
+        "leave_one_out": _list(_record_of({
+            "removed": poset_from_obj,
+            "members": _posets,
+            "analysis": _analysis_from_obj,
+        })),
+    })
+    return ConnectednessViolation(rec["family"], rec["certificate"], rec["leave_one_out"])
 
 
 def connectedness_from_obj(obj: Any, where: str = "report") -> ConnectednessReport:
-    _require(isinstance(obj, dict), where, "expected an object")
-    ground = _parse_elements(obj.get("ground"), f"{where}.ground")
-    predecessors = []
-    for i, entry in enumerate(obj.get("predecessors", [])):
-        spot = f"{where}.predecessors[{i}]"
-        predecessors.append(
-            {
-                "family": tuple(
-                    poset_from_obj(m, spot) for m in entry.get("family", [])
-                ),
-                "predecessor": tuple(
-                    poset_from_obj(m, spot) for m in entry.get("predecessor", [])
-                ),
-                "witness": poset_from_obj(entry.get("witness"), spot),
-            }
-        )
-    violations = [
-        violation_from_obj(v, f"{where}.violations[{i}]")
-        for i, v in enumerate(obj.get("violations", []))
-    ]
-    return ConnectednessReport(
-        ground=ground,
-        max_size=obj.get("max_size"),
-        checked=obj.get("checked"),
-        connected=obj.get("connected"),
-        violations=violations,
-        predecessors=predecessors,
-    )
+    return ConnectednessReport(**_record(obj, where, {
+        "ground": _parse_elements,
+        "max_size": _int,
+        "checked": _int,
+        "connected": _int,
+        "violations": _list(violation_from_obj),
+        "predecessors": _list(_record_of({
+            "family": _posets,
+            "predecessor": _posets,
+            "witness": poset_from_obj,
+        })),
+    }))
 
 
 def falsification_from_obj(obj: Any, where: str = "report") -> FalsificationReport:
-    _require(isinstance(obj, dict), where, "expected an object")
-    violation = obj.get("violation")
-    return FalsificationReport(
-        n_range=tuple(obj.get("n_range", [])),
-        budget=obj.get("budget"),
-        seed=obj.get("seed"),
-        pool_size=obj.get("pool_size"),
-        trials=obj.get("trials"),
-        families_checked=obj.get("families_checked"),
-        violation=(
-            violation_from_obj(violation, f"{where}.violation")
-            if violation is not None
-            else None
+    return FalsificationReport(**_record(obj, where, {
+        "n_range": lambda value, spot: tuple(_list(_int)(value, spot)),
+        "budget": _int,
+        "seed": _int,
+        "pool_size": _int,
+        "trials": _int,
+        "families_checked": _int,
+        "violation": lambda value, spot: (
+            None if value is None else violation_from_obj(value, spot)
         ),
-    )
+    }))
 
 
 def scenario_from_obj(obj: Any, where: str = "scenario") -> CorrigendumScenario:
-    _require(isinstance(obj, dict), where, "expected an object")
-    ground = _parse_elements(obj.get("ground"), f"{where}.ground")
-    raw = obj.get("posets")
-    _require(isinstance(raw, dict), f"{where}.posets", "expected an object")
-    posets = {
-        name: poset_from_obj(raw.get(name), f"{where}.posets.{name}")
-        for name in ("p1", "p2", "p3", "q")
-    }
-    checks = [
-        ScenarioCheck(c["name"], c["passed"], c["detail"])
-        for c in obj.get("assertions", [])
-    ]
-    return CorrigendumScenario(
-        ground, posets["p1"], posets["p2"], posets["p3"], posets["q"], checks
-    )
+    rec = _record(obj, where, {
+        "ground": _parse_elements,
+        "posets": _record_of(dict.fromkeys(("p1", "p2", "p3", "q"), poset_from_obj)),
+        "assertions": _list(_record_of({"name": _str, "passed": _bool, "detail": _str})),
+    })
+    checks = [ScenarioCheck(**c) for c in rec["assertions"]]
+    return CorrigendumScenario(rec["ground"], **rec["posets"], checks=checks)
 
 
 def count_payload_from_obj(obj: Any, where: str = "payload") -> dict:
-    _require(isinstance(obj, dict), where, "expected an object")
-    ground = _parse_elements(obj.get("elements"), f"{where}.elements")
-    _require(isinstance(obj.get("count"), int), f"{where}.count", "expected an int")
-    return {"elements": list(ground.labels), "count": obj["count"]}
+    rec = _record(obj, where, {"elements": _parse_elements, "count": _int})
+    return {"elements": list(rec["elements"].labels), "count": rec["count"]}
 
 
 def closure_payload_from_obj(obj: Any, where: str = "payload") -> dict:
-    _require(isinstance(obj, dict), where, "expected an object")
-    ground = _parse_elements(obj.get("elements"), f"{where}.elements")
+    rec = _record(obj, where, {
+        "elements": _parse_elements,
+        "lower": _parse_relations,
+        "upper": _parse_relations,
+        "members": _posets,
+        "oracle_checked": _bool,
+    }, ("members", "oracle_checked"))
+    ground = rec["elements"]
     out: dict[str, Any] = {"elements": list(ground.labels)}
     for bound in ("lower", "upper"):
-        pairs = _parse_relations(obj.get(bound), f"{where}.{bound}")
-        for a, b in pairs:  # labels must exist; make_poset is too strict for upper
+        for a, b in rec[bound]:  # labels must exist; make_poset is too strict for upper
             ground.index(a), ground.index(b)
-        out[bound] = [[a, b] for a, b in pairs]
-    if "members" in obj:
-        out["members"] = [
-            poset_to_obj(poset_from_obj(m, f"{where}.members[{i}]"))
-            for i, m in enumerate(obj["members"])
-        ]
-    if "oracle_checked" in obj:
-        out["oracle_checked"] = bool(obj["oracle_checked"])
+        out[bound] = [[a, b] for a, b in rec[bound]]
+    if "members" in rec:
+        out["members"] = [poset_to_obj(m) for m in rec["members"]]
+    if "oracle_checked" in rec:
+        out["oracle_checked"] = rec["oracle_checked"]
     return out
 
 
 def verdict_payload_from_obj(obj: Any, where: str = "payload") -> dict:
-    _require(isinstance(obj, dict), where, "expected an object")
-    _require(isinstance(obj.get("ufg"), bool), f"{where}.ufg", "expected a bool")
-    if obj["ufg"]:
-        cert = certificate_from_obj(obj.get("certificate"), f"{where}.certificate")
-        return {"ufg": True, "certificate": certificate_to_obj(cert)}
-    return {"ufg": False, "reason": obj.get("reason")}
-
+    if isinstance(obj, dict) and obj.get("ufg") is True:
+        rec = _record(obj, where, {"ufg": _bool, "certificate": certificate_from_obj})
+        return {"ufg": True, "certificate": certificate_to_obj(rec["certificate"])}
+    return _record(obj, where, {"ufg": _bool, "reason": _str})

@@ -6,9 +6,9 @@ the closure of S.  Both together are equivalent to the existence of a
 witness order q in the closure of S that escapes every leave-one-out
 closure: isotony dominates any covering collection of proper subsets
 by the collection {S minus one member}, so those are the only subsets
-that ever need checking.  ``is_ufg`` runs that witness scan;
-``is_ufg_by_distinguishing`` decides the same question through
-per-member distinguishing attributes and exists as a cross-check.
+that ever need checking.  ``is_ufg`` runs that witness scan, the one
+decider of the library; :mod:`ufgkit.oracles` holds the independent
+deciders it is checked against.
 """
 
 from __future__ import annotations
@@ -127,24 +127,6 @@ def is_union_free(S: Iterable[Poset]) -> bool:
     return next(_witness_bits(members), None) is not None
 
 
-def is_union_free_bruteforce(S: Iterable[Poset]) -> bool:
-    """Naive oracle: materialize every proper-subset closure and test cover.
-
-    The union over all nonempty proper subsets dominates every candidate
-    family, so covering is possible iff that single union already covers.
-    Exponential in the family size; debugging aid only.
-    """
-    members = canonical_family(S)
-    if len(members) == 1:
-        return True
-    target = {q.bits for q in gamma_interval(members).posets()}
-    covered: set[int] = set()
-    for size in range(1, len(members)):
-        for sub in combinations(members, size):
-            covered.update(q.bits for q in gamma_interval(sub).posets())
-    return not (target <= covered)
-
-
 def is_witness(S: Iterable[Poset], q: Poset) -> bool:
     """Whether q certifies S: inside the closure, outside S and outside
     every leave-one-out closure."""
@@ -226,41 +208,20 @@ def is_ufg(S: Iterable[Poset]) -> UfgCertificate | None:
     return _is_ufg_sorted(members)
 
 
-def is_ufg_by_distinguishing(S: Iterable[Poset]) -> Poset | None:
-    """Independent decider: first closure member giving every family
-    member a nonempty restricted distinguishing set."""
-    try:
-        members = canonical_family(S)
-    except EmptyFamily:
-        return None
-    if len(members) < 2:
-        return None
-    for q in gamma_interval(members).posets():
-        if all(
-            distinguishing(x, members, q).attributes for x in members
-        ):
-            return q
-    return None
-
-
 def candidate_filter(Q: Iterable[Poset], p: Poset) -> bool:
     """Whether p is worth testing as an extension of the ufg family Q.
 
-    Rejects orders inside the closure of Q (their addition leaves the
-    closure unchanged, so some proper subset covers it) and orders whose
-    addition strips every distinguishing attribute from some existing
-    member.  Both rejections are sound: a rejected extension is provably
-    not union-free generic.
+    Rejects p when some order of Q + p keeps no distinguishing attribute:
+    such an order lies in the closure of the others, so a proper subset
+    covers the closure and the extension is provably not union-free
+    generic.  This covers p inside the closure of Q, and p equal to a
+    member, as the entry for p itself.
     """
     members = canonical_family(Q)
     if p.ground != members[0].ground:
         raise MixedGroundSets("extension candidate on a different ground set")
-    if any(p.bits == m.bits for m in members):
-        return False
-    if gamma_interval(members).contains(p):
-        return False
-    # p itself lies outside the closure of Q, so it keeps an attribute
-    bits_list = [m.bits for m in canonical_family(members + (p,))]
+    bits_list = [m.bits for m in members]
+    bits_list.append(p.bits)
     return _distinguishable(bits_list, *_loo_and_or(bits_list, p.ground.full_bits))
 
 
@@ -285,11 +246,6 @@ class UfgCatalog:
 
     def __len__(self) -> int:
         return len(self._families)
-
-    def __contains__(self, family) -> bool:
-        if isinstance(family, tuple) and family and isinstance(family[0], bytes):
-            return family in self._families  # already a key
-        return family_key(family) in self._families
 
     def get(self, family) -> UfgCertificate | None:
         return self._families.get(family_key(family))
@@ -407,7 +363,7 @@ def enumerate_ufg_connected(
                 if p.bits in current:
                     continue
                 merged = canonical_family(cert.family + (p,))
-                key = family_key(merged)
+                key = tuple(map(canonical_key, merged))
                 if key in visited:
                     continue
                 visited.add(key)

@@ -12,25 +12,27 @@ import time
 from contextlib import contextmanager
 from itertools import combinations
 
-from ufgkit import (
-    FormalContext,
-    GroundSet,
+from ufgkit.orders import GroundSet, canonical_family, enumerate_all_posets
+from ufgkit.context import gamma_interval
+from ufgkit.ufg import (
     candidate_filter,
-    canonical_family,
-    enumerate_all_posets,
     enumerate_ufg_connected,
     enumerate_ufg_exhaustive,
-    falsification_search,
-    gamma_explicit,
-    gamma_interval,
     is_generic,
     is_ufg,
-    is_ufg_by_distinguishing,
-    is_union_free_bruteforce,
     is_witness,
+)
+from ufgkit.connectedness import (
+    falsification_search,
     random_pool,
     run_corrigendum,
     verify_connectedness,
+)
+from ufgkit.oracles import (
+    FormalContext,
+    gamma_explicit,
+    is_ufg_by_distinguishing,
+    is_union_free_bruteforce,
 )
 
 from oracles import brute_force_strict_posets

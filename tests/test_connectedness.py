@@ -6,16 +6,12 @@ import random
 
 import pytest
 
-from ufgkit import (
-    FamilyTooSmall,
-    GroundSet,
-    NotUfgInput,
-    Poset,
+from ufgkit.errors import FamilyTooSmall, NotUfgInput
+from ufgkit.orders import GroundSet, Poset, empty_poset, make_poset
+from ufgkit.connectedness import (
     SCENARIO_CHECK_ORDER,
-    empty_poset,
     falsification_search,
     has_predecessor,
-    make_poset,
     random_pool,
     random_poset,
     run_corrigendum,

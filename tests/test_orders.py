@@ -6,34 +6,36 @@ import random
 
 import pytest
 
-from ufgkit import (
-    BinaryRelation,
+from ufgkit.errors import (
     DuplicateLabel,
     EmptyFamily,
     EmptyGroundSet,
-    GroundSet,
     GroundSetTooLarge,
     IndexOutOfRange,
     MixedGroundSets,
     NotAntisymmetric,
     NotTransitive,
-    Poset,
-    PosetInterval,
     ReflexivePairRejected,
     UfgkitError,
     UnknownLabel,
+)
+from ufgkit.orders import (
+    BinaryRelation,
+    GroundSet,
+    Poset,
+    PosetInterval,
     canonical_family,
     canonical_key,
     complete_relation,
     empty_poset,
     enumerate_all_posets,
-    gamma_interval,
     intersect_family,
     make_poset,
     resolve_cap,
     transitive_closure,
     union_family,
 )
+from ufgkit.context import gamma_interval
 
 from oracles import (
     brute_force_interval,

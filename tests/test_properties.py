@@ -1,25 +1,23 @@
-"""Property tests on 4 items: the interval walk and the witness kernel
-against the brute-force references and the independent deciders."""
+"""Property tests on 4 items: the interval walk, the extension filter and
+the witness kernel against the brute-force references and the
+independent deciders."""
 
 from __future__ import annotations
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ufgkit import (
+from ufgkit.orders import (
     BinaryRelation,
     GroundSet,
     PosetInterval,
     canonical_family,
     canonical_key,
     enumerate_all_posets,
-    explain_not_ufg,
-    gamma_interval,
-    is_generic,
-    is_ufg,
-    is_ufg_by_distinguishing,
-    is_union_free_bruteforce,
 )
+from ufgkit.context import distinguishing, gamma_interval
+from ufgkit.ufg import candidate_filter, explain_not_ufg, is_generic, is_ufg
+from ufgkit.oracles import is_ufg_by_distinguishing, is_union_free_bruteforce
 
 from oracles import brute_force_interval
 
@@ -70,6 +68,21 @@ def test_interval_contains_agrees_with_its_walk(lower, extra, outside):
     iv = PosetInterval(lower, BinaryRelation(G4, lower.bits | extra), outside)
     walked = set(iv.posets())
     assert all(iv.contains(q) == (q in walked) for q in ORDERS4)
+
+
+@seeded
+@given(st.lists(orders, min_size=1, max_size=4), orders)
+def test_candidate_filter_is_its_three_part_definition(Q, p):
+    # reference: p is no member, lies outside the closure of Q, and leaves
+    # every order of Q + p a distinguishing attribute
+    members = canonical_family(Q)
+    grown = canonical_family(members + (p,))
+    expected = (
+        p not in members
+        and not gamma_interval(members).contains(p)
+        and all(distinguishing(x, grown).attributes for x in grown)
+    )
+    assert candidate_filter(Q, p) == expected
 
 
 @seeded

@@ -7,36 +7,34 @@ from itertools import combinations
 
 import pytest
 
-from ufgkit import (
+from ufgkit.errors import CombinatorialBudgetExceeded, MixedGroundSets, UfgkitError
+from ufgkit.orders import (
     BinaryRelation,
-    CombinatorialBudgetExceeded,
     GroundSet,
-    MixedGroundSets,
     Poset,
-    UfgkitError,
-    candidate_filter,
     canonical_family,
-    default_max_family_size,
     empty_poset,
     enumerate_all_posets,
+    make_poset,
+    transitive_closure,
+)
+from ufgkit.context import _loo_and_or, gamma_interval
+from ufgkit.ufg import (
+    _blocker,
+    candidate_filter,
+    default_max_family_size,
     enumerate_ufg_connected,
     enumerate_ufg_exhaustive,
     explain_not_ufg,
     family_key,
-    gamma_interval,
     is_generic,
     is_ufg,
-    is_ufg_by_distinguishing,
     is_union_free,
-    is_union_free_bruteforce,
     is_witness,
     iter_witnesses,
-    make_poset,
-    random_pool,
-    transitive_closure,
 )
-from ufgkit.context import _loo_and_or
-from ufgkit.ufg import _blocker
+from ufgkit.connectedness import random_pool
+from ufgkit.oracles import is_ufg_by_distinguishing, is_union_free_bruteforce
 
 
 # --- the generic condition -------------------------------------------------------
@@ -271,6 +269,25 @@ def test_filter_rejects_duplicate_rows(corr):
 def test_filter_keeps_the_real_extension(corr):
     _, p1, p2, p3, _ = corr
     assert candidate_filter([p1, p2], p3)
+
+
+def test_filter_canonicalises_once_and_opens_no_closure(corr, monkeypatch):
+    import ufgkit.ufg
+
+    _, p1, p2, p3, _ = corr
+    calls = []
+
+    def counting(name, original):
+        def wrapper(*args):
+            calls.append(name)
+            return original(*args)
+
+        return wrapper
+
+    for name in ("canonical_family", "gamma_interval"):
+        monkeypatch.setattr(ufgkit.ufg, name, counting(name, getattr(ufgkit.ufg, name)))
+    assert candidate_filter([p2, p1, p2], p3)
+    assert calls == ["canonical_family"]
 
 
 def test_filter_soundness_sampled(catalog3, pool3):
