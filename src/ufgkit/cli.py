@@ -23,6 +23,7 @@ from .errors import UfgkitError
 from .oracles import (
     FormalContext,
     gamma_explicit,
+    is_generic,
     is_ufg_by_distinguishing,
     is_union_free_bruteforce,
 )
@@ -37,7 +38,6 @@ from .ufg import (
     enumerate_ufg_connected,
     enumerate_ufg_exhaustive,
     explain_not_ufg,
-    is_generic,
     is_ufg,
 )
 

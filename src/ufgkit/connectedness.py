@@ -19,16 +19,17 @@ from itertools import combinations
 from .context import NLEQ, Attribute, gamma_interval, partition_distinguishing
 from .errors import FamilyTooSmall, NotUfgInput, UfgkitError
 from .orders import (
-    BinaryRelation,
     GroundSet,
     Poset,
+    _close_rows,
+    _rows_to_bits,
     canonical_family,
     make_poset,
-    transitive_closure,
 )
 from .ufg import (
     UfgCertificate,
     _is_ufg_sorted,
+    _witness_bits,
     candidate_filter,
     enumerate_ufg_exhaustive,
     explain_not_ufg,
@@ -48,7 +49,7 @@ def has_predecessor(
     members = canonical_family(S)
     if len(members) < 3:
         raise FamilyTooSmall("predecessors are defined for families of size >= 3")
-    if _is_ufg_sorted(members) is None:
+    if next(_witness_bits(members), None) is None:
         raise NotUfgInput("the input family is not union-free generic")
     for removed in members:
         rest = tuple(m for m in members if m.bits != removed.bits)
@@ -225,22 +226,12 @@ SCENARIO_CHECKS = {
     "predecessor-exists": _check_predecessor,
 }
 
-SCENARIO_CHECK_ORDER = tuple(SCENARIO_CHECKS)
-
-
-def run_corrigendum(order: Sequence[str] | None = None) -> CorrigendumScenario:
-    """Replay the counterexample scenario and record every assertion.
-
-    The checks are independent facts; ``order`` only changes when each
-    one is evaluated, never its outcome, and the recorded list always
-    follows the canonical order.
-    """
+def run_corrigendum() -> CorrigendumScenario:
+    """Replay the counterexample scenario and record every assertion."""
     ground, p1, p2, p3, q = corrigendum_inputs()
-    results = {}
-    for name in order if order is not None else SCENARIO_CHECK_ORDER:
-        results[name] = SCENARIO_CHECKS[name](ground, p1, p2, p3, q)
     checks = [
-        ScenarioCheck(name, *results[name]) for name in SCENARIO_CHECK_ORDER
+        ScenarioCheck(name, *check(ground, p1, p2, p3, q))
+        for name, check in SCENARIO_CHECKS.items()
     ]
     return CorrigendumScenario(ground, p1, p2, p3, q, checks)
 
@@ -252,26 +243,18 @@ def random_poset(ground: GroundSet, rng: random.Random, max_tries: int = 200) ->
     """Random order via rejection: random strict pairs, transitively closed,
     kept when the closure stays asymmetric.  Not uniform over all orders;
     good enough for stress trials."""
+    n = ground.size
     density = rng.uniform(0.1, 0.5)
     for _ in range(max_tries):
-        bits = 0
-        for k in range(ground.pair_count):
-            if rng.random() < density:
-                bits |= 1 << k
-        closed = transitive_closure(BinaryRelation(ground, bits))
-        cb = closed.bits
-        ok = True
-        for i in range(ground.size):
-            for j in range(i + 1, ground.size):
-                if (cb >> ground.pair_index(i, j)) & 1 and (
-                    cb >> ground.pair_index(j, i)
-                ) & 1:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            return Poset(ground, cb, check=False)
+        rows = [0] * n
+        for i in range(n):  # one draw per pair, in pair-position order
+            for j in range(n):
+                if i != j and rng.random() < density:
+                    rows[i] |= 1 << j
+        rows = _close_rows(rows)
+        # a cycle in the closure makes its items reach themselves
+        if not any((row >> i) & 1 for i, row in enumerate(rows)):
+            return Poset(ground, _rows_to_bits(ground, rows), check=False)
     return Poset(ground, 0, check=False)
 
 

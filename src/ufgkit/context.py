@@ -25,6 +25,7 @@ from .orders import (
     GroundSet,
     Poset,
     PosetInterval,
+    _iter_bits,
     canonical_family,
 )
 
@@ -131,51 +132,45 @@ def _loo_and_or(bits_list: list[int], full: int) -> tuple[list[int], list[int]]:
     return others_and, others_or
 
 
-def _distinguishing_masks(
-    x_bits: int, others_and: int, others_or: int, q_bits: int | None, full: int
-) -> tuple[int, int]:
-    """Packed LEQ / NLEQ distinguishing pair positions for one member."""
-    leq = others_and & ~x_bits
-    nleq = x_bits & ~others_or
-    if q_bits is not None:
-        leq &= ~q_bits
-        nleq &= q_bits
-    return leq & full, nleq & full
+def _distinguishing_sets(
+    members: tuple[Poset, ...], q: Poset | None
+) -> list[DistinguishingSet]:
+    """Distinguishing sets of every member of a canonical family, in
+    member order, from one leave-one-out pass.
 
-
-def distinguishing(x: Poset, S: Iterable[Poset], q: Poset | None = None) -> DistinguishingSet:
-    """Distinguishing attributes of x within S, optionally restricted to q.
-
-    A LEQ attribute qualifies when its pair is missing from x, present in
-    every other member, and (restricted) missing from q; an NLEQ attribute
-    when its pair is in x, in no other member, and (restricted) in q.
+    A LEQ attribute qualifies when its pair is missing from the member,
+    present in every other member, and (restricted) missing from q; an
+    NLEQ attribute when its pair is in the member, in no other member,
+    and (restricted) in q.
     """
-    members = canonical_family(S)
-    if len(members) < 2:
-        raise FamilyTooSmall("distinguishing attributes need at least two members")
     ground = members[0].ground
     if q is not None and q.ground != ground:
         raise MixedGroundSets("restriction order lives on a different ground set")
     bits_list = [m.bits for m in members]
-    if x.ground != ground or x.bits not in bits_list:
-        raise MemberNotInFamily(f"{x!r} is not a member of the family")
-    pos = bits_list.index(x.bits)
-    others_and, others_or = _loo_and_or(bits_list, ground.full_bits)
-    leq, nleq = _distinguishing_masks(
-        bits_list[pos],
-        others_and[pos],
-        others_or[pos],
-        q.bits if q is not None else None,
-        ground.full_bits,
-    )
-    attrs = set()
-    for k in range(ground.pair_count):
-        i, j = ground.pair_at(k)
-        if (leq >> k) & 1:
-            attrs.add(Attribute(LEQ, i, j))
-        if (nleq >> k) & 1:
-            attrs.add(Attribute(NLEQ, i, j))
-    return DistinguishingSet(members[pos], frozenset(attrs), q)
+    out = []
+    for m, b, others_and, others_or in zip(
+        members, bits_list, *_loo_and_or(bits_list, ground.full_bits)
+    ):
+        leq = others_and & ~b
+        nleq = b & ~others_or
+        if q is not None:
+            leq &= ~q.bits
+            nleq &= q.bits
+        attrs = [Attribute(LEQ, *ground.pair_at(k)) for k in _iter_bits(leq)]
+        attrs += [Attribute(NLEQ, *ground.pair_at(k)) for k in _iter_bits(nleq)]
+        out.append(DistinguishingSet(m, frozenset(attrs), q))
+    return out
+
+
+def distinguishing(x: Poset, S: Iterable[Poset], q: Poset | None = None) -> DistinguishingSet:
+    """Distinguishing attributes of x within S, optionally restricted to q."""
+    members = canonical_family(S)
+    if len(members) < 2:
+        raise FamilyTooSmall("distinguishing attributes need at least two members")
+    for d in _distinguishing_sets(members, q):
+        if d.member == x:
+            return d
+    raise MemberNotInFamily(f"{x!r} is not a member of the family")
 
 
 def partition_distinguishing(
@@ -185,9 +180,8 @@ def partition_distinguishing(
     members = canonical_family(S)
     if len(members) < 2:
         raise FamilyTooSmall("the partition needs at least two members")
-    d_leq: set[Attribute] = set()
-    d_nleq: set[Attribute] = set()
-    for x in members:
-        for m in distinguishing(x, members, q).attributes:
-            (d_leq if m.kind == LEQ else d_nleq).add(m)
-    return frozenset(d_leq), frozenset(d_nleq)
+    attrs = [m for d in _distinguishing_sets(members, q) for m in d.attributes]
+    return (
+        frozenset(m for m in attrs if m.kind == LEQ),
+        frozenset(m for m in attrs if m.kind == NLEQ),
+    )

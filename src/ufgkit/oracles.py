@@ -6,16 +6,16 @@ check the interval closure and the witness scan against answers reached
 another way.  The closure route goes through the explicit derivation
 operators of the attribute context, whose objects are all partial
 orders of a ground set; the two deciders go through per-member
-distinguishing attributes and through materialized proper-subset
-closures.
+distinguishing attributes and through the two defining conditions,
+genericity and materialized proper-subset closures.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
-from itertools import combinations
+from itertools import combinations, islice
 
-from .context import LEQ, NLEQ, Attribute, all_attributes, distinguishing, gamma_interval
+from .context import LEQ, NLEQ, Attribute, _distinguishing_sets, all_attributes, gamma_interval
 from .errors import (
     EmptyFamily,
     GroundSetTooLarge,
@@ -167,6 +167,14 @@ def implication_valid(Y: Iterable[Poset], Z: Iterable[Poset]) -> bool:
     )
 
 
+def is_generic(S: Iterable[Poset]) -> bool:
+    """Whether the closure of S strictly exceeds S."""
+    members = canonical_family(S)
+    # every member lies in the closure, so one order more means one outside S
+    beyond = islice(gamma_interval(members).posets(), len(members), None)
+    return next(beyond, None) is not None
+
+
 def is_union_free_bruteforce(S: Iterable[Poset]) -> bool:
     """Naive oracle: materialize every proper-subset closure and test cover.
 
@@ -195,8 +203,6 @@ def is_ufg_by_distinguishing(S: Iterable[Poset]) -> Poset | None:
     if len(members) < 2:
         return None
     for q in gamma_interval(members).posets():
-        if all(
-            distinguishing(x, members, q).attributes for x in members
-        ):
+        if all(d.attributes for d in _distinguishing_sets(members, q)):
             return q
     return None

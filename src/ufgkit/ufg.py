@@ -16,13 +16,13 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from collections.abc import Iterable, Iterator
-from itertools import combinations, islice
+from itertools import combinations
 from math import comb
 
 from .context import (
     DistinguishingSet,
+    _distinguishing_sets,
     _loo_and_or,
-    distinguishing,
     gamma_interval,
 )
 from .errors import (
@@ -107,37 +107,17 @@ def _witness_bits(members: tuple[Poset, ...]) -> Iterator[int]:
     return (q.bits for q in witnesses.posets())
 
 
-def is_generic(S: Iterable[Poset]) -> bool:
-    """Whether the closure of S strictly exceeds S."""
-    members = canonical_family(S)
-    # every member lies in the closure, so one order more means one outside S
-    beyond = islice(gamma_interval(members).posets(), len(members), None)
-    return next(beyond, None) is not None
-
-
-def is_union_free(S: Iterable[Poset]) -> bool:
-    """Whether no family of proper-subset closures covers the closure of S.
-
-    Decided through the leave-one-out reduction: some closure order must
-    escape every leave-one-out closure.
-    """
-    members = canonical_family(S)
-    if len(members) == 1:
-        return True  # proper subsets of a singleton carry no orders
-    return next(_witness_bits(members), None) is not None
-
-
 def is_witness(S: Iterable[Poset], q: Poset) -> bool:
     """Whether q certifies S: inside the closure, outside S and outside
     every leave-one-out closure."""
     members = canonical_family(S)
     if q.ground != members[0].ground:
         raise MixedGroundSets("witness candidate on a different ground set")
-    if len(members) < 2 or not gamma_interval(members).contains(q):
+    if len(members) < 2:
         return False
-    bits_list = [m.bits for m in members]
-    loo = list(zip(*_loo_and_or(bits_list, q.ground.full_bits)))
-    return _blocker(q.bits, loo) is None
+    iv = gamma_interval(members)
+    loo = _loo_and_or([m.bits for m in members], q.ground.full_bits)
+    return PosetInterval(iv.lower, iv.upper, zip(*loo)).contains(q)
 
 
 def iter_witnesses(S: Iterable[Poset]) -> Iterator[Poset]:
@@ -168,21 +148,24 @@ class UfgCertificate:
         """Re-derive every claim; raises AssertionError on any breach."""
         members = canonical_family(self.family)
         assert members == self.family, "family is not in canonical order"
-        assert is_witness(members, self.witness), "witness fails re-validation"
-        for m in members:
-            d = self.per_member[m]
-            assert d.attributes, f"empty distinguishing set for {m!r}"
-            fresh = distinguishing(m, members, self.witness)
+        # inside the closure, an order escapes the closure without a member
+        # exactly when that member keeps a distinguishing attribute
+        # restricted to it: one leave-one-out pass re-derives both claims
+        assert len(members) >= 2 and gamma_interval(members).contains(
+            self.witness
+        ), "witness fails re-validation"
+        for fresh in _distinguishing_sets(members, self.witness):
+            assert fresh.attributes, "witness fails re-validation"
+            d = self.per_member[fresh.member]
             assert fresh.attributes == d.attributes, "distinguishing set drifted"
 
 
 def _certificate(members: tuple[Poset, ...], witness: Poset) -> UfgCertificate:
     per_member = {}
-    for m in members:
-        d = distinguishing(m, members, witness)
+    for d in _distinguishing_sets(members, witness):
         # every member of a witnessed family must be distinguishable
         assert d.attributes, "witness scan and distinguishing sets disagree"
-        per_member[m] = d
+        per_member[d.member] = d
     return UfgCertificate(members, witness, per_member)
 
 

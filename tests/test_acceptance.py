@@ -18,7 +18,6 @@ from ufgkit.ufg import (
     candidate_filter,
     enumerate_ufg_connected,
     enumerate_ufg_exhaustive,
-    is_generic,
     is_ufg,
     is_witness,
 )
@@ -31,6 +30,7 @@ from ufgkit.connectedness import (
 from ufgkit.oracles import (
     FormalContext,
     gamma_explicit,
+    is_generic,
     is_ufg_by_distinguishing,
     is_union_free_bruteforce,
 )

@@ -1,6 +1,6 @@
-"""Property tests on 4 items: the interval walk, the extension filter and
-the witness kernel against the brute-force references and the
-independent deciders."""
+"""Property tests on 4 items: the interval walk, the extension filter,
+the distinguishing sets and the witness kernel against the brute-force
+references and the independent deciders."""
 
 from __future__ import annotations
 
@@ -15,9 +15,19 @@ from ufgkit.orders import (
     canonical_key,
     enumerate_all_posets,
 )
-from ufgkit.context import distinguishing, gamma_interval
-from ufgkit.ufg import candidate_filter, explain_not_ufg, is_generic, is_ufg
-from ufgkit.oracles import is_ufg_by_distinguishing, is_union_free_bruteforce
+import ufgkit.context
+import ufgkit.ufg
+from ufgkit.context import (
+    LEQ,
+    NLEQ,
+    Attribute,
+    _distinguishing_sets,
+    distinguishing,
+    gamma_interval,
+    partition_distinguishing,
+)
+from ufgkit.ufg import _certificate, candidate_filter, explain_not_ufg, is_ufg
+from ufgkit.oracles import is_generic, is_ufg_by_distinguishing, is_union_free_bruteforce
 
 from oracles import brute_force_interval
 
@@ -108,3 +118,60 @@ def test_reported_blockers_lie_in_their_leave_one_out_closure(base, data):
     if "blockers" in report:  # not union-free: every order outside is blocked
         outside = set(gamma_interval(members).posets()) - set(members)
         assert len(report["blockers"]) == len(outside)
+
+
+def _naive_distinguishing(x, members, q):
+    # the definition: the other members' AND and OR, then every pair position
+    others_and, others_or = G4.full_bits, 0
+    for m in members:
+        if m != x:
+            others_and &= m.bits
+            others_or |= m.bits
+    attrs = set()
+    for k in range(G4.pair_count):
+        i, j = G4.pair_at(k)
+        in_x = (x.bits >> k) & 1
+        in_q = (q.bits >> k) & 1 if q is not None else None
+        if (others_and >> k) & 1 and not in_x and in_q in (None, 0):
+            attrs.add(Attribute(LEQ, i, j))
+        if not (others_or >> k) & 1 and in_x and in_q in (None, 1):
+            attrs.add(Attribute(NLEQ, i, j))
+    return frozenset(attrs)
+
+
+@seeded
+@given(st.lists(orders, min_size=2, max_size=4, unique=True), orders)
+def test_distinguishing_sets_are_their_definition(family, r):
+    members = canonical_family(family)
+    for q in (None, r):
+        expected = [_naive_distinguishing(x, members, q) for x in members]
+        sets = _distinguishing_sets(members, q)
+        assert [d.member for d in sets] == list(members)
+        assert [d.attributes for d in sets] == expected
+        assert all(d.restriction == q for d in sets)
+        assert [distinguishing(x, family, q).attributes for x in members] == expected
+        union = frozenset().union(*expected)
+        assert partition_distinguishing(family, q) == (
+            frozenset(a for a in union if a.kind == LEQ),
+            frozenset(a for a in union if a.kind == NLEQ),
+        )
+
+
+def test_one_leave_one_out_pass_per_family(corr, monkeypatch):
+    _, p1, p2, p3, q = corr
+    calls = []
+    original = ufgkit.context._loo_and_or
+
+    def counting(bits_list, full):
+        calls.append(1)
+        return original(bits_list, full)
+
+    monkeypatch.setattr(ufgkit.context, "_loo_and_or", counting)
+    monkeypatch.setattr(ufgkit.ufg, "_loo_and_or", counting)
+    members = canonical_family([p1, p2, p3])
+    cert = _certificate(members, q)
+    assert len(calls) == 1
+    cert.validate()
+    assert len(calls) == 2
+    partition_distinguishing(members, q)
+    assert len(calls) == 3
