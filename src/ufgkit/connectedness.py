@@ -27,6 +27,7 @@ from .orders import (
     make_poset,
 )
 from .ufg import (
+    UfgCatalog,
     UfgCertificate,
     _is_ufg_sorted,
     _witness_bits,
@@ -51,9 +52,22 @@ def has_predecessor(
         raise FamilyTooSmall("predecessors are defined for families of size >= 3")
     if next(_witness_bits(members), None) is None:
         raise NotUfgInput("the input family is not union-free generic")
+    return _first_predecessor(members)
+
+
+def _first_predecessor(
+    members: tuple[Poset, ...], catalog: UfgCatalog | None = None
+) -> tuple[tuple[Poset, ...], UfgCertificate] | None:
+    """The leave-one-out loop of :func:`has_predecessor`, without its input
+    checks, for a canonical ufg family of size >= 3.
+
+    With ``catalog``, a catalog holding every ufg subfamily of the family,
+    a subfamily is looked up instead of decided; the stored certificate is
+    the one the decider would make.
+    """
     for removed in members:
         rest = tuple(m for m in members if m.bits != removed.bits)
-        cert = _is_ufg_sorted(rest)
+        cert = _is_ufg_sorted(rest) if catalog is None else catalog.get(rest)
         if cert is not None:
             return rest, cert
     return None
@@ -97,7 +111,12 @@ def verify_connectedness(
     budget: int | None = None,
     cap: int | None = None,
 ) -> ConnectednessReport:
-    """Exhaustively enumerate ufg families and check each of size >= 3."""
+    """Exhaustively enumerate ufg families and check each of size >= 3.
+
+    Every leave-one-out subfamily of a cataloged family lies in the pool
+    and within ``max_size``, so it is ufg exactly when the catalog holds
+    it: predecessors are found by lookup, with no decider call.
+    """
     kwargs = {} if budget is None else {"budget": budget}
     catalog = enumerate_ufg_exhaustive(
         ground, max_size=max_size, premises=premises, cap=cap, **kwargs
@@ -109,7 +128,7 @@ def verify_connectedness(
         if cert.size < 3:
             continue
         checked += 1
-        found = has_predecessor(cert.family)
+        found = _first_predecessor(cert.family, catalog)
         if found is None:
             violations.append(_violation(cert.family, cert))
         else:
@@ -311,7 +330,7 @@ def _run_trial(
             grown = True
             if len(family) >= 3:
                 checked += 1
-                if has_predecessor(merged) is None:
+                if _first_predecessor(merged) is None:
                     return checked, _violation(merged, cert)
             break
         if not grown:

@@ -133,7 +133,9 @@ def _loo_and_or(bits_list: list[int], full: int) -> tuple[list[int], list[int]]:
 
 
 def _distinguishing_sets(
-    members: tuple[Poset, ...], q: Poset | None
+    members: tuple[Poset, ...],
+    q: Poset | None,
+    loo: tuple[list[int], list[int]] | None = None,
 ) -> list[DistinguishingSet]:
     """Distinguishing sets of every member of a canonical family, in
     member order, from one leave-one-out pass.
@@ -141,16 +143,17 @@ def _distinguishing_sets(
     A LEQ attribute qualifies when its pair is missing from the member,
     present in every other member, and (restricted) missing from q; an
     NLEQ attribute when its pair is in the member, in no other member,
-    and (restricted) in q.
+    and (restricted) in q.  ``loo`` is the family's ``_loo_and_or``
+    result when the caller already has it.
     """
     ground = members[0].ground
     if q is not None and q.ground != ground:
         raise MixedGroundSets("restriction order lives on a different ground set")
     bits_list = [m.bits for m in members]
+    if loo is None:
+        loo = _loo_and_or(bits_list, ground.full_bits)
     out = []
-    for m, b, others_and, others_or in zip(
-        members, bits_list, *_loo_and_or(bits_list, ground.full_bits)
-    ):
+    for m, b, others_and, others_or in zip(members, bits_list, *loo):
         leq = others_and & ~b
         nleq = b & ~others_or
         if q is not None:

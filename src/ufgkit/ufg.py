@@ -83,7 +83,9 @@ def _distinguishable(
     return True
 
 
-def _witness_bits(members: tuple[Poset, ...]) -> Iterator[int]:
+def _witness_bits(
+    members: tuple[Poset, ...], loo: tuple[list[int], list[int]] | None = None
+) -> Iterator[int]:
     """The witness kernel: bits of every witness of a canonical family,
     in canonical order.
 
@@ -94,12 +96,15 @@ def _witness_bits(members: tuple[Poset, ...]) -> Iterator[int]:
     member is a witness, because each lies in the closure of the family
     without any other one.
     A plain function rather than a generator, so that the many families
-    the prefilter turns away cost no generator frame.
+    the prefilter turns away cost no generator frame.  ``loo`` is the
+    family's ``_loo_and_or`` result when the caller already has it.
     """
     if len(members) < 2:
         return iter(())
     bits_list = [m.bits for m in members]
-    others_and, others_or = _loo_and_or(bits_list, members[0].ground.full_bits)
+    if loo is None:
+        loo = _loo_and_or(bits_list, members[0].ground.full_bits)
+    others_and, others_or = loo
     if not _distinguishable(bits_list, others_and, others_or):
         return iter(())
     iv = gamma_interval(members)
@@ -160,21 +165,35 @@ class UfgCertificate:
             assert fresh.attributes == d.attributes, "distinguishing set drifted"
 
 
-def _certificate(members: tuple[Poset, ...], witness: Poset) -> UfgCertificate:
+def _certificate(
+    members: tuple[Poset, ...],
+    witness: Poset,
+    loo: tuple[list[int], list[int]] | None = None,
+) -> UfgCertificate:
     per_member = {}
-    for d in _distinguishing_sets(members, witness):
+    for d in _distinguishing_sets(members, witness, loo):
         # every member of a witnessed family must be distinguishable
         assert d.attributes, "witness scan and distinguishing sets disagree"
         per_member[d.member] = d
     return UfgCertificate(members, witness, per_member)
 
 
-def _is_ufg_sorted(members: tuple[Poset, ...]) -> UfgCertificate | None:
-    """Witness scan over a canonical family; None when no witness exists."""
-    qb = next(_witness_bits(members), None)
+def _is_ufg_sorted(
+    members: tuple[Poset, ...], loo: tuple[list[int], list[int]] | None = None
+) -> UfgCertificate | None:
+    """Witness scan over a canonical family; None when no witness exists.
+
+    The kernel and the certificate read one leave-one-out pass: ``loo``
+    when the caller already made it, else one made here.
+    """
+    if len(members) < 2:
+        return None
+    if loo is None:
+        loo = _loo_and_or([m.bits for m in members], members[0].ground.full_bits)
+    qb = next(_witness_bits(members, loo), None)
     if qb is None:
         return None
-    return _certificate(members, Poset(members[0].ground, qb, check=False))
+    return _certificate(members, Poset(members[0].ground, qb, check=False), loo)
 
 
 def is_ufg(S: Iterable[Poset]) -> UfgCertificate | None:
@@ -272,7 +291,21 @@ def enumerate_ufg_exhaustive(
     budget: int = DEFAULT_SUBSET_BUDGET,
     cap: int | None = None,
 ) -> UfgCatalog:
-    """Test every subset of the premise pool; the enumeration oracle."""
+    """Every ufg family of at most ``max_size`` pool orders, found by
+    walking subsets of the pool as a set-enumeration tree (Rymon 1992).
+
+    A family is extended only by pool orders after its last member, so
+    each subset is reached at most once.  The distinguishing prefilter is
+    hereditary: adding members only shrinks the others' AND and grows
+    their OR, so a member that keeps no distinguishing attribute keeps
+    none in any superset, and no superset is ufg (the Apriori rule of
+    Agrawal & Srikant 1994).  A family failing it is neither tested nor
+    extended; every other family of two or more members goes to the
+    witness kernel.  The budget still counts every subset up to
+    ``max_size``.  ``stats`` record the families tested and the subtrees
+    pruned.  The tests and ``bench/make_references.py`` check the tree
+    against deciding every subset.
+    """
     pool = _resolve_pool(ground, premises, cap)
     if max_size is None:
         max_size = default_max_family_size(ground)
@@ -284,15 +317,29 @@ def enumerate_ufg_exhaustive(
         )
     catalog = UfgCatalog(ground, "exhaustive", max_size)
     catalog.stats["pool_size"] = len(pool)
+    full = ground.full_bits
     tested = 0
+    pruned = 0
     start = time.perf_counter()
-    for size in range(2, max_size + 1):
-        for combo in combinations(pool, size):
+    # a node is a canonical family and the pool index its children start at
+    stack = [((p,), i + 1) for i, p in enumerate(pool)] if max_size >= 2 else []
+    while stack:
+        family, first = stack.pop()
+        for k in range(first, len(pool)):
+            child = family + (pool[k],)
+            bits_list = [m.bits for m in child]
+            loo = _loo_and_or(bits_list, full)
+            if not _distinguishable(bits_list, *loo):
+                pruned += 1
+                continue
             tested += 1
-            cert = _is_ufg_sorted(combo)
+            cert = _is_ufg_sorted(child, loo)
             if cert is not None:
                 catalog.add(cert)
+            if len(child) < max_size:
+                stack.append((child, k + 1))
     catalog.stats["families_tested"] = tested
+    catalog.stats["filter_rejections"] = pruned
     catalog.stats["elapsed_seconds"] = time.perf_counter() - start
     return catalog
 

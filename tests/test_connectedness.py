@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+import ufgkit.connectedness
 from ufgkit.errors import FamilyTooSmall, NotUfgInput
 from ufgkit.orders import GroundSet, Poset, empty_poset, make_poset
 from ufgkit.connectedness import (
@@ -57,6 +58,24 @@ def test_connectedness_small_max_size(g3):
     assert report.checked == 0
     assert report.connected == 0
     assert report.violations == []
+
+
+def test_connectedness_lookup_is_has_predecessor(g3, monkeypatch):
+    def no_decider(members, loo=None):
+        raise AssertionError("decider called after the enumeration")
+
+    report = verify_connectedness(g3)
+    assert (report.checked, report.connected, report.violations) == (140, 140, [])
+    monkeypatch.setattr(ufgkit.connectedness, "_is_ufg_sorted", no_decider)
+    # the lookup report is built with the decider gone from the module
+    with pytest.raises(AssertionError, match="decider called"):
+        has_predecessor(report.predecessors[0]["family"])
+    assert verify_connectedness(g3).predecessors == report.predecessors
+    monkeypatch.undo()
+    for entry in report.predecessors:
+        subset, cert = has_predecessor(entry["family"])
+        assert subset == entry["predecessor"]
+        assert cert.witness == entry["witness"]
 
 
 def test_connectedness_two_items(g2):

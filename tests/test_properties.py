@@ -22,11 +22,18 @@ from ufgkit.context import (
     NLEQ,
     Attribute,
     _distinguishing_sets,
+    _loo_and_or,
     distinguishing,
     gamma_interval,
     partition_distinguishing,
 )
-from ufgkit.ufg import _certificate, candidate_filter, explain_not_ufg, is_ufg
+from ufgkit.ufg import (
+    _certificate,
+    _distinguishable,
+    candidate_filter,
+    explain_not_ufg,
+    is_ufg,
+)
 from ufgkit.oracles import is_generic, is_ufg_by_distinguishing, is_union_free_bruteforce
 
 from oracles import brute_force_interval
@@ -120,6 +127,24 @@ def test_reported_blockers_lie_in_their_leave_one_out_closure(base, data):
         assert len(report["blockers"]) == len(outside)
 
 
+def _prefilter_passes(members):
+    bits = [m.bits for m in members]
+    return _distinguishable(bits, *_loo_and_or(bits, G4.full_bits))
+
+
+@seeded
+@given(st.lists(orders, min_size=1, max_size=3), st.data(), st.lists(orders, max_size=3))
+def test_prefilter_failure_is_hereditary(base, data, extra):
+    # an order from the closure of the others keeps no distinguishing
+    # attribute, and adding members never gives it one back
+    inside = data.draw(st.sampled_from(list(gamma_interval(base).posets())))
+    family = canonical_family(base + [inside])
+    if inside not in base:
+        assert not _prefilter_passes(family)
+    if not _prefilter_passes(family):
+        assert not _prefilter_passes(canonical_family(base + [inside] + extra))
+
+
 def _naive_distinguishing(x, members, q):
     # the definition: the other members' AND and OR, then every pair position
     others_and, others_or = G4.full_bits, 0
@@ -175,3 +200,18 @@ def test_one_leave_one_out_pass_per_family(corr, monkeypatch):
     assert len(calls) == 2
     partition_distinguishing(members, q)
     assert len(calls) == 3
+
+
+def test_is_ufg_makes_one_leave_one_out_pass(corr, monkeypatch):
+    _, p1, p2, p3, _ = corr
+    calls = []
+    original = ufgkit.context._loo_and_or
+
+    def counting(bits_list, full):
+        calls.append(1)
+        return original(bits_list, full)
+
+    monkeypatch.setattr(ufgkit.context, "_loo_and_or", counting)
+    monkeypatch.setattr(ufgkit.ufg, "_loo_and_or", counting)
+    assert is_ufg([p1, p2, p3]) is not None
+    assert len(calls) == 1  # kernel and certificate share it

@@ -21,6 +21,7 @@ from ufgkit.orders import (
 from ufgkit.context import _loo_and_or, gamma_interval
 from ufgkit.ufg import (
     _blocker,
+    _is_ufg_sorted,
     candidate_filter,
     default_max_family_size,
     enumerate_ufg_connected,
@@ -231,6 +232,56 @@ def test_budget_is_enforced(g3):
         enumerate_ufg_exhaustive(g3, budget=10)
     with pytest.raises(CombinatorialBudgetExceeded):
         enumerate_ufg_connected(g3, budget=10)
+
+
+def test_budget_counts_every_subset_not_the_pruned_tree(g3):
+    # 480,472 subsets of 2..12 of the 19 orders, though the tree opens few
+    with pytest.raises(CombinatorialBudgetExceeded):
+        enumerate_ufg_exhaustive(g3, budget=480_471)
+    assert len(enumerate_ufg_exhaustive(g3, budget=480_472)) == 281
+
+
+def _all_subsets_catalog(pool, max_size):
+    """Every subset decided by the witness scan: the tree without pruning."""
+    found = {}
+    for size in range(2, max_size + 1):
+        for combo in combinations(pool, size):
+            cert = _is_ufg_sorted(combo)
+            if cert is not None:
+                found[family_key(combo)] = cert
+    return found
+
+
+def _certificates_by_key(catalog):
+    return {family_key(c.family): c for c in catalog.certificates()}
+
+
+def test_tree_equals_all_subsets_on_three_items(catalog3, pool3):
+    plain = _all_subsets_catalog(pool3, default_max_family_size(catalog3.ground))
+    # family, witness and per-member distinguishing sets, certificate by certificate
+    assert _certificates_by_key(catalog3) == plain
+    assert catalog3.stats["families_tested"] == 637
+    assert catalog3.stats["filter_rejections"] == 2_282
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_tree_equals_all_subsets_on_random_pools(seed):
+    # the pools of acceptance criterion 6
+    g5 = GroundSet.numbered(5)
+    pool = random_pool(g5, random.Random(f"pool:{seed}"), 12)
+    catalog = enumerate_ufg_exhaustive(g5, premises=pool)
+    assert _certificates_by_key(catalog) == _all_subsets_catalog(pool, len(pool))
+
+
+def test_tree_equals_distinguishing_decider_on_three_items(catalog3, pool3):
+    # the catalog reaches size 12; equality also shows it has nothing past 4
+    oracle = {
+        family_key(combo)
+        for size in range(2, 5)
+        for combo in combinations(pool3, size)
+        if is_ufg_by_distinguishing(combo) is not None  # witness 0 is falsy
+    }
+    assert catalog3.keys() == oracle
 
 
 def test_premises_must_share_the_ground(g2, g3):
