@@ -69,12 +69,12 @@ def _relation_str(p: Poset) -> str:
 
 
 def _emit(args, human_lines, payload) -> None:
-    if getattr(args, "out", None):
+    if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(jsonio.dumps_canonical(payload))
         for line in human_lines:
             print(line)
-    elif getattr(args, "json", False):
+    elif args.json:
         sys.stdout.write(jsonio.dumps_canonical(payload))
     else:
         for line in human_lines:
@@ -83,21 +83,19 @@ def _emit(args, human_lines, payload) -> None:
 
 def _effective_cap(args) -> int:
     cap = resolve_cap()
-    n = getattr(args, "size", None)
-    if getattr(args, "cap_override_ack", False) and n:
-        cap = max(cap, n)
+    if args.cap_override_ack and args.size:
+        cap = max(cap, args.size)
     return cap
 
 
 def _load_inputs(args) -> tuple[GroundSet, list[Poset] | None]:
-    if getattr(args, "size", None) is not None:
+    if args.size is not None:
         return GroundSet.numbered(args.size), None
-    ground, members = jsonio.load_family_file(args.input)
-    return ground, members
+    return jsonio.load_family_file(args.input)
 
 
-def _add_io_flags(sub, pool: bool = True) -> None:
-    grp = sub.add_mutually_exclusive_group(required=pool)
+def _add_io_flags(sub) -> None:
+    grp = sub.add_mutually_exclusive_group(required=True)
     grp.add_argument("-n", "--size", type=_positive_int, metavar="N",
                      help="ground set of N items labelled x1..xN")
     grp.add_argument("--input", metavar="FILE.json",
@@ -151,7 +149,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("corrigendum",
                           help="replay the counterexample golden scenario")
-    _add_io_flags(sub, pool=False)
+    sub.add_argument("--json", action="store_true",
+                     help="machine JSON on stdout instead of text")
+    sub.add_argument("--out", metavar="FILE", help="write machine JSON to a file")
     sub.set_defaults(func=cmd_corrigendum)
 
     sub = subs.add_parser("falsify", help="seeded random stress of connectedness")

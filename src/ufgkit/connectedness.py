@@ -31,7 +31,6 @@ from .ufg import (
     UfgCertificate,
     _is_ufg_sorted,
     _witness_bits,
-    candidate_filter,
     enumerate_ufg_exhaustive,
     explain_not_ufg,
     is_ufg,
@@ -320,8 +319,6 @@ def _run_trial(
         rng.shuffle(candidates)
         grown = False
         for p in candidates:
-            if not candidate_filter(members, p):
-                continue
             merged = canonical_family(members + (p,))
             cert = _is_ufg_sorted(merged)
             if cert is None:

@@ -151,6 +151,27 @@ def gamma_explicit(S: Iterable[Poset], ctx: FormalContext) -> frozenset[Poset]:
     return frozenset(phi(psi(members, ctx), ctx).materialize())
 
 
+def intersect_family(family: Iterable[Poset]) -> Poset:
+    """Pairwise intersection of a nonempty family; always a valid poset.
+
+    With :func:`union_family`, the bounds of ``gamma_interval`` taken
+    member by member."""
+    members = canonical_family(family)
+    bits = members[0].bits
+    for m in members[1:]:
+        bits &= m.bits
+    return Poset(members[0].ground, bits)
+
+
+def union_family(family: Iterable[Poset]) -> BinaryRelation:
+    """Pairwise union of a nonempty family; not validated as a poset."""
+    members = canonical_family(family)
+    bits = 0
+    for m in members:
+        bits |= m.bits
+    return BinaryRelation(members[0].ground, bits)
+
+
 def implication_valid(Y: Iterable[Poset], Z: Iterable[Poset]) -> bool:
     """Whether the closure of Y contains the closure of Z, decided
     through interval bounds."""

@@ -303,24 +303,6 @@ def canonical_family(posets: Iterable[Poset]) -> tuple[Poset, ...]:
     return tuple(by_key[k] for k in sorted(by_key))
 
 
-def intersect_family(family: Iterable[Poset]) -> Poset:
-    """Pairwise intersection of a nonempty family; always a valid poset."""
-    members = canonical_family(family)
-    bits = members[0].bits
-    for m in members[1:]:
-        bits &= m.bits
-    return Poset(members[0].ground, bits)
-
-
-def union_family(family: Iterable[Poset]) -> BinaryRelation:
-    """Pairwise union of a nonempty family; not validated as a poset."""
-    members = canonical_family(family)
-    bits = 0
-    for m in members:
-        bits |= m.bits
-    return BinaryRelation(members[0].ground, bits)
-
-
 class PosetInterval:
     """All posets between a lower poset and an upper relation, minus the
     members of any ``outside`` sub-interval.

@@ -14,9 +14,9 @@ deciders it is checked against.
 from __future__ import annotations
 
 import time
+from bisect import bisect
 from dataclasses import dataclass
 from collections.abc import Iterable, Iterator
-from itertools import combinations
 from math import comb
 
 from .context import (
@@ -351,14 +351,20 @@ def enumerate_ufg_connected(
     budget: int = DEFAULT_SUBSET_BUDGET,
     cap: int | None = None,
 ) -> UfgCatalog:
-    """Grow families from two-element seeds, one order at a time.
+    """Grow ufg families one pool order at a time, starting from every pair.
 
-    Every cataloged family is extended by each pool order that survives
-    :func:`candidate_filter`; results are deduplicated through the
-    canonical family key, so no family is tested twice.  Completeness
-    rests on the connectedness property of ufg families, which this
-    package verifies rather than assumes; run the exhaustive strategy
-    next to it when the guarantee matters.
+    A family is a sorted tuple of pool indices: a canonical family, since
+    the pool is canonical.  Each ufg family of size m is extended by every
+    pool order it lacks, and the child is opened only from its canonical
+    parent, its first ufg leave-one-out subfamily removing members in
+    canonical order (the rule of
+    :func:`ufgkit.connectedness.has_predecessor`).  This is reverse search
+    (Avis & Fukuda 1996): each child of a ufg family is opened once, with
+    no record of the families seen.  An opened child gets the prefilter of
+    the exhaustive tree and, when it passes, the witness kernel.
+    Completeness rests on the connectedness property of ufg families,
+    which this package verifies rather than assumes; run the exhaustive
+    strategy next to it when the guarantee matters.
     """
     pool = _resolve_pool(ground, premises, cap)
     if max_size is None:
@@ -366,38 +372,30 @@ def enumerate_ufg_connected(
     max_size = min(max_size, len(pool))
     catalog = UfgCatalog(ground, "connected", max_size)
     catalog.stats["pool_size"] = len(pool)
+    full = ground.full_bits
     tested = 0
     rejected = 0
     start = time.perf_counter()
-    visited: set[tuple[bytes, ...]] = set()
-    frontier: list[UfgCertificate] = []
-    if max_size >= 2:
-        for combo in combinations(pool, 2):
-            tested += 1
-            if tested > budget:
-                raise CombinatorialBudgetExceeded(
-                    f"extension tests exceed the budget {budget}"
-                )
-            visited.add(family_key(combo))
-            cert = _is_ufg_sorted(combo)
-            if cert is not None:
-                catalog.add(cert)
-                frontier.append(cert)
-    while frontier:
-        next_frontier: list[UfgCertificate] = []
-        for cert in frontier:
-            if cert.size >= max_size:
-                continue
-            current = set(m.bits for m in cert.family)
-            for p in pool:
-                if p.bits in current:
+    # the ufg families of one size; the first level holds every single
+    # order, so every pair is opened, and two distinct orders always
+    # pass the prefilter
+    level = {(i,) for i in range(len(pool))}
+    for _ in range(1, max_size):
+        grown: set[tuple[int, ...]] = set()
+        for family in level:
+            for k in range(len(pool)):
+                pos = bisect(family, k)
+                if pos and family[pos - 1] == k:
                     continue
-                merged = canonical_family(cert.family + (p,))
-                key = tuple(map(canonical_key, merged))
-                if key in visited:
+                child = family[:pos] + (k,) + family[pos:]
+                # family is the child without child[pos]; an earlier
+                # leave-one-out subfamily in the level is the parent instead
+                if any(child[:j] + child[j + 1:] in level for j in range(pos)):
                     continue
-                visited.add(key)
-                if not candidate_filter(cert.family, p):
+                members = tuple(pool[i] for i in child)
+                bits_list = [m.bits for m in members]
+                loo = _loo_and_or(bits_list, full)
+                if not _distinguishable(bits_list, *loo):
                     rejected += 1
                     continue
                 tested += 1
@@ -405,11 +403,11 @@ def enumerate_ufg_connected(
                     raise CombinatorialBudgetExceeded(
                         f"extension tests exceed the budget {budget}"
                     )
-                grown = _is_ufg_sorted(merged)
-                if grown is not None:
-                    catalog.add(grown)
-                    next_frontier.append(grown)
-        frontier = next_frontier
+                cert = _is_ufg_sorted(members, loo)
+                if cert is not None:
+                    catalog.add(cert)
+                    grown.add(child)
+        level = grown
     catalog.stats["families_tested"] = tested
     catalog.stats["filter_rejections"] = rejected
     catalog.stats["elapsed_seconds"] = time.perf_counter() - start

@@ -184,6 +184,16 @@ def test_corrigendum_command(capsys):
     assert "all assertions passed" in out
 
 
+@pytest.mark.parametrize(
+    "flags", [("-n", "3"), ("--input", "nonexist.json"), ("--cap-override-ack",)]
+)
+def test_corrigendum_rejects_the_pool_flags(capsys, flags):
+    # the scenario reads no pool: of the shared flags only --json and --out apply
+    code, out, err = run(capsys, "corrigendum", *flags)
+    assert code == EXIT_ERROR
+    assert out == "" and "unrecognized arguments" in err
+
+
 def test_falsify_deterministic_bytes(capsys):
     args = ("falsify", "-n", "3", "--budget", "15", "--seed", "7")
     code_a, out_a, _ = run(capsys, *args)

@@ -19,9 +19,7 @@ from ufgkit.orders import (
     GroundSet,
     empty_poset,
     enumerate_all_posets,
-    intersect_family,
     make_poset,
-    union_family,
 )
 from ufgkit.context import (
     Attribute,
@@ -38,8 +36,10 @@ from ufgkit.oracles import (
     gamma_explicit,
     implication_valid,
     incidence,
+    intersect_family,
     phi,
     psi,
+    union_family,
 )
 
 

@@ -29,13 +29,12 @@ from ufgkit.orders import (
     complete_relation,
     empty_poset,
     enumerate_all_posets,
-    intersect_family,
     make_poset,
     resolve_cap,
     transitive_closure,
-    union_family,
 )
 from ufgkit.context import gamma_interval
+from ufgkit.oracles import intersect_family, union_family
 
 from oracles import (
     brute_force_interval,

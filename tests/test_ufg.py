@@ -18,6 +18,7 @@ from ufgkit.orders import (
     make_poset,
     transitive_closure,
 )
+from ufgkit import ufg
 from ufgkit.context import _loo_and_or, gamma_interval
 from ufgkit.ufg import (
     _blocker,
@@ -239,6 +240,41 @@ def test_budget_counts_every_subset_not_the_pruned_tree(g3):
     with pytest.raises(CombinatorialBudgetExceeded):
         enumerate_ufg_exhaustive(g3, budget=480_471)
     assert len(enumerate_ufg_exhaustive(g3, budget=480_472)) == 281
+
+
+def test_connected_budget_counts_tested_families(g3):
+    # 606 families tested on 3 items up to size 6: pairs, then opened children
+    assert len(enumerate_ufg_connected(g3, max_size=6, budget=606)) == 281
+    with pytest.raises(CombinatorialBudgetExceeded):
+        enumerate_ufg_connected(g3, max_size=6, budget=605)
+
+
+@pytest.mark.parametrize(
+    "items, pool_seed, found, tested, rejected",
+    [(3, None, 281, 606, 2_162), (5, 0, 548, 640, 1_155)],
+)
+def test_connected_decides_each_family_once(
+    monkeypatch, items, pool_seed, found, tested, rejected
+):
+    # each child is opened from its canonical parent only, so no family
+    # reaches the decider twice
+    ground = GroundSet.numbered(items)
+    if pool_seed is None:
+        kwargs = {"max_size": 6}
+    else:  # the pools of acceptance criterion 6
+        pool = random_pool(ground, random.Random(f"pool:{pool_seed}"), 12)
+        kwargs = {"premises": pool}
+    decided = []
+
+    def spy(members, loo=None):
+        decided.append(family_key(members))
+        return _is_ufg_sorted(members, loo)
+
+    monkeypatch.setattr(ufg, "_is_ufg_sorted", spy)
+    catalog = enumerate_ufg_connected(ground, **kwargs)
+    assert len(set(decided)) == len(decided) == catalog.stats["families_tested"] == tested
+    assert catalog.stats["filter_rejections"] == rejected
+    assert len(catalog) == found
 
 
 def _all_subsets_catalog(pool, max_size):
