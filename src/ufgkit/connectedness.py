@@ -11,6 +11,7 @@ stress-tested with seeded random pools beyond that.
 from __future__ import annotations
 
 import random
+from bisect import bisect
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from collections.abc import Iterable, Sequence
@@ -21,8 +22,8 @@ from .errors import FamilyTooSmall, NotUfgInput, UfgkitError
 from .orders import (
     GroundSet,
     Poset,
-    _close_rows,
-    _rows_to_bits,
+    _close_matrix,
+    _matrix_to_bits,
     canonical_family,
     make_poset,
 )
@@ -262,17 +263,18 @@ def random_poset(ground: GroundSet, rng: random.Random, max_tries: int = 200) ->
     kept when the closure stays asymmetric.  Not uniform over all orders;
     good enough for stress trials."""
     n = ground.size
+    diagonal = sum(1 << i * (n + 1) for i in range(n))
     density = rng.uniform(0.1, 0.5)
     for _ in range(max_tries):
-        rows = [0] * n
+        m = 0
         for i in range(n):  # one draw per pair, in pair-position order
             for j in range(n):
                 if i != j and rng.random() < density:
-                    rows[i] |= 1 << j
-        rows = _close_rows(rows)
+                    m |= 1 << i * n + j
+        m = _close_matrix(m, n)
         # a cycle in the closure makes its items reach themselves
-        if not any((row >> i) & 1 for i, row in enumerate(rows)):
-            return Poset(ground, _rows_to_bits(ground, rows), check=False)
+        if not m & diagonal:
+            return Poset(ground, _matrix_to_bits(ground, m), check=False)
     return Poset(ground, 0, check=False)
 
 
@@ -301,36 +303,33 @@ def _run_trial(
     pool = random_pool(ground, rng, pool_size)
     if len(pool) < 3:
         return 0, None
-    checked = 0
+    # a family is a sorted tuple of pool indices, so canonical as it grows
     indices = list(range(len(pool)))
     pairs = [(i, j) for i in indices for j in indices[i + 1:]]
     rng.shuffle(pairs)
-    family: set[Poset] = set()
-    for i, j in pairs[:30]:
-        if _is_ufg_sorted(canonical_family((pool[i], pool[j]))) is not None:
-            family = {pool[i], pool[j]}
+    for family in pairs[:30]:
+        if next(_witness_bits(tuple(pool[i] for i in family)), None) is not None:
             break
-    if not family:
+    else:
         return 0, None
+    checked = 0
     limit = min(len(pool), default_max_family_size(ground))
     while len(family) < limit:
-        members = canonical_family(family)
-        candidates = [p for p in pool if p not in family]
+        candidates = [k for k in indices if k not in family]
         rng.shuffle(candidates)
-        grown = False
-        for p in candidates:
-            merged = canonical_family(members + (p,))
-            cert = _is_ufg_sorted(merged)
-            if cert is None:
+        for k in candidates:
+            pos = bisect(family, k)
+            child = family[:pos] + (k,) + family[pos:]
+            members = tuple(pool[i] for i in child)
+            if next(_witness_bits(members), None) is None:
                 continue
-            family.add(p)
-            grown = True
+            family = child
             if len(family) >= 3:
                 checked += 1
-                if _first_predecessor(merged) is None:
-                    return checked, _violation(merged, cert)
+                if _first_predecessor(members) is None:
+                    return checked, _violation(members, _is_ufg_sorted(members))
             break
-        if not grown:
+        else:
             break
     return checked, None
 

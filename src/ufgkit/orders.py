@@ -117,35 +117,44 @@ def _iter_bits(bits: int) -> Iterator[int]:
         bits ^= low
 
 
-def _bits_to_rows(ground: GroundSet, bits: int) -> list[int]:
-    """Unpack pair-position bits into per-row successor masks."""
-    rows = [0] * ground.size
-    for k in _iter_bits(bits):
-        i, j = ground.pair_at(k)
-        rows[i] |= 1 << j
-    return rows
+def _first_column(n: int) -> int:
+    """Mask of bit ``x*n`` for every row x of an n×n matrix."""
+    return ((1 << n * n) - 1) // ((1 << n) - 1)
 
 
-def _rows_to_bits(ground: GroundSet, rows: list[int]) -> int:
+def _bits_to_matrix(ground: GroundSet, bits: int) -> int:
+    """Unpack pair-position bits into an n×n reachability matrix packed
+    row-major: bit ``i*n + j`` says i reaches j, and the diagonal is 0."""
+    n = ground.size
+    row_mask = (1 << (n - 1)) - 1
+    m = 0
+    for i in range(n):
+        row = (bits >> i * (n - 1)) & row_mask
+        m |= ((row >> i << i + 1) | (row & ((1 << i) - 1))) << i * n
+    return m
+
+
+def _matrix_to_bits(ground: GroundSet, m: int) -> int:
+    """Pack a reachability matrix back into pair-position bits; the
+    diagonal stays implicit."""
+    n = ground.size
+    row_mask = (1 << n) - 1
     bits = 0
-    for i, row in enumerate(rows):
-        row &= ~(1 << i)  # diagonal stays implicit
-        for j in _iter_bits(row):
-            bits |= 1 << ground.pair_index(i, j)
+    for i in range(n):
+        row = (m >> i * n) & row_mask
+        bits |= ((row >> i + 1 << i) | (row & ((1 << i) - 1))) << i * (n - 1)
     return bits
 
 
-def _close_rows(rows: list[int]) -> list[int]:
-    """Floyd-Warshall reachability on successor masks."""
-    rows = rows[:]
-    n = len(rows)
+def _close_matrix(m: int, n: int) -> int:
+    """Warshall (1962) on a packed matrix: for each k, every row that
+    reaches k takes row k, as one multiply.  Row k has fewer than n bits,
+    so the shifted copies never overlap and the product carries nothing."""
+    col0 = _first_column(n)
+    row_mask = (1 << n) - 1
     for k in range(n):
-        mask = 1 << k
-        row_k = rows[k]
-        for i in range(n):
-            if rows[i] & mask:
-                rows[i] |= row_k
-    return rows
+        m |= ((m >> k) & col0) * ((m >> k * n) & row_mask)
+    return m
 
 
 class BinaryRelation:
@@ -270,8 +279,8 @@ def transitive_closure(rel: BinaryRelation) -> BinaryRelation:
     of closing ``{(a,b),(b,a)}`` is the same two pairs; downstream poset
     validation is what rejects the antisymmetry breach.
     """
-    rows = _close_rows(_bits_to_rows(rel.ground, rel.bits))
-    return BinaryRelation(rel.ground, _rows_to_bits(rel.ground, rows))
+    closed = _close_matrix(_bits_to_matrix(rel.ground, rel.bits), rel.ground.size)
+    return BinaryRelation(rel.ground, _matrix_to_bits(rel.ground, closed))
 
 
 def canonical_key(rel: BinaryRelation) -> bytes:
@@ -364,32 +373,6 @@ class PosetInterval:
         return f"PosetInterval(lower={self.lower!r}, upper={self.upper!r}{tail})"
 
 
-def _rows_add_edge(
-    rows: list[int], i: int, j: int, allowed: list[int]
-) -> list[int] | None:
-    """Close ``rows`` (already transitive) with the extra edge (i, j).
-
-    Returns None when the edge would close a cycle or the closure would
-    leave ``allowed``.  Every item below i inherits everything reachable
-    from j, which keeps the update linear in the ground size.
-    """
-    if (rows[j] >> i) & 1:
-        return None  # j already reaches i: adding (i, j) creates a cycle
-    add = rows[j] | (1 << j)
-    out = rows[:]
-    new_i = out[i] | add
-    if new_i & ~allowed[i]:
-        return None
-    out[i] = new_i
-    for x in range(len(rows)):
-        if (rows[x] >> i) & 1:
-            new_x = out[x] | add
-            if new_x & ~allowed[x]:
-                return None
-            out[x] = new_x
-    return out
-
-
 def _prune_tests(
     lower_bits: int,
     upper_bits: int,
@@ -435,44 +418,60 @@ def _interval_bits(
     ``outside`` sub-interval, in canonical-key order.
 
     Depth-first over the free pair positions in row-major order,
-    exclude-branch first, on an explicit stack, maintaining the
-    transitive closure of the chosen pairs incrementally.  A branch dies
-    as soon as the closure needs an excluded pair or would break
-    asymmetry, so leaves are exactly the valid posets and are emitted
-    without duplicates.  A pair the closure already holds is taken
-    without a choice, so a leaf's bits are the lower bound plus the
-    free pairs taken on its path.  A child whose decided pairs place its
-    whole subtree inside a sub-interval is never pushed (branch and
-    bound); at a leaf that is exactly the membership test, so pruning
-    removes the members of the sub-intervals and nothing else.
+    exclude-branch first, on an explicit stack.  A stack entry holds the
+    next decision, the leaf bits so far, the reachability matrix ``m`` of
+    the chosen pairs (packed as by :func:`_bits_to_matrix`, transitively
+    closed) and the matrix ``allowed`` of pairs not yet excluded.
+    Including (i, j) closes ``m`` in one step: every row reaching i, and
+    row i, takes row j and j itself, as the product of i's column with
+    j's row.  A branch dies when j already reaches i (a cycle) or the
+    closure leaves ``allowed``, so leaves are exactly the valid posets
+    and are emitted without duplicates.  Pairs the closure already holds
+    are forced: they are taken in one run, with no choice and no stack
+    entry, so a leaf's bits are the lower bound plus the free pairs taken
+    on its path.  A child whose decided pairs place its whole subtree
+    inside a sub-interval is never pushed (branch and bound); at a leaf
+    that is exactly the membership test, so pruning removes the members
+    of the sub-intervals and nothing else.
     """
     free = sorted(_iter_bits(upper_bits & ~lower_bits))
     prune = _prune_tests(lower_bits, upper_bits, free, outside)
     if prune is None:
         return
-    # per decision: the pair, its bit and the tests hung on it
-    steps = [(*ground.pair_at(k), 1 << k, tests) for k, tests in zip(free, prune)]
+    n = ground.size
+    col0 = _first_column(n)
+    row_mask = (1 << n) - 1
+    # per decision: the tests hung on it, its leaf bit, its matrix bit,
+    # the matrix bit of its reverse, and the shifts and bits of the update
+    steps = [(tests, 1 << k, 1 << i * n + j, 1 << j * n + i, i, 1 << i * n, j * n, 1 << j)
+             for k, tests in zip(free, prune) for i, j in [ground.pair_at(k)]]
     depth = len(free)
-    stack = [(0, lower_bits, _bits_to_rows(ground, lower_bits),
-              _bits_to_rows(ground, upper_bits))]
+    stack = [(0, lower_bits, _bits_to_matrix(ground, lower_bits),
+              _bits_to_matrix(ground, upper_bits))]
     while stack:
-        idx, bits, rows, allowed = stack.pop()
-        if idx == depth:
-            yield bits
-            continue
-        i, j, bit, tests = steps[idx]
-        taken = bits | bit
-        if (rows[i] >> j) & 1:  # forced by the closure: no exclude-branch
-            if not (tests and _inside(taken, tests)):
-                stack.append((idx + 1, taken, rows, allowed))
-            continue
-        grown = _rows_add_edge(rows, i, j, allowed)
-        if grown is not None and not (tests and _inside(taken, tests)):
-            stack.append((idx + 1, taken, grown, allowed))
-        if not (tests and _inside(bits, tests)):
-            shrunk = allowed[:]
-            shrunk[i] &= ~(1 << j)
-            stack.append((idx + 1, bits, rows, shrunk))  # popped first
+        idx, bits, m, allowed = stack.pop()
+        while True:
+            if idx == depth:
+                yield bits
+                break
+            tests, bit, pair, back, i, i_row, j_shift, j_col = steps[idx]
+            if m & pair:  # forced by the closure: no exclude-branch
+                bits |= bit
+                if tests and _inside(bits, tests):
+                    break
+                idx += 1
+                continue
+            # j reaching i makes a cycle; the product would show it too, on
+            # the diagonal, which ``allowed`` never holds, but costs a multiply
+            if not m & back:
+                grown = m | (((m >> i) & col0) | i_row) * (
+                    ((m >> j_shift) & row_mask) | j_col)
+                taken = bits | bit
+                if not (grown & ~allowed or tests and _inside(taken, tests)):
+                    stack.append((idx + 1, taken, grown, allowed))
+            if not (tests and _inside(bits, tests)):
+                stack.append((idx + 1, bits, m, allowed & ~pair))  # popped first
+            break
 
 
 def enumerate_all_posets(ground: GroundSet, cap: int | None = None) -> Iterator[Poset]:

@@ -244,7 +244,8 @@ class UfgCatalog:
         }
 
     def add(self, cert: UfgCertificate) -> None:
-        self._families[family_key(cert.family)] = cert
+        # a certificate's family is canonical by construction
+        self._families[tuple(map(canonical_key, cert.family))] = cert
 
     def __len__(self) -> int:
         return len(self._families)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
@@ -19,6 +20,7 @@ from ufgkit.connectedness import (
     verify_connectedness,
 )
 from ufgkit import jsonio
+from ufgkit.ufg import is_ufg
 
 
 def test_predecessor_of_counterexample_family(corr):
@@ -101,6 +103,20 @@ def test_random_posets_are_valid_and_seeded():
     assert again == first
 
 
+def test_random_poset_draws_are_pinned():
+    # sha256 of the bits of 300 draws, taken before the closure moved to
+    # the packed matrix: any change to the draws or the closure shows here
+    digest = hashlib.sha256()
+    for n in range(1, 7):
+        g = GroundSet.numbered(n)
+        for s in range(50):
+            p = random_poset(g, random.Random(f"golden:{n}:{s}"))
+            digest.update(b"%d\n" % p.bits)
+    assert digest.hexdigest() == (
+        "abe221e9faeafc368276f318d598b217c42b23ceecb53f730ae7fb9e8fcb9afe"
+    )
+
+
 def test_random_pool_is_canonical():
     g = GroundSet.numbered(4)
     pool = random_pool(g, random.Random(71), 10)
@@ -119,6 +135,20 @@ def test_falsification_small_run_finds_nothing():
     assert report.violation is None
     assert report.trials == 60
     assert report.families_checked > 0
+
+
+def test_falsification_reports_a_violation_with_a_valid_certificate(monkeypatch):
+    # no violation is known, so growth steps are made to find no predecessor
+    # and the trail skips its analyses, which need a real violation
+    monkeypatch.setattr(ufgkit.connectedness, "_first_predecessor", lambda m: None)
+    monkeypatch.setattr(ufgkit.connectedness, "explain_not_ufg", lambda rest: {})
+    report = falsification_search([4], 5, seed=3)
+    v = report.violation
+    assert v is not None and report.families_checked >= 1
+    v.certificate.validate()
+    assert v.certificate.family == v.family and len(v.family) == 3
+    assert v.certificate.witness == is_ufg(v.family).witness
+    assert [f["removed"] for f in v.leave_one_out] == list(v.family)
 
 
 def test_falsification_is_deterministic_and_thread_invariant():

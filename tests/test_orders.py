@@ -20,6 +20,8 @@ from ufgkit.errors import (
     UnknownLabel,
 )
 from ufgkit.orders import (
+    _bits_to_matrix,
+    _matrix_to_bits,
     BinaryRelation,
     GroundSet,
     Poset,
@@ -142,6 +144,35 @@ def test_transitive_closure_matches_naive_oracle():
         closed = transitive_closure(rel)
         assert closed.pairs == naive_transitive_closure(set(rel.pairs))
         assert transitive_closure(closed).bits == closed.bits  # idempotent
+
+
+def test_transitive_closure_of_cycles_keeps_the_diagonal_implicit():
+    # the packed matrix marks an item on a cycle as reaching itself; the
+    # closure must drop exactly those diagonal bits and nothing else
+    rng = random.Random(4231)
+    for n in range(2, 7):
+        g = GroundSet.numbered(n)
+        for _ in range(50):
+            a, b = rng.sample(range(n), 2)
+            bits = rng.getrandbits(g.pair_count) & rng.getrandbits(g.pair_count)
+            bits |= 1 << g.pair_index(a, b) | 1 << g.pair_index(b, a)
+            rel = BinaryRelation(g, bits)
+            closed = transitive_closure(rel)
+            assert closed.pairs == naive_transitive_closure(set(rel.pairs))
+            assert transitive_closure(closed).bits == closed.bits
+
+
+def test_matrix_packing_roundtrip():
+    rng = random.Random(8)
+    for n in range(1, 9):
+        g = GroundSet.numbered(n)
+        for k in range(g.pair_count):
+            i, j = g.pair_at(k)
+            assert _bits_to_matrix(g, 1 << k) == 1 << i * n + j
+            assert _matrix_to_bits(g, 1 << i * n + j) == 1 << k
+        for _ in range(200):
+            bits = rng.getrandbits(g.pair_count)
+            assert _matrix_to_bits(g, _bits_to_matrix(g, bits)) == bits
 
 
 # --- family intersection / union ---------------------------------------------
@@ -288,10 +319,12 @@ def test_nested_intervals_are_monotone(g3, pool3):
 # --- full enumeration ---------------------------------------------------------
 
 
-@pytest.mark.parametrize("n,count", [(1, 1), (2, 3), (3, 19), (4, 219)])
+@pytest.mark.parametrize("n,count", [(1, 1), (2, 3), (3, 19), (4, 219), (5, 4231)])
 def test_poset_counts(n, count):
-    g = GroundSet.numbered(n)
-    assert sum(1 for _ in enumerate_all_posets(g)) == count
+    # OEIS A001035, streamed in strictly increasing canonical-key order
+    keys = [canonical_key(p) for p in enumerate_all_posets(GroundSet.numbered(n))]
+    assert len(keys) == count
+    assert all(a < b for a, b in zip(keys, keys[1:]))
 
 
 def test_enumerate_all_matches_brute_force():
