@@ -73,6 +73,12 @@ def _first_predecessor(
     return None
 
 
+def _has_ufg_subfamily(members: tuple[Poset, ...]) -> bool:
+    """Whether :func:`_first_predecessor` finds a predecessor; builds no certificate."""
+    rests = (tuple(m for m in members if m.bits != r.bits) for r in members)
+    return any(next(_witness_bits(rest), None) is not None for rest in rests)
+
+
 @dataclass
 class ConnectednessViolation:
     """A family contradicting connectedness, with a re-checkable trail."""
@@ -326,7 +332,7 @@ def _run_trial(
             family = child
             if len(family) >= 3:
                 checked += 1
-                if _first_predecessor(members) is None:
+                if not _has_ufg_subfamily(members):
                     return checked, _violation(members, _is_ufg_sorted(members))
             break
         else:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import os
 from collections.abc import Iterable, Iterator
+from functools import cache
 
 from .errors import (
     DuplicateLabel,
@@ -350,12 +351,11 @@ class PosetInterval:
         """Stream the members in canonical-key order; the lower bound comes
         first unless an ``outside`` sub-interval holds it."""
         ground = self.lower.ground
-        return (
-            Poset(ground, bits, check=False)
-            for bits in _interval_bits(
-                ground, self.lower.bits, self.upper.bits, self.outside
-            )
-        )
+        new = object.__new__  # walk leaves are valid: no __init__ chain
+        for bits in _interval_bits(ground, self.lower.bits, self.upper.bits, self.outside):
+            q = new(Poset)
+            q.ground, q.bits, q._key = ground, bits, None
+            yield q
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -408,6 +408,15 @@ def _inside(bits: int, tests: list[tuple[int, int]]) -> bool:
     return False
 
 
+@cache
+def _step_table(n: int) -> tuple[tuple[int, int, int, int, int, int, int], ...]:
+    """Per pair position on n items: its leaf bit, its matrix bit, its
+    reverse's matrix bit, and the shifts and bits of its closure update."""
+    return tuple((1 << i * (n - 1) + (j if j < i else j - 1), 1 << i * n + j,
+                  1 << j * n + i, i, 1 << i * n, j * n, 1 << j)
+                 for i in range(n) for j in range(n) if i != j)
+
+
 def _interval_bits(
     ground: GroundSet,
     lower_bits: int,
@@ -418,48 +427,46 @@ def _interval_bits(
     ``outside`` sub-interval, in canonical-key order.
 
     Depth-first over the free pair positions in row-major order,
-    exclude-branch first, on an explicit stack.  A stack entry holds the
-    next decision, the leaf bits so far, the reachability matrix ``m`` of
-    the chosen pairs (packed as by :func:`_bits_to_matrix`, transitively
-    closed) and the matrix ``allowed`` of pairs not yet excluded.
-    Including (i, j) closes ``m`` in one step: every row reaching i, and
-    row i, takes row j and j itself, as the product of i's column with
-    j's row.  A branch dies when j already reaches i (a cycle) or the
-    closure leaves ``allowed``, so leaves are exactly the valid posets
-    and are emitted without duplicates.  Pairs the closure already holds
-    are forced: they are taken in one run, with no choice and no stack
-    entry, so a leaf's bits are the lower bound plus the free pairs taken
-    on its path.  A child whose decided pairs place its whole subtree
-    inside a sub-interval is never pushed (branch and bound); at a leaf
-    that is exactly the membership test, so pruning removes the members
-    of the sub-intervals and nothing else.
+    exclude-branch first: it is taken inline, and only the include
+    branch is pushed on the explicit stack, one push per include branch.
+    A node holds the next decision, the leaf bits so far, the
+    reachability matrix ``m`` of the chosen pairs (packed as by
+    :func:`_bits_to_matrix`, transitively closed) and the matrix
+    ``allowed`` of pairs not yet excluded.  Including (i, j) closes
+    ``m`` in one step: every row reaching i, and row i, takes row j and
+    j itself, as the product of i's column with j's row.  A branch dies
+    when j already reaches i (a cycle) or the closure leaves ``allowed``,
+    so leaves are exactly the valid posets, without duplicates, and
+    ``PosetInterval.posets`` wraps them without ``Poset.__init__``.
+    Pairs the closure already holds are forced: they are taken in one
+    run, with no choice and no stack entry, so a leaf's bits are the
+    lower bound plus the free pairs taken on its path.  A child whose
+    decided pairs place its whole subtree inside a sub-interval is never
+    entered (branch and bound); at a leaf that is exactly the membership
+    test, so pruning removes the members of the sub-intervals only.
     """
-    free = sorted(_iter_bits(upper_bits & ~lower_bits))
+    free = list(_iter_bits(upper_bits & ~lower_bits))
     prune = _prune_tests(lower_bits, upper_bits, free, outside)
     if prune is None:
         return
     n = ground.size
     col0 = _first_column(n)
     row_mask = (1 << n) - 1
-    # per decision: the tests hung on it, its leaf bit, its matrix bit,
-    # the matrix bit of its reverse, and the shifts and bits of the update
-    steps = [(tests, 1 << k, 1 << i * n + j, 1 << j * n + i, i, 1 << i * n, j * n, 1 << j)
-             for k, tests in zip(free, prune) for i, j in [ground.pair_at(k)]]
+    table = _step_table(n)
+    # per decision: the tests hung on it, then its row of the step table
+    steps = [(tests,) + table[k] for k, tests in zip(free, prune)]
     depth = len(free)
     stack = [(0, lower_bits, _bits_to_matrix(ground, lower_bits),
               _bits_to_matrix(ground, upper_bits))]
     while stack:
         idx, bits, m, allowed = stack.pop()
-        while True:
-            if idx == depth:
-                yield bits
-                break
+        while idx < depth:
             tests, bit, pair, back, i, i_row, j_shift, j_col = steps[idx]
+            idx += 1
             if m & pair:  # forced by the closure: no exclude-branch
                 bits |= bit
                 if tests and _inside(bits, tests):
                     break
-                idx += 1
                 continue
             # j reaching i makes a cycle; the product would show it too, on
             # the diagonal, which ``allowed`` never holds, but costs a multiply
@@ -468,10 +475,12 @@ def _interval_bits(
                     ((m >> j_shift) & row_mask) | j_col)
                 taken = bits | bit
                 if not (grown & ~allowed or tests and _inside(taken, tests)):
-                    stack.append((idx + 1, taken, grown, allowed))
-            if not (tests and _inside(bits, tests)):
-                stack.append((idx + 1, bits, m, allowed & ~pair))  # popped first
-            break
+                    stack.append((idx, taken, grown, allowed))
+            if tests and _inside(bits, tests):
+                break
+            allowed ^= pair  # the exclude branch, inline; unforced, so still allowed
+        else:
+            yield bits
 
 
 def enumerate_all_posets(ground: GroundSet, cap: int | None = None) -> Iterator[Poset]:

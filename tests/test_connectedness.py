@@ -140,7 +140,7 @@ def test_falsification_small_run_finds_nothing():
 def test_falsification_reports_a_violation_with_a_valid_certificate(monkeypatch):
     # no violation is known, so growth steps are made to find no predecessor
     # and the trail skips its analyses, which need a real violation
-    monkeypatch.setattr(ufgkit.connectedness, "_first_predecessor", lambda m: None)
+    monkeypatch.setattr(ufgkit.connectedness, "_has_ufg_subfamily", lambda m: False)
     monkeypatch.setattr(ufgkit.connectedness, "explain_not_ufg", lambda rest: {})
     report = falsification_search([4], 5, seed=3)
     v = report.violation

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
@@ -22,6 +23,8 @@ from ufgkit.errors import (
 from ufgkit.orders import (
     _bits_to_matrix,
     _matrix_to_bits,
+    _step_table,
+    _validate_poset,
     BinaryRelation,
     GroundSet,
     Poset,
@@ -337,6 +340,43 @@ def test_enumerate_all_matches_brute_force():
 def test_generated_posets_are_transitively_closed(pool3):
     for p in pool3:
         assert transitive_closure(p).bits == p.bits
+
+
+def test_leaves_equal_checked_posets():
+    # the walk's leaves skip Poset.__init__: each must be indistinguishable
+    # from the order the validating constructor builds from the same bits
+    g = GroundSet.numbered(5)
+    leaves = list(enumerate_all_posets(g))
+    assert len(leaves) == 4231
+    for p in leaves:
+        assert type(p) is Poset and p.ground is g
+        assert p._key is None  # the canonical key is computed on demand
+        checked = Poset(g, p.bits)
+        assert p == checked and hash(p) == hash(checked)
+        assert canonical_key(p) == canonical_key(checked) and p._key is not None
+        assert repr(p) == repr(checked)
+        _validate_poset(g, p.bits)
+
+
+def test_six_item_stream_is_pinned():
+    # the bits of every order on 6 items in stream order: a walk that
+    # changes the order, or any order, changes the digest
+    bits = [p.bits for p in enumerate_all_posets(GroundSet.numbered(6))]
+    assert len(bits) == 130023
+    assert hashlib.sha256("\n".join(map(str, bits)).encode()).hexdigest() == (
+        "982cb50fba30f188e0154d5bf29335db8e374d9d9da784b3dc40060ea3d07ffb"
+    )
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_step_table_matches_pair_positions(n):
+    g = GroundSet.numbered(n)
+    table = _step_table(n)
+    assert len(table) == g.pair_count  # none for one item
+    for k, row in enumerate(table):
+        i, j = g.pair_at(k)
+        assert row == (1 << k, 1 << i * n + j, 1 << j * n + i, i, 1 << i * n, j * n, 1 << j)
+        assert row[1] == _bits_to_matrix(g, 1 << k)
 
 
 def test_enumeration_cap(monkeypatch):
