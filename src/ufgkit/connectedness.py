@@ -14,7 +14,7 @@ import random
 from bisect import bisect
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from itertools import combinations
 
 from .context import NLEQ, Attribute, gamma_interval, partition_distinguishing
@@ -24,6 +24,7 @@ from .orders import (
     Poset,
     _close_matrix,
     _matrix_to_bits,
+    _step_table,
     canonical_family,
     make_poset,
 )
@@ -71,12 +72,6 @@ def _first_predecessor(
         if cert is not None:
             return rest, cert
     return None
-
-
-def _has_ufg_subfamily(members: tuple[Poset, ...]) -> bool:
-    """Whether :func:`_first_predecessor` finds a predecessor; builds no certificate."""
-    rests = (tuple(m for m in members if m.bits != r.bits) for r in members)
-    return any(next(_witness_bits(rest), None) is not None for rest in rests)
 
 
 @dataclass
@@ -270,13 +265,14 @@ def random_poset(ground: GroundSet, rng: random.Random, max_tries: int = 200) ->
     good enough for stress trials."""
     n = ground.size
     diagonal = sum(1 << i * (n + 1) for i in range(n))
+    cells = [step[1] for step in _step_table(n)]  # in pair-position order
     density = rng.uniform(0.1, 0.5)
+    draw = rng.random
     for _ in range(max_tries):
         m = 0
-        for i in range(n):  # one draw per pair, in pair-position order
-            for j in range(n):
-                if i != j and rng.random() < density:
-                    m |= 1 << i * n + j
+        for cell in cells:  # one draw per pair
+            if draw() < density:
+                m |= cell
         m = _close_matrix(m, n)
         # a cycle in the closure makes its items reach themselves
         if not m & diagonal:
@@ -301,24 +297,25 @@ class FalsificationReport:
     violation: ConnectednessViolation | None
 
 
-def _run_trial(
+def _grown_families(
     n: int, seed: int, trial: int, pool_size: int
-) -> tuple[int, ConnectednessViolation | None]:
+) -> Iterator[tuple[tuple[Poset, ...], tuple[Poset, ...]]]:
+    """Each family one growth trial reaches, with the family it grew from."""
     rng = random.Random(f"{seed}:{trial}")
     ground = GroundSet.numbered(n)
     pool = random_pool(ground, rng, pool_size)
     if len(pool) < 3:
-        return 0, None
+        return
     # a family is a sorted tuple of pool indices, so canonical as it grows
     indices = list(range(len(pool)))
     pairs = [(i, j) for i in indices for j in indices[i + 1:]]
     rng.shuffle(pairs)
     for family in pairs[:30]:
-        if next(_witness_bits(tuple(pool[i] for i in family)), None) is not None:
+        parent = tuple(pool[i] for i in family)
+        if next(_witness_bits(parent), None) is not None:
             break
     else:
-        return 0, None
-    checked = 0
+        return
     limit = min(len(pool), default_max_family_size(ground))
     while len(family) < limit:
         candidates = [k for k in indices if k not in family]
@@ -329,15 +326,16 @@ def _run_trial(
             members = tuple(pool[i] for i in child)
             if next(_witness_bits(members), None) is None:
                 continue
-            family = child
-            if len(family) >= 3:
-                checked += 1
-                if not _has_ufg_subfamily(members):
-                    return checked, _violation(members, _is_ufg_sorted(members))
+            # the parent, decided one step earlier, is a ufg predecessor
+            yield parent, members
+            family, parent = child, members
             break
         else:
-            break
-    return checked, None
+            return
+
+
+def _run_trial(n: int, seed: int, trial: int, pool_size: int) -> int:
+    return sum(1 for _ in _grown_families(n, seed, trial, pool_size))
 
 
 def falsification_search(
@@ -347,10 +345,11 @@ def falsification_search(
     pool_size: int = 8,
     threads: int = 1,
 ) -> FalsificationReport:
-    """Run seeded random growth trials; report the first violation if any.
+    """Run seeded random growth trials and count the families they reach.
 
-    Trials derive their randomness from (seed, trial index) alone, so the
-    thread count can never change the report.
+    A trial keeps only ufg children, so the parent of each family it
+    counts is a ufg predecessor and ``violation`` stays None.  Randomness
+    comes from (seed, trial index) alone: threads never change the report.
     """
     if budget < 1:
         raise ValueError("the trial budget must be at least 1")
@@ -358,23 +357,21 @@ def falsification_search(
         raise ValueError("n_range must name at least one ground size")
     sizes = tuple(n_range)
 
-    def trial(t: int) -> tuple[int, ConnectednessViolation | None]:
+    def trial(t: int) -> int:
         return _run_trial(sizes[t % len(sizes)], seed, t, pool_size)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(trial, range(budget)))
+            counts = list(pool.map(trial, range(budget)))
     else:
-        outcomes = [trial(t) for t in range(budget)]
+        counts = [trial(t) for t in range(budget)]
 
-    families_checked = sum(c for c, _ in outcomes)
-    violation = next((v for _, v in outcomes if v is not None), None)
     return FalsificationReport(
         n_range=sizes,
         budget=budget,
         seed=seed,
         pool_size=pool_size,
         trials=budget,
-        families_checked=families_checked,
-        violation=violation,
+        families_checked=sum(counts),
+        violation=None,
     )

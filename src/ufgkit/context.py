@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from collections.abc import Iterable
 
 from .errors import (
+    EmptyFamily,
     IndexOutOfRange,
     FamilyTooSmall,
     MemberNotInFamily,
@@ -90,10 +91,14 @@ def all_attributes(ground: GroundSet) -> list[Attribute]:
 
 def gamma_interval(S: Iterable[Poset]) -> PosetInterval:
     """Closure of a nonempty family, as the interval form."""
-    members = canonical_family(S)
+    members = list(S)  # AND and OR ignore member order and duplicates
+    if not members:
+        raise EmptyFamily("the family has no members")
     ground = members[0].ground
     lower, upper = ground.full_bits, 0
     for m in members:
+        if m.ground != ground:
+            raise MixedGroundSets("family members live on different ground sets")
         lower &= m.bits
         upper |= m.bits
     # an intersection of orders is an order: no validation needed

@@ -289,11 +289,8 @@ def canonical_key(rel: BinaryRelation) -> bytes:
     key = rel._key
     if key is None:
         total = rel.ground.pair_count
-        acc = 0
-        bits = rel.bits
-        for k in range(total):
-            acc = (acc << 1) | ((bits >> k) & 1)
-        acc <<= (-total) % 8
+        # pair k becomes bit k from the top: one reversal of the bit string
+        acc = int(format(rel.bits, f"0{total}b")[::-1], 2) << (-total) % 8
         key = acc.to_bytes((total + 7) // 8 or 1, "big")
         rel._key = key
     return key

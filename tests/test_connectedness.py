@@ -12,6 +12,8 @@ from ufgkit.errors import FamilyTooSmall, NotUfgInput
 from ufgkit.orders import GroundSet, Poset, empty_poset, make_poset
 from ufgkit.connectedness import (
     SCENARIO_CHECKS,
+    _grown_families,
+    _run_trial,
     falsification_search,
     has_predecessor,
     random_pool,
@@ -20,7 +22,7 @@ from ufgkit.connectedness import (
     verify_connectedness,
 )
 from ufgkit import jsonio
-from ufgkit.ufg import is_ufg
+from ufgkit.oracles import is_ufg_by_distinguishing
 
 
 def test_predecessor_of_counterexample_family(corr):
@@ -137,18 +139,39 @@ def test_falsification_small_run_finds_nothing():
     assert report.families_checked > 0
 
 
-def test_falsification_reports_a_violation_with_a_valid_certificate(monkeypatch):
-    # no violation is known, so growth steps are made to find no predecessor
-    # and the trail skips its analyses, which need a real violation
-    monkeypatch.setattr(ufgkit.connectedness, "_has_ufg_subfamily", lambda m: False)
-    monkeypatch.setattr(ufgkit.connectedness, "explain_not_ufg", lambda rest: {})
-    report = falsification_search([4], 5, seed=3)
-    v = report.violation
-    assert v is not None and report.families_checked >= 1
-    v.certificate.validate()
-    assert v.certificate.family == v.family and len(v.family) == 3
-    assert v.certificate.witness == is_ufg(v.family).witness
-    assert [f["removed"] for f in v.leave_one_out] == list(v.family)
+def test_every_counted_family_grew_from_a_ufg_parent():
+    # the invariant that lets a trial count a family without deciding its
+    # predecessors: the family it grew from is one, and was decided before
+    for seed in (0, 3, 9):
+        counted = 0
+        for t in range(24):
+            n = (3, 4)[t % 2]
+            grown = list(_grown_families(n, seed, t, 8))
+            assert _run_trial(n, seed, t, 8) == len(grown)
+            for parent, family in grown:
+                assert len(family) >= 3
+                (added,) = set(family) - set(parent)
+                assert parent == tuple(m for m in family if m != added)
+                assert is_ufg_by_distinguishing(parent) is not None
+                assert has_predecessor(family) is not None
+            counted += len(grown)
+        assert counted > 0
+        assert falsification_search([3, 4], 24, seed).families_checked == counted
+
+
+@pytest.mark.parametrize("sizes, budget, seed, digest", [
+    ([3], 60, 2, "baadbf1af651931061290d44309536bb1aa220623e084fca5a7ef65238dad898"),
+    ([3, 4], 40, 9, "d46708f1e97c5ffa2cf80dca097a47ba7af04cab9a620cd099aa2fd27ef2aa89"),
+    ([4], 100, 0, "3f917f1e54546ef2ff079ed0b6b2263e99b2169b4ac8c9ed797a58a8a5f60650"),
+    ([5], 30, 4, "5e8011da6ddc4fff6948d986ee809a2e32d65dc7150179d6d660a118b7dc091f"),
+    ([3, 4, 5], 50, 11, "ec28870662fbaf0e15e2c6dbf80449a547d0c62e443065c3dd48d7b5f8f14e18"),
+], ids=["n3", "n3,4", "n4", "n5", "n3,4,5"])
+def test_falsification_reports_are_pinned(sizes, budget, seed, digest):
+    # sha256 of the canonical JSON, taken while every trial still decided
+    # a predecessor for each family it counted
+    report = falsification_search(sizes, budget, seed)
+    text = jsonio.dumps_canonical(jsonio.falsification_to_obj(report))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_falsification_is_deterministic_and_thread_invariant():

@@ -13,6 +13,7 @@ from ufgkit.errors import (
     InconsistentAttributes,
     IndexOutOfRange,
     MemberNotInFamily,
+    MixedGroundSets,
     ObjectNotInContext,
 )
 from ufgkit.orders import (
@@ -180,7 +181,7 @@ def test_gamma_counterexample_bounds(corr):
     assert not small.contains(q)
 
 
-def test_gamma_interval_canonicalises_once(corr, monkeypatch):
+def test_gamma_interval_makes_no_canonical_family(corr, monkeypatch):
     import ufgkit.context
 
     _, p1, p2, p3, _ = corr
@@ -193,7 +194,7 @@ def test_gamma_interval_canonicalises_once(corr, monkeypatch):
 
     monkeypatch.setattr(ufgkit.context, "canonical_family", counting)
     iv = gamma_interval([p3, p1, p2, p1])
-    assert len(calls) == 1
+    assert calls == []
     assert iv.lower == intersect_family([p1, p2, p3])
     assert iv.upper == union_family([p1, p2, p3])
 
@@ -226,6 +227,11 @@ def test_gamma_rejects_empty_family(g2):
         gamma_interval([])
     with pytest.raises(EmptyFamily):
         gamma_explicit([], FormalContext(g2))
+
+
+def test_gamma_rejects_mixed_ground_sets(g2, g3):
+    with pytest.raises(MixedGroundSets):
+        gamma_interval([empty_poset(g2), empty_poset(g3)])
 
 
 def test_closure_axioms_sampled(pool3):

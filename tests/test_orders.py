@@ -426,6 +426,30 @@ def test_canonical_key_stable_across_equal_values(g3):
     assert a == b and canonical_key(a) == canonical_key(b)
 
 
+def _per_pair_key(rel: BinaryRelation) -> bytes:
+    # an independent encoding: one shift per pair position, MSB first
+    total = rel.ground.pair_count
+    acc = 0
+    for k in range(total):
+        acc = (acc << 1) | ((rel.bits >> k) & 1)
+    acc <<= (-total) % 8
+    return acc.to_bytes((total + 7) // 8 or 1, "big")
+
+
+def test_canonical_key_matches_per_pair_encoding():
+    for n in range(1, 5):
+        for p in enumerate_all_posets(GroundSet.numbered(n)):
+            assert canonical_key(p) == _per_pair_key(p)
+    rng = random.Random(29)
+    for n in range(1, 9):
+        g = GroundSet.numbered(n)
+        rels = [BinaryRelation(g, g.full_bits)]
+        rels += [BinaryRelation(g, rng.getrandbits(g.pair_count)) for _ in range(40)]
+        for rel in rels:
+            assert canonical_key(rel) == _per_pair_key(rel)
+    assert canonical_key(empty_poset(GroundSet.numbered(1))) == b"\x00"
+
+
 def test_canonical_family_dedupes_and_sorts(g2):
     ab = make_poset(g2, [("x1", "x2")])
     ba = make_poset(g2, [("x2", "x1")])
