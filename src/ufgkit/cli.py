@@ -28,6 +28,7 @@ from .oracles import (
     is_union_free_bruteforce,
 )
 from .orders import (
+    BinaryRelation,
     GroundSet,
     Poset,
     canonical_family,
@@ -64,7 +65,7 @@ def _positive_ints(text: str) -> list[int]:
     return [_positive_int(part) for part in text.split(",")]
 
 
-def _relation_str(p: Poset) -> str:
+def _relation_str(p: BinaryRelation) -> str:
     return "{" + ", ".join(f"{a}<{b}" for a, b in p.label_pairs()) + "}"
 
 
@@ -193,7 +194,7 @@ def cmd_closure(args) -> int:
         "elements: " + ", ".join(ground.labels),
         f"family: {len(family)} orders",
         "lower: " + _relation_str(iv.lower),
-        "upper: " + "{" + ", ".join(f"{a}<{b}" for a, b in iv.upper.label_pairs()) + "}",
+        "upper: " + _relation_str(iv.upper),
     ]
     payload = {
         "elements": list(ground.labels),

@@ -29,7 +29,6 @@ from .orders import (
     make_poset,
 )
 from .ufg import (
-    UfgCatalog,
     UfgCertificate,
     _is_ufg_sorted,
     _witness_bits,
@@ -53,22 +52,9 @@ def has_predecessor(
         raise FamilyTooSmall("predecessors are defined for families of size >= 3")
     if next(_witness_bits(members), None) is None:
         raise NotUfgInput("the input family is not union-free generic")
-    return _first_predecessor(members)
-
-
-def _first_predecessor(
-    members: tuple[Poset, ...], catalog: UfgCatalog | None = None
-) -> tuple[tuple[Poset, ...], UfgCertificate] | None:
-    """The leave-one-out loop of :func:`has_predecessor`, without its input
-    checks, for a canonical ufg family of size >= 3.
-
-    With ``catalog``, a catalog holding every ufg subfamily of the family,
-    a subfamily is looked up instead of decided; the stored certificate is
-    the one the decider would make.
-    """
-    for removed in members:
-        rest = tuple(m for m in members if m.bits != removed.bits)
-        cert = _is_ufg_sorted(rest) if catalog is None else catalog.get(rest)
+    for j in range(len(members)):
+        rest = members[:j] + members[j + 1:]
+        cert = _is_ufg_sorted(rest)
         if cert is not None:
             return rest, cert
     return None
@@ -116,36 +102,38 @@ def verify_connectedness(
 
     Every leave-one-out subfamily of a cataloged family lies in the pool
     and within ``max_size``, so it is ufg exactly when the catalog holds
-    it: predecessors are found by lookup, with no decider call.
+    it: the predecessor is the first ``family[:j] + family[j + 1:]`` the
+    catalog holds, the one :func:`has_predecessor` picks, found by lookup
+    with no decider call.
     """
     kwargs = {} if budget is None else {"budget": budget}
     catalog = enumerate_ufg_exhaustive(
         ground, max_size=max_size, premises=premises, cap=cap, **kwargs
     )
-    checked = 0
     violations: list[ConnectednessViolation] = []
     predecessors: list[dict] = []
-    for cert in catalog.certificates():
-        if cert.size < 3:
+    for family in catalog.families():
+        if len(family) < 3:
             continue
-        checked += 1
-        found = _first_predecessor(cert.family, catalog)
-        if found is None:
-            violations.append(_violation(cert.family, cert))
+        cert = catalog.get(family)
+        for j in range(len(family)):
+            sub_cert = catalog.get(family[:j] + family[j + 1:])
+            if sub_cert is not None:
+                predecessors.append(
+                    {
+                        "family": cert.family,
+                        "predecessor": sub_cert.family,
+                        "witness": sub_cert.witness,
+                    }
+                )
+                break
         else:
-            subset, sub_cert = found
-            predecessors.append(
-                {
-                    "family": cert.family,
-                    "predecessor": subset,
-                    "witness": sub_cert.witness,
-                }
-            )
+            violations.append(_violation(cert.family, cert))
     return ConnectednessReport(
         ground=ground,
         max_size=catalog.max_size,
-        checked=checked,
-        connected=checked - len(violations),
+        checked=len(predecessors) + len(violations),
+        connected=len(predecessors),
         violations=violations,
         predecessors=predecessors,
     )

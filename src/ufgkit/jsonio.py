@@ -19,7 +19,7 @@ from .connectedness import (
 )
 from .context import DistinguishingSet, parse_attribute
 from .errors import InvalidFormat
-from .orders import GroundSet, Poset, canonical_key, make_poset
+from .orders import GroundSet, Poset, canonical_family, canonical_key, make_poset
 from .ufg import UfgCatalog, UfgCertificate
 
 
@@ -102,6 +102,10 @@ def load_family_file(path: str) -> tuple[GroundSet, list[Poset]]:
             raise InvalidFormat(
                 f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}"
             ) from None
+        except UnicodeDecodeError as exc:
+            raise InvalidFormat(f"{path}: not UTF-8 text: {exc.reason}") from None
+        except RecursionError:
+            raise InvalidFormat(f"{path}: arrays or objects nested too deeply") from None
     return family_from_obj(obj, where=path)
 
 
@@ -306,9 +310,12 @@ def catalog_from_obj(obj: Any, where: str = "catalog") -> UfgCatalog:
         "stats": _record_of({"count_by_size": _raw}),
     })
     certs = rec["ufg_sets"]
-    catalog = UfgCatalog(rec["ground"], "loaded", max((c.size for c in certs), default=0))
+    # the pool is every order some family holds, each family indexed through it
+    pool = canonical_family(m for c in certs for m in c.family) if certs else ()
+    index = {p.bits: i for i, p in enumerate(pool)}
+    catalog = UfgCatalog(rec["ground"], pool, "loaded", max((c.size for c in certs), default=0))
     for cert in certs:
-        catalog.add(cert)
+        catalog.add(tuple(sorted(index[m.bits] for m in cert.family)), cert)
     counts = {str(size): count for size, count in catalog.count_by_size().items()}
     _require(
         rec["stats"]["count_by_size"] == counts,

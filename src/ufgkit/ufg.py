@@ -36,7 +36,6 @@ from .orders import (
     Poset,
     PosetInterval,
     canonical_family,
-    canonical_key,
     enumerate_all_posets,
 )
 
@@ -51,11 +50,6 @@ def default_max_family_size(ground: GroundSet) -> int:
     context has attributes.
     """
     return 2 * ground.size * (ground.size - 1)
-
-
-def family_key(S: Iterable[Poset]) -> tuple[bytes, ...]:
-    """Canonical, order-insensitive identity of a family."""
-    return tuple(canonical_key(m) for m in canonical_family(S))
 
 
 def _blocker(qb: int, loo: list[tuple[int, int]]) -> int | None:
@@ -125,14 +119,6 @@ def is_witness(S: Iterable[Poset], q: Poset) -> bool:
     return PosetInterval(iv.lower, iv.upper, zip(*loo)).contains(q)
 
 
-def iter_witnesses(S: Iterable[Poset]) -> Iterator[Poset]:
-    """All witness orders for S, in canonical order."""
-    members = canonical_family(S)
-    ground = members[0].ground
-    for qb in _witness_bits(members):
-        yield Poset(ground, qb, check=False)
-
-
 @dataclass
 class UfgCertificate:
     """Witnessed proof that a family is union-free generic.
@@ -150,19 +136,21 @@ class UfgCertificate:
         return len(self.family)
 
     def validate(self) -> None:
-        """Re-derive every claim; raises AssertionError on any breach."""
+        """Re-derive every claim; raises AssertionError on any breach, also
+        under ``python -O``."""
         members = canonical_family(self.family)
-        assert members == self.family, "family is not in canonical order"
+        if members != self.family:
+            raise AssertionError("family is not in canonical order")
         # inside the closure, an order escapes the closure without a member
         # exactly when that member keeps a distinguishing attribute
         # restricted to it: one leave-one-out pass re-derives both claims
-        assert len(members) >= 2 and gamma_interval(members).contains(
-            self.witness
-        ), "witness fails re-validation"
+        if len(members) < 2 or not gamma_interval(members).contains(self.witness):
+            raise AssertionError("witness fails re-validation")
         for fresh in _distinguishing_sets(members, self.witness):
-            assert fresh.attributes, "witness fails re-validation"
-            d = self.per_member[fresh.member]
-            assert fresh.attributes == d.attributes, "distinguishing set drifted"
+            if not fresh.attributes:
+                raise AssertionError("witness fails re-validation")
+            if fresh.attributes != self.per_member[fresh.member].attributes:
+                raise AssertionError("distinguishing set drifted")
 
 
 def _certificate(
@@ -186,8 +174,6 @@ def _is_ufg_sorted(
     The kernel and the certificate read one leave-one-out pass: ``loo``
     when the caller already made it, else one made here.
     """
-    if len(members) < 2:
-        return None
     if loo is None:
         loo = _loo_and_or([m.bits for m in members], members[0].ground.full_bits)
     qb = next(_witness_bits(members, loo), None)
@@ -228,39 +214,63 @@ def candidate_filter(Q: Iterable[Poset], p: Poset) -> bool:
 
 
 class UfgCatalog:
-    """All union-free generic families found by one enumeration run."""
+    """All union-free generic families found by one enumeration run.
 
-    def __init__(self, ground: GroundSet, strategy: str, max_size: int):
+    ``pool`` is a canonical family of orders, and a family is a sorted
+    tuple of pool indices: canonical too, since the pool is, and ordered
+    among families of its size as its canonical keys are.
+    """
+
+    def __init__(
+        self, ground: GroundSet, pool: tuple[Poset, ...], strategy: str, max_size: int
+    ):
         self.ground = ground
-        self.strategy = strategy
+        self.pool = pool
         self.max_size = max_size
-        self._families: dict[tuple[bytes, ...], UfgCertificate] = {}
+        self._bits = [p.bits for p in pool]
+        self._full = ground.full_bits
+        self._families: dict[tuple[int, ...], UfgCertificate] = {}
         self.stats: dict[str, object] = {
             "strategy": strategy,
             "families_tested": 0,
             "filter_rejections": 0,
-            "pool_size": 0,
+            "pool_size": len(pool),
             "elapsed_seconds": 0.0,
         }
 
-    def add(self, cert: UfgCertificate) -> None:
-        # a certificate's family is canonical by construction
-        self._families[tuple(map(canonical_key, cert.family))] = cert
+    def add(self, family: tuple[int, ...], cert: UfgCertificate) -> None:
+        self._families[family] = cert
+
+    def test(self, family: tuple[int, ...]) -> bool:
+        """Decide a family of two or more pool indices, adding it when it
+        is ufg; False when the distinguishing prefilter, which reads only
+        the pool's bits, turns it away.  ``stats`` count both outcomes."""
+        bits_list = [self._bits[i] for i in family]
+        loo = _loo_and_or(bits_list, self._full)
+        if not _distinguishable(bits_list, *loo):
+            self.stats["filter_rejections"] += 1
+            return False
+        self.stats["families_tested"] += 1
+        cert = _is_ufg_sorted(tuple(self.pool[i] for i in family), loo)
+        if cert is not None:
+            self._families[family] = cert
+        return True
 
     def __len__(self) -> int:
         return len(self._families)
 
-    def get(self, family) -> UfgCertificate | None:
-        return self._families.get(family_key(family))
+    def get(self, family: tuple[int, ...]) -> UfgCertificate | None:
+        return self._families.get(family)
 
-    def keys(self) -> frozenset[tuple[bytes, ...]]:
+    def keys(self) -> frozenset[tuple[int, ...]]:
         return frozenset(self._families)
 
+    def families(self) -> list[tuple[int, ...]]:
+        """Every family, by size and then in canonical order."""
+        return sorted(self._families, key=lambda k: (len(k), k))
+
     def certificates(self) -> list[UfgCertificate]:
-        return [
-            self._families[k]
-            for k in sorted(self._families, key=lambda k: (len(k), k))
-        ]
+        return [self._families[k] for k in self.families()]
 
     def count_by_size(self) -> dict[int, int]:
         out: dict[int, int] = {}
@@ -269,20 +279,30 @@ class UfgCatalog:
         return out
 
     def same_families(self, other: "UfgCatalog") -> bool:
-        return self.keys() == other.keys()
+        # by the members' bits: index tuples name the same orders only
+        # when the pools are equal
+        return self._member_bits() == other._member_bits()
+
+    def _member_bits(self) -> set[tuple[int, ...]]:
+        return {tuple(self._bits[i] for i in k) for k in self._families}
 
 
 def _resolve_pool(
     ground: GroundSet,
     premises: Iterable[Poset] | None,
     cap: int | None,
-) -> tuple[Poset, ...]:
+    max_size: int | None,
+) -> tuple[tuple[Poset, ...], int]:
+    """The canonical pool and the largest family size worth walking in it."""
     if premises is None:
-        return tuple(enumerate_all_posets(ground, cap))
-    pool = canonical_family(premises)
-    if pool[0].ground != ground:
-        raise MixedGroundSets("premise pool lives on a different ground set")
-    return pool
+        pool = tuple(enumerate_all_posets(ground, cap))
+    else:
+        pool = canonical_family(premises)
+        if pool[0].ground != ground:
+            raise MixedGroundSets("premise pool lives on a different ground set")
+    if max_size is None:
+        max_size = default_max_family_size(ground)
+    return pool, min(max_size, len(pool))
 
 
 def enumerate_ufg_exhaustive(
@@ -295,52 +315,34 @@ def enumerate_ufg_exhaustive(
     """Every ufg family of at most ``max_size`` pool orders, found by
     walking subsets of the pool as a set-enumeration tree (Rymon 1992).
 
-    A family is extended only by pool orders after its last member, so
-    each subset is reached at most once.  The distinguishing prefilter is
-    hereditary: adding members only shrinks the others' AND and grows
-    their OR, so a member that keeps no distinguishing attribute keeps
-    none in any superset, and no superset is ufg (the Apriori rule of
-    Agrawal & Srikant 1994).  A family failing it is neither tested nor
-    extended; every other family of two or more members goes to the
-    witness kernel.  The budget still counts every subset up to
-    ``max_size``.  ``stats`` record the families tested and the subtrees
-    pruned.  The tests and ``bench/make_references.py`` check the tree
-    against deciding every subset.
+    A family is a sorted tuple of pool indices and is extended only by
+    pool orders after its last member, so each subset is reached at most
+    once.  The distinguishing prefilter is hereditary: adding members
+    only shrinks the others' AND and grows their OR, so a member that
+    keeps no distinguishing attribute keeps none in any superset, and no
+    superset is ufg (the Apriori rule of Agrawal & Srikant 1994).  A
+    family failing it is neither tested nor extended; every other family
+    of two or more members goes to the witness kernel.  The budget still
+    counts every subset up to ``max_size``.  ``stats`` record the
+    families tested and the subtrees pruned.  The tests and
+    ``bench/make_references.py`` check the tree against deciding every
+    subset.
     """
-    pool = _resolve_pool(ground, premises, cap)
-    if max_size is None:
-        max_size = default_max_family_size(ground)
-    max_size = min(max_size, len(pool))
+    pool, max_size = _resolve_pool(ground, premises, cap, max_size)
     planned = sum(comb(len(pool), k) for k in range(2, max_size + 1))
     if planned > budget:
         raise CombinatorialBudgetExceeded(
             f"{planned} subsets to test exceed the budget {budget}"
         )
-    catalog = UfgCatalog(ground, "exhaustive", max_size)
-    catalog.stats["pool_size"] = len(pool)
-    full = ground.full_bits
-    tested = 0
-    pruned = 0
+    catalog = UfgCatalog(ground, pool, "exhaustive", max_size)
     start = time.perf_counter()
-    # a node is a canonical family and the pool index its children start at
-    stack = [((p,), i + 1) for i, p in enumerate(pool)] if max_size >= 2 else []
+    stack = [(i,) for i in range(len(pool))] if max_size >= 2 else []
     while stack:
-        family, first = stack.pop()
-        for k in range(first, len(pool)):
-            child = family + (pool[k],)
-            bits_list = [m.bits for m in child]
-            loo = _loo_and_or(bits_list, full)
-            if not _distinguishable(bits_list, *loo):
-                pruned += 1
-                continue
-            tested += 1
-            cert = _is_ufg_sorted(child, loo)
-            if cert is not None:
-                catalog.add(cert)
-            if len(child) < max_size:
-                stack.append((child, k + 1))
-    catalog.stats["families_tested"] = tested
-    catalog.stats["filter_rejections"] = pruned
+        family = stack.pop()
+        for k in range(family[-1] + 1, len(pool)):
+            child = family + (k,)
+            if catalog.test(child) and len(child) < max_size:
+                stack.append(child)
     catalog.stats["elapsed_seconds"] = time.perf_counter() - start
     return catalog
 
@@ -354,28 +356,21 @@ def enumerate_ufg_connected(
 ) -> UfgCatalog:
     """Grow ufg families one pool order at a time, starting from every pair.
 
-    A family is a sorted tuple of pool indices: a canonical family, since
-    the pool is canonical.  Each ufg family of size m is extended by every
-    pool order it lacks, and the child is opened only from its canonical
-    parent, its first ufg leave-one-out subfamily removing members in
-    canonical order (the rule of
-    :func:`ufgkit.connectedness.has_predecessor`).  This is reverse search
-    (Avis & Fukuda 1996): each child of a ufg family is opened once, with
-    no record of the families seen.  An opened child gets the prefilter of
-    the exhaustive tree and, when it passes, the witness kernel.
+    A family is a sorted tuple of pool indices, as in the catalog.  Each
+    ufg family of size m is extended by every pool order it lacks, and
+    the child is opened only from its canonical parent, its first ufg
+    leave-one-out subfamily removing members in canonical order (the
+    rule of :func:`ufgkit.connectedness.has_predecessor`).  This is
+    reverse search (Avis & Fukuda 1996): each child of a ufg family is
+    opened once, with no record of the families seen.  An opened child
+    gets the prefilter of the exhaustive tree and, when it passes, the
+    witness kernel; the budget counts the children that pass.
     Completeness rests on the connectedness property of ufg families,
     which this package verifies rather than assumes; run the exhaustive
     strategy next to it when the guarantee matters.
     """
-    pool = _resolve_pool(ground, premises, cap)
-    if max_size is None:
-        max_size = default_max_family_size(ground)
-    max_size = min(max_size, len(pool))
-    catalog = UfgCatalog(ground, "connected", max_size)
-    catalog.stats["pool_size"] = len(pool)
-    full = ground.full_bits
-    tested = 0
-    rejected = 0
+    pool, max_size = _resolve_pool(ground, premises, cap, max_size)
+    catalog = UfgCatalog(ground, pool, "connected", max_size)
     start = time.perf_counter()
     # the ufg families of one size; the first level holds every single
     # order, so every pair is opened, and two distinct orders always
@@ -393,24 +388,13 @@ def enumerate_ufg_connected(
                 # leave-one-out subfamily in the level is the parent instead
                 if any(child[:j] + child[j + 1:] in level for j in range(pos)):
                     continue
-                members = tuple(pool[i] for i in child)
-                bits_list = [m.bits for m in members]
-                loo = _loo_and_or(bits_list, full)
-                if not _distinguishable(bits_list, *loo):
-                    rejected += 1
-                    continue
-                tested += 1
-                if tested > budget:
+                if catalog.test(child) and catalog.get(child) is not None:
+                    grown.add(child)
+                if catalog.stats["families_tested"] > budget:
                     raise CombinatorialBudgetExceeded(
                         f"extension tests exceed the budget {budget}"
                     )
-                cert = _is_ufg_sorted(members, loo)
-                if cert is not None:
-                    catalog.add(cert)
-                    grown.add(child)
         level = grown
-    catalog.stats["families_tested"] = tested
-    catalog.stats["filter_rejections"] = rejected
     catalog.stats["elapsed_seconds"] = time.perf_counter() - start
     return catalog
 

@@ -237,6 +237,20 @@ def test_bad_input_exits_one_without_traceback(capsys, monkeypatch, argv, env):
     assert "error:" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "content",
+    [b'{"elements": ["\xff"]}', b"[" * 100_000 + b"]" * 100_000],
+    ids=["not-utf8", "nested-100000-deep"],
+)
+def test_malformed_family_file_exits_one_without_traceback(capsys, tmp_path, content):
+    path = tmp_path / "family.json"
+    path.write_bytes(content)
+    for command in ("check-ufg", "closure", "enumerate", "connectedness"):
+        code, _, err = run(capsys, command, "--input", str(path))
+        assert code == EXIT_ERROR, command
+        assert "error:" in err and "Traceback" not in err
+
+
 # --- machine output round-trips -----------------------------------------------------
 
 

@@ -16,8 +16,8 @@ from ufgkit.connectedness import (
     run_corrigendum,
 )
 from ufgkit.errors import InvalidFormat
-from ufgkit.orders import empty_poset
-from ufgkit.ufg import UfgCatalog, explain_not_ufg, is_ufg
+from ufgkit.orders import GroundSet, empty_poset
+from ufgkit.ufg import UfgCatalog, enumerate_ufg_exhaustive, explain_not_ufg, is_ufg
 
 
 @pytest.fixture(scope="module")
@@ -57,8 +57,8 @@ def reports(corr, violation):
         n_range=(4, 5), budget=3, seed=-2, pool_size=8, trials=3,
         families_checked=1, violation=violation,
     )
-    catalog = UfgCatalog(ground, "exhaustive", 3)
-    catalog.add(cert)
+    catalog = UfgCatalog(ground, cert.family, "exhaustive", 3)
+    catalog.add((0, 1, 2), cert)
     return {
         kind: (write(value), parse, write)
         for kind, value, parse, write in [
@@ -173,3 +173,26 @@ def test_empty_and_truncated_reports_are_rejected():
         jsonio.connectedness_from_obj({"ground": ["x1", "x2"]})
     with pytest.raises(InvalidFormat):
         jsonio.catalog_from_obj({"ground": ["x1", "x2"], "stats": {"count_by_size": {}}})
+
+
+
+
+def test_catalog_read_back_from_enumerate_output_has_the_same_families(capsys):
+    loaded, enumerated = {}, {}
+    for n in (2, 3):
+        assert main(["enumerate", "-n", str(n), "--json"]) == 0
+        loaded[n] = jsonio.catalog_from_obj(json.loads(capsys.readouterr().out))
+        enumerated[n] = enumerate_ufg_exhaustive(GroundSet.numbered(n))
+        assert loaded[n].same_families(enumerated[n])
+        assert enumerated[n].same_families(loaded[n])
+        assert loaded[n].count_by_size() == enumerated[n].count_by_size()
+    # on 2 items the empty order is in no ufg family, so the loaded pool
+    # leaves it out and the one family has other indices there
+    assert len(loaded[2].pool) == len(enumerated[2].pool) - 1 == 2
+    assert loaded[2].keys() == {(0, 1)} and enumerated[2].keys() == {(1, 2)}
+    # the same index tuple over another pool names another family (the
+    # comparison reads no certificate)
+    shifted = UfgCatalog(enumerated[2].ground, enumerated[2].pool, "loaded", 2)
+    shifted.add((0, 1), loaded[2].get((0, 1)))
+    assert shifted.keys() == loaded[2].keys()
+    assert not shifted.same_families(loaded[2])

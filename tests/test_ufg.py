@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+from dataclasses import replace
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -21,20 +26,25 @@ from ufgkit.orders import (
 from ufgkit import ufg
 from ufgkit.context import _loo_and_or, gamma_interval
 from ufgkit.ufg import (
+    UfgCertificate,
     _blocker,
     _is_ufg_sorted,
+    _witness_bits,
     candidate_filter,
     default_max_family_size,
     enumerate_ufg_connected,
     enumerate_ufg_exhaustive,
     explain_not_ufg,
-    family_key,
     is_ufg,
     is_witness,
-    iter_witnesses,
 )
 from ufgkit.connectedness import random_pool
 from ufgkit.oracles import is_generic, is_ufg_by_distinguishing, is_union_free_bruteforce
+
+
+def _bits_key(S):
+    """Order-insensitive identity of a family: its members' sorted bits."""
+    return tuple(sorted({m.bits for m in S}))
 
 
 # --- the generic condition -------------------------------------------------------
@@ -104,10 +114,54 @@ def test_counterexample_certificate(corr):
         ("b1", "c1"),
     }
     assert is_witness([p1, p2, p3], q)
-    witnesses = list(iter_witnesses([p1, p2, p3]))
-    assert witnesses == [cert.witness, q]
+    witnesses = list(_witness_bits(canonical_family([p1, p2, p3])))
+    assert witnesses == [cert.witness.bits, q.bits]
     for member, d in cert.per_member.items():
         assert d.attributes, member
+
+
+def test_validate_rejects_broken_certificates(corr):
+    _, p1, p2, p3, _ = corr
+    cert = is_ufg([p1, p2, p3])
+    cert.validate()
+    first = cert.family[0]
+    d = cert.per_member[first]
+    drifted = {**cert.per_member, first: replace(d, attributes=d.attributes - {min(d.attributes)})}
+    broken = {
+        "canonical order": UfgCertificate(cert.family[::-1], cert.witness, cert.per_member),
+        "witness fails": UfgCertificate(cert.family, first, cert.per_member),
+        "drifted": UfgCertificate(cert.family, cert.witness, drifted),
+    }
+    for message, bad in broken.items():
+        with pytest.raises(AssertionError, match=message):
+            bad.validate()
+
+
+VALIDATE_MEMBER_WITNESS = """
+from ufgkit import corrigendum_inputs, is_ufg
+from ufgkit.ufg import UfgCertificate
+
+_, p1, p2, p3, _ = corrigendum_inputs()
+c = is_ufg([p1, p2, p3])
+print("debug:", __debug__)
+try:
+    UfgCertificate(c.family, c.family[0], c.per_member).validate()
+except AssertionError as exc:
+    print("rejected:", exc)
+"""
+
+
+def test_validate_checks_under_python_optimize():
+    # asserts vanish under -O; validate must not
+    src = str(Path(ufg.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", VALIDATE_MEMBER_WITNESS],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    assert out == "debug: False\nrejected: witness fails re-validation\n"
 
 
 def test_two_member_counterexample_subfamily(corr):
@@ -212,10 +266,11 @@ def test_counterexample_pool_catalogs(corr):
     pool = (p1, p2, p3)
     exhaustive = enumerate_ufg_exhaustive(ground, premises=pool)
     assert exhaustive.count_by_size() == {2: 3, 3: 1}
-    assert exhaustive.get([p1, p2, p3]) is not None
+    assert exhaustive.get((0, 1, 2)).family == canonical_family(pool)
     connected = enumerate_ufg_connected(ground, premises=pool)
     assert connected.same_families(exhaustive)
-    assert connected.get([p1, p2]) is not None  # the size-2 seed it grew from
+    seed = tuple(sorted(connected.pool.index(p) for p in (p1, p2)))
+    assert connected.get(seed) is not None  # the size-2 seed it grew from
 
 
 def test_max_size_one_gives_empty_catalog(g2):
@@ -267,7 +322,7 @@ def test_connected_decides_each_family_once(
     decided = []
 
     def spy(members, loo=None):
-        decided.append(family_key(members))
+        decided.append(_bits_key(members))
         return _is_ufg_sorted(members, loo)
 
     monkeypatch.setattr(ufg, "_is_ufg_sorted", spy)
@@ -284,12 +339,12 @@ def _all_subsets_catalog(pool, max_size):
         for combo in combinations(pool, size):
             cert = _is_ufg_sorted(combo)
             if cert is not None:
-                found[family_key(combo)] = cert
+                found[_bits_key(combo)] = cert
     return found
 
 
 def _certificates_by_key(catalog):
-    return {family_key(c.family): c for c in catalog.certificates()}
+    return {_bits_key(c.family): c for c in catalog.certificates()}
 
 
 def test_tree_equals_all_subsets_on_three_items(catalog3, pool3):
@@ -311,11 +366,12 @@ def test_tree_equals_all_subsets_on_random_pools(seed):
 
 def test_tree_equals_distinguishing_decider_on_three_items(catalog3, pool3):
     # the catalog reaches size 12; equality also shows it has nothing past 4
+    assert catalog3.pool == pool3
     oracle = {
-        family_key(combo)
+        combo
         for size in range(2, 5)
-        for combo in combinations(pool3, size)
-        if is_ufg_by_distinguishing(combo) is not None  # witness 0 is falsy
+        for combo in combinations(range(len(pool3)), size)
+        if is_ufg_by_distinguishing([pool3[i] for i in combo]) is not None  # witness 0 is falsy
     }
     assert catalog3.keys() == oracle
 
@@ -330,10 +386,12 @@ def test_default_max_family_size_is_the_attribute_count(g3):
 
 
 def test_catalog_keys_are_sorted_tuples(catalog3):
-    for cert in catalog3.certificates():
-        key = family_key(cert.family)
-        assert list(key) == sorted(key)
-        assert len(set(key)) == len(key)
+    pool = catalog3.pool
+    assert pool == canonical_family(pool)
+    for key in catalog3.keys():
+        assert all(0 <= i < len(pool) for i in key)
+        assert all(a < b for a, b in zip(key, key[1:]))
+        assert catalog3.get(key).family == tuple(pool[i] for i in key)
 
 
 # --- candidate filter ----------------------------------------------------------------
@@ -409,11 +467,11 @@ def test_every_pair_inside_an_ufg_triple_is_ufg(catalog3):
     # on three items the only non-ufg subfamilies of ufg families are
     # singletons: frozen empirical fact from the exhaustive catalog
     keys = catalog3.keys()
-    for cert in catalog3.certificates():
-        if cert.size != 3:
+    for key in keys:
+        if len(key) != 3:
             continue
-        for sub in combinations(cert.family, 2):
-            assert family_key(sub) in keys
+        for sub in combinations(key, 2):
+            assert sub in keys
 
 
 def test_pruned_kernel_matches_filtered_plain_walk():
@@ -424,8 +482,8 @@ def test_pruned_kernel_matches_filtered_plain_walk():
     for size in range(2, 5):
         for S in combinations(pool, size):
             loo = list(zip(*_loo_and_or([m.bits for m in S], g5.full_bits)))
-            plain = [q for q in gamma_interval(S).posets() if _blocker(q.bits, loo) is None]
-            assert list(iter_witnesses(S)) == plain
+            plain = [q.bits for q in gamma_interval(S).posets() if _blocker(q.bits, loo) is None]
+            assert list(_witness_bits(S)) == plain
 
 
 # --- failure explanations ----------------------------------------------------------------
