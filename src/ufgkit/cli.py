@@ -241,9 +241,9 @@ def cmd_check_ufg(args) -> int:
         "witness: " + _relation_str(cert.witness),
         "distinguishing:",
     ]
-    for m in cert.family:
-        attrs = sorted(a.text(ground) for a in cert.per_member[m].attributes)
-        lines.append(f"  {_relation_str(m)}: " + ", ".join(attrs))
+    for d in cert.distinguishing():
+        attrs = sorted(a.text(ground) for a in d.attributes)
+        lines.append(f"  {_relation_str(d.member)}: " + ", ".join(attrs))
     if args.debug:
         lines.append("cross-check: all three deciders agree")
     payload = {"ufg": True, "certificate": jsonio.certificate_to_obj(cert)}
@@ -285,7 +285,7 @@ def cmd_enumerate(args) -> int:
     )
     lines = [
         f"strategy: {args.strategy} (completeness: {guarantee})",
-        f"pool: {catalog.stats['pool_size']} orders",
+        f"pool: {len(catalog.pool)} orders",
         f"ufg sets: {len(catalog)}" + (f" (by size {sizes})" if sizes else ""),
     ]
     _emit(args, lines, jsonio.catalog_to_obj(catalog))

@@ -61,22 +61,6 @@ class Attribute:
             )
 
 
-def parse_attribute(ground: GroundSet, text: str) -> Attribute:
-    """Inverse of :meth:`Attribute.text` for the ``kind(a,b)`` form."""
-    for kind in (LEQ, NLEQ):
-        head = kind + "("
-        if text.startswith(head) and text.endswith(")"):
-            inner = text[len(head):-1]
-            # labels may themselves contain commas: try every split
-            for pos in range(len(inner)):
-                if inner[pos] != ",":
-                    continue
-                a, b = inner[:pos], inner[pos + 1:]
-                if a in ground.labels and b in ground.labels:
-                    return Attribute(kind, ground.index(a), ground.index(b))
-    raise ValueError(f"cannot parse attribute {text!r}")
-
-
 def all_attributes(ground: GroundSet) -> list[Attribute]:
     """Every attribute of the context: 2 * N * (N-1) of them."""
     n = ground.size
@@ -138,9 +122,7 @@ def _loo_and_or(bits_list: list[int], full: int) -> tuple[list[int], list[int]]:
 
 
 def _distinguishing_sets(
-    members: tuple[Poset, ...],
-    q: Poset | None,
-    loo: tuple[list[int], list[int]] | None = None,
+    members: tuple[Poset, ...], q: Poset | None
 ) -> list[DistinguishingSet]:
     """Distinguishing sets of every member of a canonical family, in
     member order, from one leave-one-out pass.
@@ -148,15 +130,13 @@ def _distinguishing_sets(
     A LEQ attribute qualifies when its pair is missing from the member,
     present in every other member, and (restricted) missing from q; an
     NLEQ attribute when its pair is in the member, in no other member,
-    and (restricted) in q.  ``loo`` is the family's ``_loo_and_or``
-    result when the caller already has it.
+    and (restricted) in q.
     """
     ground = members[0].ground
     if q is not None and q.ground != ground:
         raise MixedGroundSets("restriction order lives on a different ground set")
     bits_list = [m.bits for m in members]
-    if loo is None:
-        loo = _loo_and_or(bits_list, ground.full_bits)
+    loo = _loo_and_or(bits_list, ground.full_bits)
     out = []
     for m, b, others_and, others_or in zip(members, bits_list, *loo):
         leq = others_and & ~b

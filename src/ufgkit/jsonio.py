@@ -17,8 +17,7 @@ from .connectedness import (
     ScenarioCheck,
     ConnectednessViolation,
 )
-from .context import DistinguishingSet, parse_attribute
-from .errors import InvalidFormat
+from .errors import InvalidFormat, MixedGroundSets, UfgkitError
 from .orders import GroundSet, Poset, canonical_family, canonical_key, make_poset
 from .ufg import UfgCatalog, UfgCertificate
 
@@ -112,24 +111,19 @@ def load_family_file(path: str) -> tuple[GroundSet, list[Poset]]:
 # --- derived structures ------------------------------------------------------
 
 
-def distinguishing_to_obj(d: DistinguishingSet) -> dict:
-    ground = d.member.ground
+def _distinguishing_texts(cert: UfgCertificate) -> dict:
+    ground = cert.witness.ground
     return {
-        "member": poset_to_obj(d.member),
-        "q": poset_to_obj(d.restriction) if d.restriction is not None else None,
-        "attributes": sorted(m.text(ground) for m in d.attributes),
+        str(i): sorted(a.text(ground) for a in d.attributes)
+        for i, d in enumerate(cert.distinguishing())
     }
 
 
 def certificate_to_obj(cert: UfgCertificate) -> dict:
-    ground = cert.family[0].ground
     return {
         "members": [poset_to_obj(m) for m in cert.family],
         "witness": poset_to_obj(cert.witness),
-        "distinguishing": {
-            str(i): sorted(a.text(ground) for a in cert.per_member[m].attributes)
-            for i, m in enumerate(cert.family)
-        },
+        "distinguishing": _distinguishing_texts(cert),
     }
 
 
@@ -281,26 +275,24 @@ def _raw(value: Any, where: str) -> Any:
 
 
 def certificate_from_obj(obj: Any, where: str = "certificate") -> UfgCertificate:
+    """A certificate re-validated from its members and witness; the
+    ``distinguishing`` texts must be the ones they derive."""
     rec = _record(obj, where, {
         "members": _posets,
         "witness": poset_from_obj,
         "distinguishing": _raw,
     })
-    members, witness = rec["members"], rec["witness"]
-    _require(bool(members), f"{where}.members", "expected at least one member")
-    spot = f"{where}.distinguishing"
-    texts = _record(rec["distinguishing"], spot, {str(i): _list(_str) for i in range(len(members))})
-    ground = members[0].ground
+    cert = UfgCertificate(rec["members"], rec["witness"])
     try:
-        per_member = {
-            m: DistinguishingSet(
-                m, frozenset(parse_attribute(ground, t) for t in texts[str(i)]), witness
-            )
-            for i, m in enumerate(members)
-        }
-    except ValueError as exc:
-        raise InvalidFormat(f"{spot}: {exc}") from None
-    return UfgCertificate(members, witness, per_member)
+        cert.validate()
+    except (AssertionError, UfgkitError) as exc:
+        raise InvalidFormat(f"{where}: {exc}") from None
+    _require(
+        rec["distinguishing"] == _distinguishing_texts(cert),
+        f"{where}.distinguishing",
+        "does not match the members and the witness",
+    )
+    return cert
 
 
 def catalog_from_obj(obj: Any, where: str = "catalog") -> UfgCatalog:
@@ -311,9 +303,17 @@ def catalog_from_obj(obj: Any, where: str = "catalog") -> UfgCatalog:
     })
     certs = rec["ufg_sets"]
     # the pool is every order some family holds, each family indexed through it
-    pool = canonical_family(m for c in certs for m in c.family) if certs else ()
+    try:
+        pool = canonical_family(m for c in certs for m in c.family) if certs else ()
+    except MixedGroundSets as exc:
+        raise InvalidFormat(f"{where}.ufg_sets: {exc}") from None
+    _require(
+        not pool or pool[0].ground == rec["ground"],
+        f"{where}.ground",
+        "differs from the ground of the ufg sets",
+    )
     index = {p.bits: i for i, p in enumerate(pool)}
-    catalog = UfgCatalog(rec["ground"], pool, "loaded", max((c.size for c in certs), default=0))
+    catalog = UfgCatalog(rec["ground"], pool, max((c.size for c in certs), default=0))
     for cert in certs:
         catalog.add(tuple(sorted(index[m.bits] for m in cert.family)), cert)
     counts = {str(size): count for size, count in catalog.count_by_size().items()}

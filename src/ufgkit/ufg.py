@@ -123,17 +123,22 @@ def is_witness(S: Iterable[Poset], q: Poset) -> bool:
 class UfgCertificate:
     """Witnessed proof that a family is union-free generic.
 
-    ``family`` is canonically ordered; ``per_member`` maps each member to
-    its nonempty distinguishing set restricted to the witness.
+    ``family`` is canonically ordered and ``witness`` lies in its closure,
+    outside every leave-one-out closure; the members' distinguishing sets
+    restricted to the witness are derived from the two, never stored.
     """
 
     family: tuple[Poset, ...]
     witness: Poset
-    per_member: dict[Poset, DistinguishingSet]
 
     @property
     def size(self) -> int:
         return len(self.family)
+
+    def distinguishing(self) -> list[DistinguishingSet]:
+        """Each member's distinguishing set restricted to the witness, in
+        member order, from one leave-one-out pass."""
+        return _distinguishing_sets(self.family, self.witness)
 
     def validate(self) -> None:
         """Re-derive every claim; raises AssertionError on any breach, also
@@ -144,42 +149,26 @@ class UfgCertificate:
         # inside the closure, an order escapes the closure without a member
         # exactly when that member keeps a distinguishing attribute
         # restricted to it: one leave-one-out pass re-derives both claims
-        if len(members) < 2 or not gamma_interval(members).contains(self.witness):
+        if (
+            len(members) < 2
+            or not gamma_interval(members).contains(self.witness)
+            or not all(d.attributes for d in self.distinguishing())
+        ):
             raise AssertionError("witness fails re-validation")
-        for fresh in _distinguishing_sets(members, self.witness):
-            if not fresh.attributes:
-                raise AssertionError("witness fails re-validation")
-            if fresh.attributes != self.per_member[fresh.member].attributes:
-                raise AssertionError("distinguishing set drifted")
 
 
-def _certificate(
-    members: tuple[Poset, ...],
-    witness: Poset,
-    loo: tuple[list[int], list[int]] | None = None,
-) -> UfgCertificate:
-    per_member = {}
-    for d in _distinguishing_sets(members, witness, loo):
-        # every member of a witnessed family must be distinguishable
-        assert d.attributes, "witness scan and distinguishing sets disagree"
-        per_member[d.member] = d
-    return UfgCertificate(members, witness, per_member)
+def _certificate(members: tuple[Poset, ...], witness_bits: int) -> UfgCertificate:
+    return UfgCertificate(members, Poset(members[0].ground, witness_bits, check=False))
 
 
 def _is_ufg_sorted(
     members: tuple[Poset, ...], loo: tuple[list[int], list[int]] | None = None
 ) -> UfgCertificate | None:
     """Witness scan over a canonical family; None when no witness exists.
-
-    The kernel and the certificate read one leave-one-out pass: ``loo``
-    when the caller already made it, else one made here.
-    """
-    if loo is None:
-        loo = _loo_and_or([m.bits for m in members], members[0].ground.full_bits)
+    ``loo`` is the family's ``_loo_and_or`` result when the caller
+    already has it."""
     qb = next(_witness_bits(members, loo), None)
-    if qb is None:
-        return None
-    return _certificate(members, Poset(members[0].ground, qb, check=False), loo)
+    return None if qb is None else _certificate(members, qb)
 
 
 def is_ufg(S: Iterable[Poset]) -> UfgCertificate | None:
@@ -221,9 +210,7 @@ class UfgCatalog:
     among families of its size as its canonical keys are.
     """
 
-    def __init__(
-        self, ground: GroundSet, pool: tuple[Poset, ...], strategy: str, max_size: int
-    ):
+    def __init__(self, ground: GroundSet, pool: tuple[Poset, ...], max_size: int):
         self.ground = ground
         self.pool = pool
         self.max_size = max_size
@@ -231,10 +218,8 @@ class UfgCatalog:
         self._full = ground.full_bits
         self._families: dict[tuple[int, ...], UfgCertificate] = {}
         self.stats: dict[str, object] = {
-            "strategy": strategy,
             "families_tested": 0,
             "filter_rejections": 0,
-            "pool_size": len(pool),
             "elapsed_seconds": 0.0,
         }
 
@@ -334,7 +319,7 @@ def enumerate_ufg_exhaustive(
         raise CombinatorialBudgetExceeded(
             f"{planned} subsets to test exceed the budget {budget}"
         )
-    catalog = UfgCatalog(ground, pool, "exhaustive", max_size)
+    catalog = UfgCatalog(ground, pool, max_size)
     start = time.perf_counter()
     stack = [(i,) for i in range(len(pool))] if max_size >= 2 else []
     while stack:
@@ -370,7 +355,7 @@ def enumerate_ufg_connected(
     strategy next to it when the guarantee matters.
     """
     pool, max_size = _resolve_pool(ground, premises, cap, max_size)
-    catalog = UfgCatalog(ground, pool, "connected", max_size)
+    catalog = UfgCatalog(ground, pool, max_size)
     start = time.perf_counter()
     # the ufg families of one size; the first level holds every single
     # order, so every pair is opened, and two distinct orders always

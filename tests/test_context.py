@@ -29,7 +29,6 @@ from ufgkit.context import (
     all_attributes,
     distinguishing,
     gamma_interval,
-    parse_attribute,
     partition_distinguishing,
 )
 from ufgkit.oracles import (
@@ -69,11 +68,6 @@ def test_incidence_range_check(corr):
     _, p1, _, _, _ = corr
     with pytest.raises(IndexOutOfRange):
         incidence(p1, Attribute(LEQ, 0, 99))
-
-
-def test_attribute_text_roundtrip(g3):
-    for m in all_attributes(g3):
-        assert parse_attribute(g3, m.text(g3)) == m
 
 
 def test_attribute_count(g3):
@@ -343,27 +337,6 @@ def test_partition_two_item_family():
     u_leq, u_nleq = partition_distinguishing((chain, antichain), None)
     assert {m.text(g) for m in u_nleq} == {"nleq(a,b)"}
     assert {m.text(g) for m in u_leq} == {"leq(a,b)"}
-
-
-def test_distinguishing_report_shape(corr):
-    from ufgkit import jsonio
-
-    ground, p1, p2, p3, q = corr
-    obj = jsonio.distinguishing_to_obj(distinguishing(p1, (p1, p2, p3), q))
-    assert set(obj) == {"member", "q", "attributes"}
-    assert obj["attributes"] == ["nleq(a,b)", "nleq(a1,c1)"]
-    assert obj["member"] == {
-        "elements": ["a", "b", "a1", "b1", "c1"],
-        "relations": [["a", "b"], ["a1", "c1"]],
-    }
-    assert obj["q"]["relations"] == [
-        ["a", "b"],
-        ["a1", "b1"],
-        ["a1", "c1"],
-        ["b1", "c1"],
-    ]
-    unrestricted = jsonio.distinguishing_to_obj(distinguishing(p1, (p1, p2, p3)))
-    assert unrestricted["q"] is None
 
 
 def test_partition_kinds_disjoint(pool3):

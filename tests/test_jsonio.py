@@ -57,7 +57,7 @@ def reports(corr, violation):
         n_range=(4, 5), budget=3, seed=-2, pool_size=8, trials=3,
         families_checked=1, violation=violation,
     )
-    catalog = UfgCatalog(ground, cert.family, "exhaustive", 3)
+    catalog = UfgCatalog(ground, cert.family, 3)
     catalog.add((0, 1, 2), cert)
     return {
         kind: (write(value), parse, write)
@@ -192,7 +192,88 @@ def test_catalog_read_back_from_enumerate_output_has_the_same_families(capsys):
     assert loaded[2].keys() == {(0, 1)} and enumerated[2].keys() == {(1, 2)}
     # the same index tuple over another pool names another family (the
     # comparison reads no certificate)
-    shifted = UfgCatalog(enumerated[2].ground, enumerated[2].pool, "loaded", 2)
+    shifted = UfgCatalog(enumerated[2].ground, enumerated[2].pool, 2)
     shifted.add((0, 1), loaded[2].get((0, 1)))
     assert shifted.keys() == loaded[2].keys()
     assert not shifted.same_families(loaded[2])
+
+
+def _cli_json(capsys, argv):
+    assert main([str(a) for a in argv] + ["--json"]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+@pytest.fixture
+def certificate_payloads(capsys, tmp_path, corr):
+    """Each parser that reads a certificate, with a payload built from CLI
+    output and the JSON path of the certificate inside it."""
+    _, p1, p2, p3, _ = corr
+    family = tmp_path / "ufg.json"
+    family.write_text(jsonio.dumps_canonical(jsonio.family_to_obj([p1, p2, p3])))
+    catalog = _cli_json(capsys, ["enumerate", "-n", "2"])
+    verdict = _cli_json(capsys, ["check-ufg", "--input", family])
+    cert = verdict["certificate"]
+    violation = {
+        "family": copy.deepcopy(cert["members"]),
+        "certificate": copy.deepcopy(cert),
+        "leave_one_out": [],
+    }
+    return {
+        "catalog": (catalog, jsonio.catalog_from_obj, ("ufg_sets", 0), "catalog.ufg_sets[0]"),
+        "verdict": (verdict, jsonio.verdict_payload_from_obj, ("certificate",),
+                    "payload.certificate"),
+        "violation": (violation, jsonio.violation_from_obj, ("certificate",),
+                      "violation.certificate"),
+    }
+
+
+def _witness_is_first_member(cert):
+    cert["witness"] = copy.deepcopy(cert["members"][0])
+
+
+def _distinguishing_emptied(cert):
+    cert["distinguishing"]["0"] = []
+
+
+def _distinguishing_edited(cert):
+    cert["distinguishing"]["0"] = sorted(cert["distinguishing"]["0"] + cert["distinguishing"]["1"])
+
+
+def _members_reversed(cert):
+    cert["members"].reverse()
+
+
+@pytest.mark.parametrize("kind", ["catalog", "verdict", "violation"])
+@pytest.mark.parametrize(
+    "tamper, spot, message",
+    [
+        (_witness_is_first_member, "", "witness fails re-validation"),
+        (_distinguishing_emptied, ".distinguishing", "does not match the members and the witness"),
+        (_distinguishing_edited, ".distinguishing", "does not match the members and the witness"),
+        (_members_reversed, "", "family is not in canonical order"),
+    ],
+)
+def test_parsers_revalidate_certificates(certificate_payloads, kind, tamper, spot, message):
+    obj, parse, path, where = certificate_payloads[kind]
+    parse(copy.deepcopy(obj))  # intact, it parses
+    holder = obj
+    for step in path:
+        holder = holder[step]
+    tamper(holder)
+    with pytest.raises(InvalidFormat) as exc:
+        parse(obj)
+    assert str(exc.value) == f"{where}{spot}: {message}"
+
+
+def test_catalog_ground_must_be_the_certificates_ground(certificate_payloads):
+    catalog = certificate_payloads["catalog"][0]
+    catalog["ground"] = ["a", "b", "c"]
+    with pytest.raises(InvalidFormat, match=r"^catalog\.ground: differs"):
+        jsonio.catalog_from_obj(catalog)
+
+
+def test_catalog_on_mixed_grounds_is_invalid_format(certificate_payloads):
+    catalog = certificate_payloads["catalog"][0]
+    catalog["ufg_sets"].append(certificate_payloads["verdict"][0]["certificate"])
+    with pytest.raises(InvalidFormat, match=r"^catalog\.ufg_sets: .*different ground sets"):
+        jsonio.catalog_from_obj(catalog)

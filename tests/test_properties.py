@@ -194,7 +194,9 @@ def test_one_leave_one_out_pass_per_family(corr, monkeypatch):
     monkeypatch.setattr(ufgkit.context, "_loo_and_or", counting)
     monkeypatch.setattr(ufgkit.ufg, "_loo_and_or", counting)
     members = canonical_family([p1, p2, p3])
-    cert = _certificate(members, q)
+    cert = _certificate(members, q.bits)
+    assert len(calls) == 0  # the certificate stores no distinguishing sets
+    cert.distinguishing()
     assert len(calls) == 1
     cert.validate()
     assert len(calls) == 2

@@ -6,7 +6,6 @@ import os
 import random
 import subprocess
 import sys
-from dataclasses import replace
 from itertools import combinations
 from pathlib import Path
 
@@ -116,21 +115,17 @@ def test_counterexample_certificate(corr):
     assert is_witness([p1, p2, p3], q)
     witnesses = list(_witness_bits(canonical_family([p1, p2, p3])))
     assert witnesses == [cert.witness.bits, q.bits]
-    for member, d in cert.per_member.items():
-        assert d.attributes, member
+    for d in cert.distinguishing():
+        assert d.attributes, d.member
 
 
 def test_validate_rejects_broken_certificates(corr):
     _, p1, p2, p3, _ = corr
     cert = is_ufg([p1, p2, p3])
     cert.validate()
-    first = cert.family[0]
-    d = cert.per_member[first]
-    drifted = {**cert.per_member, first: replace(d, attributes=d.attributes - {min(d.attributes)})}
     broken = {
-        "canonical order": UfgCertificate(cert.family[::-1], cert.witness, cert.per_member),
-        "witness fails": UfgCertificate(cert.family, first, cert.per_member),
-        "drifted": UfgCertificate(cert.family, cert.witness, drifted),
+        "canonical order": UfgCertificate(cert.family[::-1], cert.witness),
+        "witness fails": UfgCertificate(cert.family, cert.family[0]),
     }
     for message, bad in broken.items():
         with pytest.raises(AssertionError, match=message):
@@ -145,7 +140,7 @@ _, p1, p2, p3, _ = corrigendum_inputs()
 c = is_ufg([p1, p2, p3])
 print("debug:", __debug__)
 try:
-    UfgCertificate(c.family, c.family[0], c.per_member).validate()
+    UfgCertificate(c.family, c.family[0]).validate()
 except AssertionError as exc:
     print("rejected:", exc)
 """
