@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import random
 from bisect import bisect
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from collections.abc import Iterable, Iterator, Sequence
 from itertools import combinations
@@ -24,7 +23,7 @@ from .orders import (
     Poset,
     _close_matrix,
     _matrix_to_bits,
-    _step_table,
+    _size_table,
     canonical_family,
     make_poset,
 )
@@ -251,9 +250,9 @@ def random_poset(ground: GroundSet, rng: random.Random, max_tries: int = 200) ->
     """Random order via rejection: random strict pairs, transitively closed,
     kept when the closure stays asymmetric.  Not uniform over all orders;
     good enough for stress trials."""
-    n = ground.size
-    diagonal = sum(1 << i * (n + 1) for i in range(n))
-    cells = [step[1] for step in _step_table(n)]  # in pair-position order
+    n = len(ground.labels)
+    table = _size_table(n)
+    cells, diagonal = table.cells, table.diagonal  # cells in pair-position order
     density = rng.uniform(0.1, 0.5)
     draw = rng.random
     for _ in range(max_tries):
@@ -343,12 +342,18 @@ def falsification_search(
         raise ValueError("the trial budget must be at least 1")
     if not n_range:
         raise ValueError("n_range must name at least one ground size")
+    if pool_size < 1:
+        raise ValueError("the pool size must be at least 1")
+    if threads < 1:
+        raise ValueError("the thread count must be at least 1")
     sizes = tuple(n_range)
 
     def trial(t: int) -> int:
         return _run_trial(sizes[t % len(sizes)], seed, t, pool_size)
 
     if threads > 1:
+        from concurrent.futures import ThreadPoolExecutor  # only here: slow to import
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
             counts = list(pool.map(trial, range(budget)))
     else:

@@ -81,12 +81,17 @@ def gamma_interval(S: Iterable[Poset]) -> PosetInterval:
     ground = members[0].ground
     lower, upper = ground.full_bits, 0
     for m in members:
-        if m.ground != ground:
+        if m.ground is not ground and m.ground != ground:
             raise MixedGroundSets("family members live on different ground sets")
         lower &= m.bits
         upper |= m.bits
-    # an intersection of orders is an order: no validation needed
-    return PosetInterval(Poset(ground, lower, check=False), BinaryRelation(ground, upper))
+    # an AND of same-ground orders is an order: no constructor checks needed
+    new = object.__new__
+    iv, low, up = new(PosetInterval), new(Poset), new(BinaryRelation)
+    low.ground, low.bits, low._key = ground, lower, None
+    up.ground, up.bits, up._key = ground, upper, None
+    iv.lower, iv.upper, iv.outside = low, up, ()
+    return iv
 
 
 @dataclass(frozen=True)

@@ -46,7 +46,7 @@ def resolve_cap(override: int | None = None) -> int:
 class GroundSet:
     """Ordered universe of distinct item labels underlying every relation."""
 
-    __slots__ = ("labels", "_index")
+    __slots__ = ("labels", "_index", "pair_count", "full_bits")
 
     def __init__(self, labels: Iterable[str]):
         labels = tuple(labels)
@@ -59,6 +59,8 @@ class GroundSet:
             index[name] = pos
         self.labels = labels
         self._index = index
+        self.pair_count = len(labels) * (len(labels) - 1)
+        self.full_bits = (1 << self.pair_count) - 1  # the complete off-diagonal relation
 
     @classmethod
     def numbered(cls, n: int, prefix: str = "x") -> "GroundSet":
@@ -69,16 +71,6 @@ class GroundSet:
     @property
     def size(self) -> int:
         return len(self.labels)
-
-    @property
-    def pair_count(self) -> int:
-        n = len(self.labels)
-        return n * (n - 1)
-
-    @property
-    def full_bits(self) -> int:
-        """Mask of the complete off-diagonal relation."""
-        return (1 << self.pair_count) - 1
 
     def index(self, label: str) -> int:
         try:
@@ -118,32 +110,54 @@ def _iter_bits(bits: int) -> Iterator[int]:
         bits ^= low
 
 
-def _first_column(n: int) -> int:
-    """Mask of bit ``x*n`` for every row x of an n×n matrix."""
-    return ((1 << n * n) - 1) // ((1 << n) - 1)
+class _SizeTable:
+    """The constants of the hot routines that depend only on the item count
+    n.  Matrices are packed row-major: bit ``i*n + j`` says i reaches j."""
+
+    __slots__ = ("steps", "col0", "row_mask", "shifts", "diagonal", "cells",
+                 "key_format", "key_pad", "key_bytes")
+
+    def __init__(self, n: int):
+        # per pair position: its leaf bit, its matrix bit, its reverse's
+        # matrix bit, and the shifts and bits of its closure update
+        self.steps = tuple((1 << i * (n - 1) + (j if j < i else j - 1), 1 << i * n + j,
+                            1 << j * n + i, i, 1 << i * n, j * n, 1 << j)
+                           for i in range(n) for j in range(n) if i != j)
+        self.cells = tuple(step[1] for step in self.steps)  # in pair-position order
+        self.col0 = ((1 << n * n) - 1) // ((1 << n) - 1)  # bit x*n for every row x
+        self.row_mask = (1 << n) - 1
+        self.diagonal = sum(1 << i * (n + 1) for i in range(n))
+        # per shift s: the matrix bits of the pairs that sit s bits above their
+        # pair position (s = i for j < i, i + 1 for j > i)
+        by_shift: dict[int, int] = {}
+        for leaf, cell, *_ in self.steps:
+            s = cell.bit_length() - leaf.bit_length()
+            by_shift[s] = by_shift.get(s, 0) | cell
+        self.shifts = tuple(by_shift.items())
+        total = n * (n - 1)
+        self.key_format = f"0{total}b"
+        self.key_pad = (-total) % 8
+        self.key_bytes = (total + 7) // 8 or 1
+
+
+_size_table = cache(_SizeTable)  # one table per item count
 
 
 def _bits_to_matrix(ground: GroundSet, bits: int) -> int:
-    """Unpack pair-position bits into an n×n reachability matrix packed
-    row-major: bit ``i*n + j`` says i reaches j, and the diagonal is 0."""
-    n = ground.size
-    row_mask = (1 << (n - 1)) - 1
+    """Unpack pair-position bits into a reachability matrix whose
+    diagonal is 0: one shift and mask per pair shift."""
     m = 0
-    for i in range(n):
-        row = (bits >> i * (n - 1)) & row_mask
-        m |= ((row >> i << i + 1) | (row & ((1 << i) - 1))) << i * n
+    for s, cells in _size_table(len(ground.labels)).shifts:
+        m |= (bits << s) & cells
     return m
 
 
 def _matrix_to_bits(ground: GroundSet, m: int) -> int:
     """Pack a reachability matrix back into pair-position bits; the
     diagonal stays implicit."""
-    n = ground.size
-    row_mask = (1 << n) - 1
     bits = 0
-    for i in range(n):
-        row = (m >> i * n) & row_mask
-        bits |= ((row >> i + 1 << i) | (row & ((1 << i) - 1))) << i * (n - 1)
+    for s, cells in _size_table(len(ground.labels)).shifts:
+        bits |= (m & cells) >> s
     return bits
 
 
@@ -151,8 +165,8 @@ def _close_matrix(m: int, n: int) -> int:
     """Warshall (1962) on a packed matrix: for each k, every row that
     reaches k takes row k, as one multiply.  Row k has fewer than n bits,
     so the shifted copies never overlap and the product carries nothing."""
-    col0 = _first_column(n)
-    row_mask = (1 << n) - 1
+    table = _size_table(n)
+    col0, row_mask = table.col0, table.row_mask
     for k in range(n):
         m |= ((m >> k) & col0) * ((m >> k * n) & row_mask)
     return m
@@ -288,10 +302,10 @@ def canonical_key(rel: BinaryRelation) -> bytes:
     """Injective byte encoding: pair bits in row-major order, MSB first."""
     key = rel._key
     if key is None:
-        total = rel.ground.pair_count
+        table = _size_table(len(rel.ground.labels))
         # pair k becomes bit k from the top: one reversal of the bit string
-        acc = int(format(rel.bits, f"0{total}b")[::-1], 2) << (-total) % 8
-        key = acc.to_bytes((total + 7) // 8 or 1, "big")
+        acc = int(format(rel.bits, table.key_format)[::-1], 2) << table.key_pad
+        key = acc.to_bytes(table.key_bytes, "big")
         rel._key = key
     return key
 
@@ -370,48 +384,11 @@ class PosetInterval:
         return f"PosetInterval(lower={self.lower!r}, upper={self.upper!r}{tail})"
 
 
-def _prune_tests(
-    lower_bits: int,
-    upper_bits: int,
-    free: list[int],
-    outside: Iterable[tuple[int, int]],
-) -> list[list[tuple[int, int]]] | None:
-    """Per free pair index, the ``(mask, want)`` tests that decide, once
-    the pair is decided, whether a subtree lies inside a sub-interval.
-
-    A leaf lies inside ``[lo, up]`` iff ``leaf & mask == want`` with
-    ``mask = free & (lo | ~up)`` and ``want = free & lo``; the test hangs
-    on the pair at ``mask``'s highest bit, the last of its pairs the walk
-    decides.  Sub-intervals holding no member are dropped.  None when
-    one holds every member.
-    """
-    free_bits = upper_bits & ~lower_bits
-    index = {k: idx for idx, k in enumerate(free)}
-    tests: list[list[tuple[int, int]]] = [[] for _ in free]
-    for lo, up in outside:
-        if lo & ~(upper_bits & up) or lower_bits & ~up:
-            continue
-        mask = free_bits & (lo | ~up)
-        if not mask:
-            return None
-        tests[index[mask.bit_length() - 1]].append((mask, free_bits & lo))
-    return tests
-
-
 def _inside(bits: int, tests: list[tuple[int, int]]) -> bool:
     for mask, want in tests:
         if bits & mask == want:
             return True
     return False
-
-
-@cache
-def _step_table(n: int) -> tuple[tuple[int, int, int, int, int, int, int], ...]:
-    """Per pair position on n items: its leaf bit, its matrix bit, its
-    reverse's matrix bit, and the shifts and bits of its closure update."""
-    return tuple((1 << i * (n - 1) + (j if j < i else j - 1), 1 << i * n + j,
-                  1 << j * n + i, i, 1 << i * n, j * n, 1 << j)
-                 for i in range(n) for j in range(n) if i != j)
 
 
 def _interval_bits(
@@ -442,19 +419,32 @@ def _interval_bits(
     entered (branch and bound); at a leaf that is exactly the membership
     test, so pruning removes the members of the sub-intervals only.
     """
-    free = list(_iter_bits(upper_bits & ~lower_bits))
-    prune = _prune_tests(lower_bits, upper_bits, free, outside)
-    if prune is None:
-        return
-    n = ground.size
-    col0 = _first_column(n)
-    row_mask = (1 << n) - 1
-    table = _step_table(n)
-    # per decision: the tests hung on it, then its row of the step table
-    steps = [(tests,) + table[k] for k, tests in zip(free, prune)]
-    depth = len(free)
-    stack = [(0, lower_bits, _bits_to_matrix(ground, lower_bits),
-              _bits_to_matrix(ground, upper_bits))]
+    free_bits = upper_bits & ~lower_bits
+    # a leaf lies inside the sub-interval [lo, up] iff leaf & mask == want,
+    # with mask = free & (lo | ~up) and want = free & lo; the test hangs on
+    # the pair at mask's highest bit, the last of its pairs the walk decides
+    tests_at: dict[int, list[tuple[int, int]]] = {}
+    for lo, up in outside:
+        if lo & ~(upper_bits & up) or lower_bits & ~up:
+            continue  # holds no member
+        mask = free_bits & (lo | ~up)
+        if not mask:
+            return  # holds every member
+        tests_at.setdefault(mask.bit_length() - 1, []).append((mask, free_bits & lo))
+    table = _size_table(len(ground.labels))
+    col0, row_mask, rows = table.col0, table.row_mask, table.steps
+    # per free pair, in order: the tests hung on it, then its step-table row
+    steps = []
+    m = allowed = _bits_to_matrix(ground, lower_bits)
+    while free_bits:
+        low = free_bits & -free_bits
+        k = low.bit_length() - 1
+        row = rows[k]
+        steps.append((tests_at.get(k),) + row)
+        allowed |= row[1]
+        free_bits ^= low
+    depth = len(steps)
+    stack = [(0, lower_bits, m, allowed)]
     while stack:
         idx, bits, m, allowed = stack.pop()
         while idx < depth:

@@ -34,7 +34,6 @@ from .errors import (
 from .orders import (
     GroundSet,
     Poset,
-    PosetInterval,
     canonical_family,
     enumerate_all_posets,
 )
@@ -101,8 +100,8 @@ def _witness_bits(
     others_and, others_or = loo
     if not _distinguishable(bits_list, others_and, others_or):
         return iter(())
-    iv = gamma_interval(members)
-    witnesses = PosetInterval(iv.lower, iv.upper, zip(others_and, others_or))
+    witnesses = gamma_interval(members)  # a fresh interval: give it the sub-intervals
+    witnesses.outside = tuple(zip(others_and, others_or))
     return (q.bits for q in witnesses.posets())
 
 
@@ -114,9 +113,10 @@ def is_witness(S: Iterable[Poset], q: Poset) -> bool:
         raise MixedGroundSets("witness candidate on a different ground set")
     if len(members) < 2:
         return False
-    iv = gamma_interval(members)
     loo = _loo_and_or([m.bits for m in members], q.ground.full_bits)
-    return PosetInterval(iv.lower, iv.upper, zip(*loo)).contains(q)
+    witnesses = gamma_interval(members)
+    witnesses.outside = tuple(zip(*loo))
+    return witnesses.contains(q)
 
 
 @dataclass

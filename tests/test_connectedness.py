@@ -3,7 +3,11 @@
 from __future__ import annotations
 
 import hashlib
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +27,8 @@ from ufgkit.connectedness import (
 )
 from ufgkit import jsonio
 from ufgkit.oracles import is_ufg_by_distinguishing
+
+SRC = str(Path(ufgkit.connectedness.__file__).resolve().parent.parent)
 
 
 def test_predecessor_of_counterexample_family(corr):
@@ -130,6 +136,26 @@ def test_falsification_rejects_zero_budget():
         falsification_search([3], 0, seed=1)
     with pytest.raises(ValueError):
         falsification_search([], 5, seed=1)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"pool_size": 0}, "pool size"),
+    ({"pool_size": -2}, "pool size"),
+    ({"threads": 0}, "thread count"),
+    ({"threads": -1}, "thread count"),
+])
+def test_falsification_rejects_an_empty_pool_or_no_threads(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        falsification_search([3], 5, seed=1, **kwargs)
+
+
+def test_import_leaves_the_thread_pool_out():
+    # the executor is imported only by a run with more than one thread
+    code = ("import sys, ufgkit, ufgkit.cli; "
+            "print('concurrent.futures' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=dict(os.environ, PYTHONPATH=SRC))
+    assert out.stdout.strip() == "False"
 
 
 def test_falsification_small_run_finds_nothing():

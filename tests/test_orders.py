@@ -22,8 +22,9 @@ from ufgkit.errors import (
 )
 from ufgkit.orders import (
     _bits_to_matrix,
+    _interval_bits,
     _matrix_to_bits,
-    _step_table,
+    _size_table,
     _validate_poset,
     BinaryRelation,
     GroundSet,
@@ -371,12 +372,61 @@ def test_six_item_stream_is_pinned():
 @pytest.mark.parametrize("n", range(1, 9))
 def test_step_table_matches_pair_positions(n):
     g = GroundSet.numbered(n)
-    table = _step_table(n)
+    table = _size_table(n).steps
     assert len(table) == g.pair_count  # none for one item
     for k, row in enumerate(table):
         i, j = g.pair_at(k)
         assert row == (1 << k, 1 << i * n + j, 1 << j * n + i, i, 1 << i * n, j * n, 1 << j)
         assert row[1] == _bits_to_matrix(g, 1 << k)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_size_table_matches_its_definitions(n):
+    g = GroundSet.numbered(n)
+    assert (g.pair_count, g.full_bits) == (n * (n - 1), 2 ** (n * (n - 1)) - 1)
+    table = _size_table(n)
+    assert table is _size_table(n)  # built once per item count
+    assert table.col0 == sum(1 << x * n for x in range(n))  # Warshall's first column
+    assert table.row_mask == 2 ** n - 1
+    assert table.diagonal == sum(1 << i * n + i for i in range(n))
+    cells = [1 << i * n + j for i, j in map(g.pair_at, range(g.pair_count))]
+    assert list(table.cells) == cells
+    # the shifts hold every off-diagonal cell once, each cell s bits above
+    # the pair_index position of its pair
+    held = []
+    for s, mask in table.shifts:
+        for i in range(n):
+            for j in range(n):
+                if mask >> i * n + j & 1:
+                    assert g.pair_index(i, j) == i * n + j - s
+                    held.append(1 << i * n + j)
+    assert sorted(held) == sorted(cells)
+    # the key constants give the per-pair encoding on every single pair
+    for k in range(g.pair_count):
+        assert canonical_key(BinaryRelation(g, 1 << k)) == _per_pair_key(BinaryRelation(g, 1 << k))
+    assert canonical_key(complete_relation(g)) == _per_pair_key(complete_relation(g))
+    assert (table.key_pad, table.key_bytes) == ((-g.pair_count) % 8, max(1, -(-g.pair_count // 8)))
+
+
+def test_sub_interval_holding_every_member_empties_the_walk(g3):
+    lower, upper = make_poset(g3, [("x1", "x2")]).bits, g3.full_bits
+    assert list(_interval_bits(g3, lower, upper, [(lower, upper)])) == []
+    assert list(_interval_bits(g3, lower, upper, [(0, g3.full_bits), (upper, 0)])) == []
+
+
+def test_sub_interval_holding_no_member_changes_nothing(g3):
+    lower, upper = make_poset(g3, [("x1", "x2")]).bits, g3.full_bits
+    plain = list(_interval_bits(g3, lower, upper))
+    assert plain == [p.bits for p in enumerate_all_posets(g3) if p.has_pair(0, 1)]
+    x2_x1 = 1 << g3.pair_index(1, 0)
+    none_held = [
+        (x2_x1, g3.full_bits),  # every member lacks (x2, x1)
+        (0, 0),  # every member holds (x1, x2)
+        (g3.full_bits, 0),  # empty
+    ]
+    for outside in ([sub] for sub in none_held):
+        assert list(_interval_bits(g3, lower, upper, outside)) == plain
+    assert list(_interval_bits(g3, lower, upper, none_held)) == plain
 
 
 def test_enumeration_cap(monkeypatch):
