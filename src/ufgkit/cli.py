@@ -36,6 +36,7 @@ from .orders import (
     resolve_cap,
 )
 from .ufg import (
+    DEFAULT_SUBSET_BUDGET,
     enumerate_ufg_connected,
     enumerate_ufg_exhaustive,
     explain_not_ufg,
@@ -70,23 +71,21 @@ def _relation_str(p: BinaryRelation) -> str:
 
 
 def _emit(args, human_lines, payload) -> None:
+    """Text, JSON or both; ``payload()`` builds the JSON only when written."""
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(jsonio.dumps_canonical(payload))
-        for line in human_lines:
-            print(line)
+            fh.write(jsonio.dumps_canonical(payload()))
     elif args.json:
-        sys.stdout.write(jsonio.dumps_canonical(payload))
-    else:
-        for line in human_lines:
-            print(line)
+        sys.stdout.write(jsonio.dumps_canonical(payload()))
+        return
+    for line in human_lines:
+        print(line)
 
 
-def _effective_cap(args) -> int:
+def _effective_cap(args, ground: GroundSet) -> int:
+    """The size cap, lifted to the ground being enumerated when acknowledged."""
     cap = resolve_cap()
-    if args.cap_override_ack and args.size:
-        cap = max(cap, args.size)
-    return cap
+    return max(cap, ground.size) if args.cap_override_ack else cap
 
 
 def _load_inputs(args) -> tuple[GroundSet, list[Poset] | None]:
@@ -95,17 +94,23 @@ def _load_inputs(args) -> tuple[GroundSet, list[Poset] | None]:
     return jsonio.load_family_file(args.input)
 
 
+_INPUT_HELP = "family file: {\"elements\": [...], \"posets\": [...]}"
+_CAP_HELP = "acknowledge enumeration beyond the size cap"
+
+
+def _add_output_flags(sub) -> None:
+    sub.add_argument("--json", action="store_true",
+                     help="machine JSON on stdout instead of text")
+    sub.add_argument("--out", metavar="FILE", help="write machine JSON to a file")
+
+
 def _add_io_flags(sub) -> None:
     grp = sub.add_mutually_exclusive_group(required=True)
     grp.add_argument("-n", "--size", type=_positive_int, metavar="N",
                      help="ground set of N items labelled x1..xN")
-    grp.add_argument("--input", metavar="FILE.json",
-                     help="family file: {\"elements\": [...], \"posets\": [...]}")
-    sub.add_argument("--json", action="store_true",
-                     help="machine JSON on stdout instead of text")
-    sub.add_argument("--out", metavar="FILE", help="write machine JSON to a file")
-    sub.add_argument("--cap-override-ack", action="store_true",
-                     help="acknowledge enumeration beyond the size cap")
+    grp.add_argument("--input", metavar="FILE.json", help=_INPUT_HELP)
+    sub.add_argument("--cap-override-ack", action="store_true", help=_CAP_HELP)
+    _add_output_flags(sub)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -119,7 +124,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(func=cmd_posets)
 
     sub = subs.add_parser("closure", help="interval form of a family's closure")
-    _add_io_flags(sub)
+    sub.add_argument("--input", metavar="FILE.json", required=True, help=_INPUT_HELP)
+    sub.add_argument("--cap-override-ack", action="store_true", help=_CAP_HELP)
+    _add_output_flags(sub)
     sub.add_argument("--materialize", action="store_true",
                      help="list every order inside the closure")
     sub.add_argument("--oracle", action="store_true",
@@ -127,7 +134,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(func=cmd_closure)
 
     sub = subs.add_parser("check-ufg", help="decide union-free genericity")
-    _add_io_flags(sub)
+    sub.add_argument("--input", metavar="FILE.json", required=True, help=_INPUT_HELP)
+    _add_output_flags(sub)
     sub.add_argument("--debug", action="store_true",
                      help="cross-validate all three deciders")
     sub.set_defaults(func=cmd_check_ufg)
@@ -135,7 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("enumerate", help="catalog all ufg families")
     _add_io_flags(sub)
     sub.add_argument("--max-size", type=_positive_int, default=None)
-    sub.add_argument("--budget", type=_positive_int, default=None)
+    sub.add_argument("--budget", type=_positive_int, default=DEFAULT_SUBSET_BUDGET)
     sub.add_argument("--strategy", choices=("exhaustive", "connected"),
                      default="connected")
     sub.add_argument("--verify", action="store_true",
@@ -145,14 +153,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("connectedness", help="verify the predecessor property")
     _add_io_flags(sub)
     sub.add_argument("--max-size", type=_positive_int, default=None)
-    sub.add_argument("--budget", type=_positive_int, default=None)
+    sub.add_argument("--budget", type=_positive_int, default=DEFAULT_SUBSET_BUDGET)
     sub.set_defaults(func=cmd_connectedness)
 
     sub = subs.add_parser("corrigendum",
                           help="replay the counterexample golden scenario")
-    sub.add_argument("--json", action="store_true",
-                     help="machine JSON on stdout instead of text")
-    sub.add_argument("--out", metavar="FILE", help="write machine JSON to a file")
+    _add_output_flags(sub)
     sub.set_defaults(func=cmd_corrigendum)
 
     sub = subs.add_parser("falsify", help="seeded random stress of connectedness")
@@ -161,8 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--budget", type=_positive_int, default=1000, help="trial count")
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--pool-size", type=_positive_int, default=8)
-    sub.add_argument("--json", action="store_true")
-    sub.add_argument("--out", metavar="FILE")
+    _add_output_flags(sub)
     sub.add_argument("--threads", type=_positive_int, default=1,
                      help="worker count; never affects results")
     sub.set_defaults(func=cmd_falsify)
@@ -172,22 +177,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_posets(args) -> int:
     ground, _ = _load_inputs(args)
-    cap = _effective_cap(args)
-    stream = enumerate_all_posets(ground, cap)
+    stream = enumerate_all_posets(ground, _effective_cap(args, ground))
     if args.list:
         for p in stream:
             sys.stdout.write(json.dumps(jsonio.poset_to_obj(p), sort_keys=True) + "\n")
         return EXIT_OK
     count = sum(1 for _ in stream)
-    payload = {"elements": list(ground.labels), "count": count}
-    _emit(args, [str(count)], payload)
+    _emit(args, [str(count)], lambda: {"elements": list(ground.labels), "count": count})
     return EXIT_OK
 
 
 def cmd_closure(args) -> int:
-    ground, members = _load_inputs(args)
-    if members is None:
-        raise UfgkitError("closure needs a family file (--input)")
+    ground, members = jsonio.load_family_file(args.input)
     family = canonical_family(members)
     iv = gamma_interval(family)
     lines = [
@@ -196,32 +197,34 @@ def cmd_closure(args) -> int:
         "lower: " + _relation_str(iv.lower),
         "upper: " + _relation_str(iv.upper),
     ]
-    payload = {
-        "elements": list(ground.labels),
-        "lower": [[a, b] for a, b in iv.lower.label_pairs()],
-        "upper": [[a, b] for a, b in iv.upper.label_pairs()],
-    }
     closure_members = None
     if args.materialize or args.oracle:
         closure_members = list(iv.posets())
     if args.materialize:
         lines.append(f"members: {len(closure_members)}")
         lines.extend("  " + _relation_str(p) for p in closure_members)
-        payload["members"] = [jsonio.poset_to_obj(p) for p in closure_members]
     if args.oracle:
-        explicit = gamma_explicit(family, FormalContext(ground, cap=_effective_cap(args)))
+        explicit = gamma_explicit(family, FormalContext(ground, _effective_cap(args, ground)))
         if set(closure_members) != explicit:
             raise UfgkitError("closure oracle mismatch: interval and derivation routes disagree")
         lines.append(f"oracle check: both closure routes agree on {len(explicit)} orders")
-        payload["oracle_checked"] = True
+
+    def payload():
+        obj = {"elements": list(ground.labels),
+               "lower": [[a, b] for a, b in iv.lower.label_pairs()],
+               "upper": [[a, b] for a, b in iv.upper.label_pairs()]}
+        if args.materialize:
+            obj["members"] = [jsonio.poset_to_obj(p) for p in closure_members]
+        if args.oracle:
+            obj["oracle_checked"] = True
+        return obj
+
     _emit(args, lines, payload)
     return EXIT_OK
 
 
 def cmd_check_ufg(args) -> int:
-    ground, members = _load_inputs(args)
-    if members is None:
-        raise UfgkitError("check-ufg needs a family file (--input)")
+    ground, members = jsonio.load_family_file(args.input)
     family = canonical_family(members)
     cert = is_ufg(family)
     if args.debug and len(family) >= 2:
@@ -232,8 +235,7 @@ def cmd_check_ufg(args) -> int:
     if cert is None:
         analysis = explain_not_ufg(family)
         lines = [f"family: {len(family)} orders", "ufg: no", f"reason: {analysis['reason']}"]
-        payload = {"ufg": False, "reason": analysis["reason"]}
-        _emit(args, lines, payload)
+        _emit(args, lines, lambda: {"ufg": False, "reason": analysis["reason"]})
         return EXIT_NOT_UFG
     lines = [
         f"family: {len(family)} orders on {{{', '.join(ground.labels)}}}",
@@ -246,37 +248,34 @@ def cmd_check_ufg(args) -> int:
         lines.append(f"  {_relation_str(d.member)}: " + ", ".join(attrs))
     if args.debug:
         lines.append("cross-check: all three deciders agree")
-    payload = {"ufg": True, "certificate": jsonio.certificate_to_obj(cert)}
-    _emit(args, lines, payload)
+    _emit(args, lines, lambda: {"ufg": True, "certificate": jsonio.certificate_to_obj(cert)})
     return EXIT_OK
 
 
-def _run_enumeration(args, strategy: str):
-    ground, members = _load_inputs(args)
-    kwargs = {"max_size": args.max_size, "premises": members, "cap": _effective_cap(args)}
-    if args.budget is not None:
-        kwargs["budget"] = args.budget
+def _run_enumeration(args, ground, members, strategy: str):
     runner = enumerate_ufg_exhaustive if strategy == "exhaustive" else enumerate_ufg_connected
-    return runner(ground, **kwargs)
+    return runner(ground, max_size=args.max_size, premises=members,
+                  budget=args.budget, cap=_effective_cap(args, ground))
 
 
 def cmd_enumerate(args) -> int:
+    ground, members = _load_inputs(args)  # once, also under --verify
     if args.verify:
-        connected = _run_enumeration(args, "connected")
-        exhaustive = _run_enumeration(args, "exhaustive")
+        connected = _run_enumeration(args, ground, members, "connected")
+        exhaustive = _run_enumeration(args, ground, members, "exhaustive")
         if connected.same_families(exhaustive):
             lines = [
                 "catalogs identical",
                 f"ufg sets: {len(exhaustive)}",
             ]
-            _emit(args, lines, jsonio.catalog_to_obj(exhaustive))
+            _emit(args, lines, lambda: jsonio.catalog_to_obj(exhaustive))
             return EXIT_OK
         missing = exhaustive.keys() - connected.keys()
         extra = connected.keys() - exhaustive.keys()
         print(f"catalogs differ: {len(missing)} missing from connected, "
               f"{len(extra)} unexpected", file=sys.stderr)
         return EXIT_VIOLATION
-    catalog = _run_enumeration(args, args.strategy)
+    catalog = _run_enumeration(args, ground, members, args.strategy)
     sizes = ", ".join(f"{s}:{c}" for s, c in sorted(catalog.count_by_size().items()))
     guarantee = (
         "exhaustive within max-size"
@@ -288,7 +287,7 @@ def cmd_enumerate(args) -> int:
         f"pool: {len(catalog.pool)} orders",
         f"ufg sets: {len(catalog)}" + (f" (by size {sizes})" if sizes else ""),
     ]
-    _emit(args, lines, jsonio.catalog_to_obj(catalog))
+    _emit(args, lines, lambda: jsonio.catalog_to_obj(catalog))
     return EXIT_OK
 
 
@@ -299,14 +298,14 @@ def cmd_connectedness(args) -> int:
         max_size=args.max_size,
         premises=members,
         budget=args.budget,
-        cap=_effective_cap(args),
+        cap=_effective_cap(args, ground),
     )
     lines = [
         f"families checked (size >= 3): {report.checked}",
         f"with an ufg predecessor: {report.connected}",
         f"violations: {len(report.violations)}",
     ]
-    _emit(args, lines, jsonio.connectedness_to_obj(report))
+    _emit(args, lines, lambda: jsonio.connectedness_to_obj(report))
     return EXIT_OK if not report.violations else EXIT_VIOLATION
 
 
@@ -319,7 +318,7 @@ def cmd_corrigendum(args) -> int:
     lines.append(
         "all assertions passed" if scenario.all_passed else "assertions failed"
     )
-    _emit(args, lines, jsonio.scenario_to_obj(scenario))
+    _emit(args, lines, lambda: jsonio.scenario_to_obj(scenario))
     return EXIT_OK if scenario.all_passed else EXIT_VIOLATION
 
 
@@ -334,7 +333,7 @@ def cmd_falsify(args) -> int:
         f"ufg families checked (size >= 3): {report.families_checked}",
         "violations: none" if report.violation is None else "VIOLATION FOUND",
     ]
-    _emit(args, lines, jsonio.falsification_to_obj(report))
+    _emit(args, lines, lambda: jsonio.falsification_to_obj(report))
     return EXIT_OK if report.violation is None else EXIT_VIOLATION
 
 

@@ -28,6 +28,7 @@ from .orders import (
     make_poset,
 )
 from .ufg import (
+    DEFAULT_SUBSET_BUDGET,
     UfgCertificate,
     _is_ufg_sorted,
     _witness_bits,
@@ -94,7 +95,7 @@ def verify_connectedness(
     ground: GroundSet,
     max_size: int | None = None,
     premises: Iterable[Poset] | None = None,
-    budget: int | None = None,
+    budget: int = DEFAULT_SUBSET_BUDGET,
     cap: int | None = None,
 ) -> ConnectednessReport:
     """Exhaustively enumerate ufg families and check each of size >= 3.
@@ -105,9 +106,8 @@ def verify_connectedness(
     catalog holds, the one :func:`has_predecessor` picks, found by lookup
     with no decider call.
     """
-    kwargs = {} if budget is None else {"budget": budget}
     catalog = enumerate_ufg_exhaustive(
-        ground, max_size=max_size, premises=premises, cap=cap, **kwargs
+        ground, max_size=max_size, premises=premises, budget=budget, cap=cap
     )
     violations: list[ConnectednessViolation] = []
     predecessors: list[dict] = []
@@ -246,7 +246,10 @@ def run_corrigendum() -> CorrigendumScenario:
 # --- seeded falsification beyond the exhaustive range -----------------------
 
 
-def random_poset(ground: GroundSet, rng: random.Random, max_tries: int = 200) -> Poset:
+RANDOM_POSET_TRIES = 200  # draws before random_poset settles for the empty order
+
+
+def random_poset(ground: GroundSet, rng: random.Random) -> Poset:
     """Random order via rejection: random strict pairs, transitively closed,
     kept when the closure stays asymmetric.  Not uniform over all orders;
     good enough for stress trials."""
@@ -255,7 +258,7 @@ def random_poset(ground: GroundSet, rng: random.Random, max_tries: int = 200) ->
     cells, diagonal = table.cells, table.diagonal  # cells in pair-position order
     density = rng.uniform(0.1, 0.5)
     draw = rng.random
-    for _ in range(max_tries):
+    for _ in range(RANDOM_POSET_TRIES):
         m = 0
         for cell in cells:  # one draw per pair
             if draw() < density:
@@ -286,8 +289,8 @@ class FalsificationReport:
 
 def _grown_families(
     n: int, seed: int, trial: int, pool_size: int
-) -> Iterator[tuple[tuple[Poset, ...], tuple[Poset, ...]]]:
-    """Each family one growth trial reaches, with the family it grew from."""
+) -> Iterator[tuple[Poset, ...]]:
+    """Each family one growth trial reaches, one member past the one before."""
     rng = random.Random(f"{seed}:{trial}")
     ground = GroundSet.numbered(n)
     pool = random_pool(ground, rng, pool_size)
@@ -298,8 +301,7 @@ def _grown_families(
     pairs = [(i, j) for i in indices for j in indices[i + 1:]]
     rng.shuffle(pairs)
     for family in pairs[:30]:
-        parent = tuple(pool[i] for i in family)
-        if next(_witness_bits(parent), None) is not None:
+        if next(_witness_bits(tuple(pool[i] for i in family)), None) is not None:
             break
     else:
         return
@@ -313,9 +315,9 @@ def _grown_families(
             members = tuple(pool[i] for i in child)
             if next(_witness_bits(members), None) is None:
                 continue
-            # the parent, decided one step earlier, is a ufg predecessor
-            yield parent, members
-            family, parent = child, members
+            # the family it grew from, decided one step earlier, is a predecessor
+            yield members
+            family = child
             break
         else:
             return

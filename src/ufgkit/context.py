@@ -88,8 +88,8 @@ def gamma_interval(S: Iterable[Poset]) -> PosetInterval:
     # an AND of same-ground orders is an order: no constructor checks needed
     new = object.__new__
     iv, low, up = new(PosetInterval), new(Poset), new(BinaryRelation)
-    low.ground, low.bits, low._key = ground, lower, None
-    up.ground, up.bits, up._key = ground, upper, None
+    low.ground, low.bits = ground, lower
+    up.ground, up.bits = ground, upper
     iv.lower, iv.upper, iv.outside = low, up, ()
     return iv
 

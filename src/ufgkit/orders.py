@@ -63,10 +63,10 @@ class GroundSet:
         self.full_bits = (1 << self.pair_count) - 1  # the complete off-diagonal relation
 
     @classmethod
-    def numbered(cls, n: int, prefix: str = "x") -> "GroundSet":
+    def numbered(cls, n: int) -> "GroundSet":
         if n < 1:
             raise EmptyGroundSet("a ground set needs at least one item")
-        return cls(f"{prefix}{i}" for i in range(1, n + 1))
+        return cls(f"x{i}" for i in range(1, n + 1))
 
     @property
     def size(self) -> int:
@@ -175,14 +175,13 @@ def _close_matrix(m: int, n: int) -> int:
 class BinaryRelation:
     """Arbitrary set of ordered pairs (strict part) on a ground set."""
 
-    __slots__ = ("ground", "bits", "_key")
+    __slots__ = ("ground", "bits")
 
     def __init__(self, ground: GroundSet, bits: int):
         if bits < 0 or bits >> ground.pair_count:
             raise IndexOutOfRange("relation bits exceed the ground set")
         self.ground = ground
         self.bits = bits
-        self._key: bytes | None = None
 
     @classmethod
     def from_pairs(cls, ground: GroundSet, pairs: Iterable[tuple[int, int]]):
@@ -210,12 +209,8 @@ class BinaryRelation:
 
     def label_pairs(self) -> list[tuple[str, str]]:
         """Pairs as labels, ordered by packed position."""
-        g = self.ground
-        out = []
-        for k in _iter_bits(self.bits):
-            i, j = g.pair_at(k)
-            out.append((k, (g.label(i), g.label(j))))
-        return [p for _, p in sorted(out)]
+        labels, pair_at = self.ground.labels, self.ground.pair_at
+        return [(labels[i], labels[j]) for i, j in map(pair_at, _iter_bits(self.bits))]
 
     def has_pair(self, i: int, j: int) -> bool:
         return bool((self.bits >> self.ground.pair_index(i, j)) & 1)
@@ -300,14 +295,10 @@ def transitive_closure(rel: BinaryRelation) -> BinaryRelation:
 
 def canonical_key(rel: BinaryRelation) -> bytes:
     """Injective byte encoding: pair bits in row-major order, MSB first."""
-    key = rel._key
-    if key is None:
-        table = _size_table(len(rel.ground.labels))
-        # pair k becomes bit k from the top: one reversal of the bit string
-        acc = int(format(rel.bits, table.key_format)[::-1], 2) << table.key_pad
-        key = acc.to_bytes(table.key_bytes, "big")
-        rel._key = key
-    return key
+    table = _size_table(len(rel.ground.labels))
+    # pair k becomes bit k from the top: one reversal of the bit string
+    acc = int(format(rel.bits, table.key_format)[::-1], 2) << table.key_pad
+    return acc.to_bytes(table.key_bytes, "big")
 
 
 def canonical_family(posets: Iterable[Poset]) -> tuple[Poset, ...]:
@@ -318,7 +309,7 @@ def canonical_family(posets: Iterable[Poset]) -> tuple[Poset, ...]:
     ground = seq[0].ground
     by_key: dict[bytes, Poset] = {}
     for p in seq:
-        if p.ground != ground:
+        if p.ground is not ground and p.ground != ground:
             raise MixedGroundSets("family members live on different ground sets")
         by_key[canonical_key(p)] = p
     return tuple(by_key[k] for k in sorted(by_key))
@@ -365,7 +356,7 @@ class PosetInterval:
         new = object.__new__  # walk leaves are valid: no __init__ chain
         for bits in _interval_bits(ground, self.lower.bits, self.upper.bits, self.outside):
             q = new(Poset)
-            q.ground, q.bits, q._key = ground, bits, None
+            q.ground, q.bits = ground, bits
             yield q
 
     def __eq__(self, other: object) -> bool:

@@ -34,6 +34,7 @@ from .errors import (
 from .orders import (
     GroundSet,
     Poset,
+    PosetInterval,
     canonical_family,
     enumerate_all_posets,
 )
@@ -76,33 +77,33 @@ def _distinguishable(
     return True
 
 
+def _witness_interval(
+    members: tuple[Poset, ...], loo: tuple[list[int], list[int]] | None = None
+) -> PosetInterval | None:
+    """The closure interval with the leave-one-out closures as ``outside``,
+    whose members are the witnesses; None for a singleton or a family the
+    prefilter turns away, which have none.  ``loo`` is the family's
+    ``_loo_and_or`` result when the caller has prefiltered with it."""
+    if loo is None:
+        if len(members) < 2:
+            return None
+        bits_list = [m.bits for m in members]
+        loo = _loo_and_or(bits_list, members[0].ground.full_bits)
+        if not _distinguishable(bits_list, *loo):
+            return None
+    witnesses = gamma_interval(members)  # a fresh interval: give it the sub-intervals
+    witnesses.outside = tuple(zip(*loo))
+    return witnesses
+
+
 def _witness_bits(
     members: tuple[Poset, ...], loo: tuple[list[int], list[int]] | None = None
 ) -> Iterator[int]:
-    """The witness kernel: bits of every witness of a canonical family,
-    in canonical order.
-
-    A witness is a closure order outside every leave-one-out closure, so
-    the kernel walks the closure interval with the leave-one-out closures
-    as its ``outside`` sub-intervals: every subtree inside one of them is
-    pruned whole.  Singletons have no witness.  From two members on, no
-    member is a witness, because each lies in the closure of the family
-    without any other one.
-    A plain function rather than a generator, so that the many families
-    the prefilter turns away cost no generator frame.  ``loo`` is the
-    family's ``_loo_and_or`` result when the caller already has it.
-    """
-    if len(members) < 2:
-        return iter(())
-    bits_list = [m.bits for m in members]
-    if loo is None:
-        loo = _loo_and_or(bits_list, members[0].ground.full_bits)
-    others_and, others_or = loo
-    if not _distinguishable(bits_list, others_and, others_or):
-        return iter(())
-    witnesses = gamma_interval(members)  # a fresh interval: give it the sub-intervals
-    witnesses.outside = tuple(zip(others_and, others_or))
-    return (q.bits for q in witnesses.posets())
+    """The witness kernel: bits of every witness of a canonical family, in
+    canonical order.  A plain function rather than a generator, so that
+    prefiltered families cost no generator frame."""
+    witnesses = _witness_interval(members, loo)
+    return iter(()) if witnesses is None else (q.bits for q in witnesses.posets())
 
 
 def is_witness(S: Iterable[Poset], q: Poset) -> bool:
@@ -111,12 +112,8 @@ def is_witness(S: Iterable[Poset], q: Poset) -> bool:
     members = canonical_family(S)
     if q.ground != members[0].ground:
         raise MixedGroundSets("witness candidate on a different ground set")
-    if len(members) < 2:
-        return False
-    loo = _loo_and_or([m.bits for m in members], q.ground.full_bits)
-    witnesses = gamma_interval(members)
-    witnesses.outside = tuple(zip(*loo))
-    return witnesses.contains(q)
+    witnesses = _witness_interval(members)
+    return witnesses is not None and witnesses.contains(q)
 
 
 @dataclass
@@ -143,17 +140,11 @@ class UfgCertificate:
     def validate(self) -> None:
         """Re-derive every claim; raises AssertionError on any breach, also
         under ``python -O``."""
-        members = canonical_family(self.family)
-        if members != self.family:
+        if canonical_family(self.family) != self.family:
             raise AssertionError("family is not in canonical order")
         # inside the closure, an order escapes the closure without a member
-        # exactly when that member keeps a distinguishing attribute
-        # restricted to it: one leave-one-out pass re-derives both claims
-        if (
-            len(members) < 2
-            or not gamma_interval(members).contains(self.witness)
-            or not all(d.attributes for d in self.distinguishing())
-        ):
+        # exactly when that member keeps a distinguishing attribute restricted to it
+        if not is_witness(self.family, self.witness):
             raise AssertionError("witness fails re-validation")
 
 
@@ -165,8 +156,7 @@ def _is_ufg_sorted(
     members: tuple[Poset, ...], loo: tuple[list[int], list[int]] | None = None
 ) -> UfgCertificate | None:
     """Witness scan over a canonical family; None when no witness exists.
-    ``loo`` is the family's ``_loo_and_or`` result when the caller
-    already has it."""
+    ``loo`` is as for :func:`_witness_interval`."""
     qb = next(_witness_bits(members, loo), None)
     return None if qb is None else _certificate(members, qb)
 
@@ -397,22 +387,21 @@ def explain_not_ufg(S: Iterable[Poset]) -> dict:
             "ufg": False,
             "reason": "a single order is closed already: the closure adds nothing",
         }
-    if next(_witness_bits(members), None) is not None:
-        raise UfgkitError("the family is union-free generic: it has a witness")
-    member_bits = {m.bits for m in members}
-    outside = [q for q in gamma_interval(members).posets() if q.bits not in member_bits]
-    if not outside:
+    bits_list = [m.bits for m in members]
+    loo = list(zip(*_loo_and_or(bits_list, members[0].ground.full_bits)))
+    blockers = []
+    for q in gamma_interval(members).posets():
+        if q.bits in bits_list:
+            continue
+        i = _blocker(q.bits, loo)
+        if i is None:  # a non-member in no leave-one-out closure: a witness
+            raise UfgkitError("the family is union-free generic: it has a witness")
+        blockers.append({"candidate": q, "covered_without": members[i]})
+    if not blockers:
         return {
             "ufg": False,
             "reason": "not generic: the closure holds no order beyond the family",
         }
-    bits_list = [m.bits for m in members]
-    loo = list(zip(*_loo_and_or(bits_list, members[0].ground.full_bits)))
-    blockers = []
-    for q in outside:
-        i = _blocker(q.bits, loo)
-        if i is not None:
-            blockers.append({"candidate": q, "covered_without": members[i]})
     return {
         "ufg": False,
         "reason": (

@@ -57,6 +57,23 @@ def test_cap_override_flow(capsys, monkeypatch):
     assert code == EXIT_OK and out.strip() == "19"
 
 
+def test_cap_override_lifts_the_cap_to_a_loaded_ground(capsys, monkeypatch, tmp_path):
+    path = tmp_path / "three.json"
+    path.write_text(json.dumps(
+        {"elements": ["a", "b", "c"], "posets": [[["a", "b"]], [["b", "c"]]]}
+    ))
+    monkeypatch.setenv("UFGKIT_CAP", "2")
+    for argv in (("posets",), ("closure", "--oracle")):
+        code, _, err = run(capsys, *argv, "--input", str(path))
+        assert code == EXIT_ERROR and "cap" in err, argv
+    code, out, _ = run(capsys, "posets", "--input", str(path), "--cap-override-ack")
+    assert code == EXIT_OK and out.strip() == "19"
+    code, out, _ = run(
+        capsys, "closure", "--input", str(path), "--oracle", "--cap-override-ack"
+    )
+    assert code == EXIT_OK and "both closure routes agree on 3 orders" in out
+
+
 # --- closure -----------------------------------------------------------------
 
 
@@ -162,6 +179,17 @@ def test_enumerate_connected_pool(capsys, corr_family_file):
     assert "ufg sets: 4" in out and "3:1" in out
 
 
+def test_enumerate_verify_reads_the_family_file_once(capsys, monkeypatch, corr_family_file):
+    calls = []
+    original = jsonio.load_family_file
+    monkeypatch.setattr(
+        jsonio, "load_family_file", lambda path: calls.append(path) or original(path)
+    )
+    code, out, _ = run(capsys, "enumerate", "--input", corr_family_file, "--verify")
+    assert code == EXIT_OK and "catalogs identical" in out
+    assert calls == [corr_family_file]
+
+
 def test_enumerate_max_size_one(capsys):
     code, out, _ = run(capsys, "enumerate", "-n", "2", "--max-size", "1")
     assert code == EXIT_OK and "ufg sets: 0" in out
@@ -192,6 +220,32 @@ def test_corrigendum_rejects_the_pool_flags(capsys, flags):
     code, out, err = run(capsys, "corrigendum", *flags)
     assert code == EXIT_ERROR
     assert out == "" and "unrecognized arguments" in err
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [("closure", "-n", "3"), ("check-ufg", "-n", "3"),
+     ("check-ufg", "--input", "f.json", "--cap-override-ack")],
+)
+def test_family_commands_take_only_a_family_file(capsys, flags):
+    # closure and check-ufg read a family and enumerate no full space
+    code, out, err = run(capsys, *flags)
+    assert code == EXIT_ERROR
+    assert out == "" and err.startswith("usage:") and "Traceback" not in err
+
+
+def test_text_output_builds_no_json_payload(capsys, monkeypatch):
+    def refuse(*_):
+        raise AssertionError("a JSON payload was built for text output")
+
+    monkeypatch.setattr(jsonio, "catalog_to_obj", refuse)
+    monkeypatch.setattr(jsonio, "connectedness_to_obj", refuse)
+    code, out, _ = run(capsys, "enumerate", "-n", "2")
+    assert code == EXIT_OK and "ufg sets: 1" in out
+    code, out, _ = run(capsys, "enumerate", "-n", "2", "--verify")
+    assert code == EXIT_OK and "catalogs identical" in out
+    code, out, _ = run(capsys, "connectedness", "-n", "2")
+    assert code == EXIT_OK and "violations: 0" in out
 
 
 def test_falsify_deterministic_bytes(capsys):

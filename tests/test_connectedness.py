@@ -167,19 +167,23 @@ def test_falsification_small_run_finds_nothing():
 
 def test_every_counted_family_grew_from_a_ufg_parent():
     # the invariant that lets a trial count a family without deciding its
-    # predecessors: the family it grew from is one, and was decided before
+    # predecessors: the family it grew from is one, and was decided before.
+    # That family is the one counted before it, or a pair for the first.
     for seed in (0, 3, 9):
         counted = 0
         for t in range(24):
             n = (3, 4)[t % 2]
             grown = list(_grown_families(n, seed, t, 8))
             assert _run_trial(n, seed, t, 8) == len(grown)
-            for parent, family in grown:
-                assert len(family) >= 3
+            for k, family in enumerate(grown):
+                assert is_ufg_by_distinguishing(family) is not None
+                assert has_predecessor(family) is not None
+                if k == 0:
+                    assert len(family) == 3
+                    continue
+                parent = grown[k - 1]
                 (added,) = set(family) - set(parent)
                 assert parent == tuple(m for m in family if m != added)
-                assert is_ufg_by_distinguishing(parent) is not None
-                assert has_predecessor(family) is not None
             counted += len(grown)
         assert counted > 0
         assert falsification_search([3, 4], 24, seed).families_checked == counted

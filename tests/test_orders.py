@@ -351,10 +351,9 @@ def test_leaves_equal_checked_posets():
     assert len(leaves) == 4231
     for p in leaves:
         assert type(p) is Poset and p.ground is g
-        assert p._key is None  # the canonical key is computed on demand
         checked = Poset(g, p.bits)
         assert p == checked and hash(p) == hash(checked)
-        assert canonical_key(p) == canonical_key(checked) and p._key is not None
+        assert canonical_key(p) == canonical_key(checked)
         assert repr(p) == repr(checked)
         _validate_poset(g, p.bits)
 
@@ -505,3 +504,26 @@ def test_canonical_family_dedupes_and_sorts(g2):
     ba = make_poset(g2, [("x2", "x1")])
     # the (x2,x1) key 0x40 sorts before the (x1,x2) key 0x80
     assert canonical_family([ab, ba, ab]) == (ba, ab)
+
+
+def test_canonical_family_on_equal_distinct_ground_sets():
+    g, h = GroundSet.numbered(2), GroundSet.numbered(2)
+    assert g == h and g is not h
+    ab, ba = make_poset(g, [("x1", "x2")]), make_poset(h, [("x2", "x1")])
+    assert canonical_family([ab, ba, make_poset(h, [("x1", "x2")])]) == (ba, ab)
+    with pytest.raises(MixedGroundSets):
+        canonical_family([ab, empty_poset(GroundSet(["x1", "x3"]))])
+
+
+def test_label_pairs_follow_pair_positions():
+    g = GroundSet.numbered(4)
+    orders = list(enumerate_all_posets(g))
+    assert len(orders) == 219
+    for p in orders:
+        pairs = sorted(p.pairs, key=lambda pair: g.pair_index(*pair))
+        assert p.label_pairs() == [(g.label(i), g.label(j)) for i, j in pairs]
+
+
+def test_relations_hold_only_their_ground_and_bits():
+    assert BinaryRelation.__slots__ == ("ground", "bits")
+    assert Poset.__slots__ == ()

@@ -217,3 +217,21 @@ def test_is_ufg_makes_one_leave_one_out_pass(corr, monkeypatch):
     monkeypatch.setattr(ufgkit.ufg, "_loo_and_or", counting)
     assert is_ufg([p1, p2, p3]) is not None
     assert len(calls) == 1  # kernel and certificate share it
+
+
+def test_catalog_test_runs_the_prefilter_once(corr, monkeypatch):
+    # the catalog's prefilter hands its leave-one-out pass to the kernel,
+    # which does not filter the family again
+    _, p1, p2, p3, _ = corr
+    calls = []
+    original = ufgkit.ufg._distinguishable
+
+    def counting(bits_list, others_and, others_or):
+        calls.append(1)
+        return original(bits_list, others_and, others_or)
+
+    monkeypatch.setattr(ufgkit.ufg, "_distinguishable", counting)
+    pool = canonical_family([p1, p2, p3])
+    catalog = ufgkit.ufg.UfgCatalog(p1.ground, pool, 3)
+    assert catalog.test((0, 1, 2)) and catalog.get((0, 1, 2)) is not None
+    assert len(calls) == 1
