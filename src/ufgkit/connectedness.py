@@ -29,9 +29,9 @@ from .orders import (
 )
 from .ufg import (
     DEFAULT_SUBSET_BUDGET,
+    UfgCatalog,
     UfgCertificate,
     _is_ufg_sorted,
-    _witness_bits,
     enumerate_ufg_exhaustive,
     explain_not_ufg,
     is_ufg,
@@ -50,7 +50,7 @@ def has_predecessor(
     members = canonical_family(S)
     if len(members) < 3:
         raise FamilyTooSmall("predecessors are defined for families of size >= 3")
-    if next(_witness_bits(members), None) is None:
+    if _is_ufg_sorted(members) is None:
         raise NotUfgInput("the input family is not union-free generic")
     for j in range(len(members)):
         rest = members[:j] + members[j + 1:]
@@ -296,27 +296,28 @@ def _grown_families(
     pool = random_pool(ground, rng, pool_size)
     if len(pool) < 3:
         return
-    # a family is a sorted tuple of pool indices, so canonical as it grows
+    # a family is a sorted tuple of pool indices, so canonical as it grows,
+    # and the trial's catalog decides it
+    limit = min(len(pool), default_max_family_size(ground))
+    catalog = UfgCatalog(ground, pool, limit)
     indices = list(range(len(pool)))
     pairs = [(i, j) for i in indices for j in indices[i + 1:]]
     rng.shuffle(pairs)
     for family in pairs[:30]:
-        if next(_witness_bits(tuple(pool[i] for i in family)), None) is not None:
+        if catalog.test(family) and catalog.get(family) is not None:
             break
     else:
         return
-    limit = min(len(pool), default_max_family_size(ground))
     while len(family) < limit:
         candidates = [k for k in indices if k not in family]
         rng.shuffle(candidates)
         for k in candidates:
             pos = bisect(family, k)
             child = family[:pos] + (k,) + family[pos:]
-            members = tuple(pool[i] for i in child)
-            if next(_witness_bits(members), None) is None:
+            if not (catalog.test(child) and catalog.get(child) is not None):
                 continue
             # the family it grew from, decided one step earlier, is a predecessor
-            yield members
+            yield catalog.get(child).family
             family = child
             break
         else:

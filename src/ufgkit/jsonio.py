@@ -314,8 +314,18 @@ def catalog_from_obj(obj: Any, where: str = "catalog") -> UfgCatalog:
     )
     index = {p.bits: i for i, p in enumerate(pool)}
     catalog = UfgCatalog(rec["ground"], pool, max((c.size for c in certs), default=0))
-    for cert in certs:
-        catalog.add(tuple(sorted(index[m.bits] for m in cert.family)), cert)
+    # the serializer writes each family once, by size and then in canonical order
+    last: tuple[int, ...] = ()
+    for i, cert in enumerate(certs):
+        family = tuple(index[m.bits] for m in cert.family)
+        _require(catalog.get(family) is None, f"{where}.ufg_sets[{i}]", "repeats an earlier family")
+        _require(
+            (len(last), last) < (len(family), family),
+            f"{where}.ufg_sets[{i}]",
+            "out of order: families go by size, then in canonical order",
+        )
+        catalog.add(family, cert)
+        last = family
     counts = {str(size): count for size, count in catalog.count_by_size().items()}
     _require(
         rec["stats"]["count_by_size"] == counts,

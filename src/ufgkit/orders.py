@@ -114,8 +114,7 @@ class _SizeTable:
     """The constants of the hot routines that depend only on the item count
     n.  Matrices are packed row-major: bit ``i*n + j`` says i reaches j."""
 
-    __slots__ = ("steps", "col0", "row_mask", "shifts", "diagonal", "cells",
-                 "key_format", "key_pad", "key_bytes")
+    __slots__ = ("steps", "col0", "row_mask", "shifts", "diagonal", "cells")
 
     def __init__(self, n: int):
         # per pair position: its leaf bit, its matrix bit, its reverse's
@@ -134,10 +133,6 @@ class _SizeTable:
             s = cell.bit_length() - leaf.bit_length()
             by_shift[s] = by_shift.get(s, 0) | cell
         self.shifts = tuple(by_shift.items())
-        total = n * (n - 1)
-        self.key_format = f"0{total}b"
-        self.key_pad = (-total) % 8
-        self.key_bytes = (total + 7) // 8 or 1
 
 
 _size_table = cache(_SizeTable)  # one table per item count
@@ -294,11 +289,12 @@ def transitive_closure(rel: BinaryRelation) -> BinaryRelation:
 
 
 def canonical_key(rel: BinaryRelation) -> bytes:
-    """Injective byte encoding: pair bits in row-major order, MSB first."""
-    table = _size_table(len(rel.ground.labels))
+    """Injective byte encoding: pair bits in row-major order, MSB first.
+    Reads no size table, so keying a family on a wide ground stays cheap."""
+    total = rel.ground.pair_count
     # pair k becomes bit k from the top: one reversal of the bit string
-    acc = int(format(rel.bits, table.key_format)[::-1], 2) << table.key_pad
-    return acc.to_bytes(table.key_bytes, "big")
+    acc = int(format(rel.bits, f"0{total}b")[::-1], 2) << (-total) % 8
+    return acc.to_bytes((total + 7) // 8 or 1, "big")
 
 
 def canonical_family(posets: Iterable[Poset]) -> tuple[Poset, ...]:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import time
 from bisect import bisect
 from dataclasses import dataclass
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from math import comb
 
 from .context import (
@@ -62,19 +62,19 @@ def _blocker(qb: int, loo: list[tuple[int, int]]) -> int | None:
     return None
 
 
-def _distinguishable(
-    bits_list: list[int], others_and: list[int], others_or: list[int]
-) -> bool:
-    """Whether every member keeps an unrestricted distinguishing attribute:
-    a pair all other members have and it lacks, or one only it has.
+def _prefilter(bits_list: list[int], full: int) -> tuple[list[int], list[int]] | None:
+    """The distinguishing prefilter: the family's leave-one-out ``(and, or)``
+    lists, or None when some member keeps no unrestricted distinguishing
+    attribute (a pair all other members have and it lacks, or one only it has).
 
     A member without one lies in the closure of the other members, which
     is then the whole closure: no order escapes it, so there is no witness.
     """
-    for b, lo, up in zip(bits_list, others_and, others_or):
+    loo = _loo_and_or(bits_list, full)
+    for b, lo, up in zip(bits_list, *loo):
         if not (lo & ~b or b & ~up):
-            return False
-    return True
+            return None
+    return loo
 
 
 def _witness_interval(
@@ -83,27 +83,16 @@ def _witness_interval(
     """The closure interval with the leave-one-out closures as ``outside``,
     whose members are the witnesses; None for a singleton or a family the
     prefilter turns away, which have none.  ``loo`` is the family's
-    ``_loo_and_or`` result when the caller has prefiltered with it."""
+    ``_prefilter`` result when the caller has prefiltered."""
     if loo is None:
         if len(members) < 2:
             return None
-        bits_list = [m.bits for m in members]
-        loo = _loo_and_or(bits_list, members[0].ground.full_bits)
-        if not _distinguishable(bits_list, *loo):
+        loo = _prefilter([m.bits for m in members], members[0].ground.full_bits)
+        if loo is None:
             return None
     witnesses = gamma_interval(members)  # a fresh interval: give it the sub-intervals
     witnesses.outside = tuple(zip(*loo))
     return witnesses
-
-
-def _witness_bits(
-    members: tuple[Poset, ...], loo: tuple[list[int], list[int]] | None = None
-) -> Iterator[int]:
-    """The witness kernel: bits of every witness of a canonical family, in
-    canonical order.  A plain function rather than a generator, so that
-    prefiltered families cost no generator frame."""
-    witnesses = _witness_interval(members, loo)
-    return iter(()) if witnesses is None else (q.bits for q in witnesses.posets())
 
 
 def is_witness(S: Iterable[Poset], q: Poset) -> bool:
@@ -156,9 +145,11 @@ def _is_ufg_sorted(
     members: tuple[Poset, ...], loo: tuple[list[int], list[int]] | None = None
 ) -> UfgCertificate | None:
     """Witness scan over a canonical family; None when no witness exists.
-    ``loo`` is as for :func:`_witness_interval`."""
-    qb = next(_witness_bits(members, loo), None)
-    return None if qb is None else _certificate(members, qb)
+    ``loo`` is as for :func:`_witness_interval`; the witness is the
+    interval's first leaf."""
+    witnesses = _witness_interval(members, loo)
+    q = None if witnesses is None else next(witnesses.posets(), None)
+    return None if q is None else _certificate(members, q.bits)
 
 
 def is_ufg(S: Iterable[Poset]) -> UfgCertificate | None:
@@ -189,7 +180,7 @@ def candidate_filter(Q: Iterable[Poset], p: Poset) -> bool:
         raise MixedGroundSets("extension candidate on a different ground set")
     bits_list = [m.bits for m in members]
     bits_list.append(p.bits)
-    return _distinguishable(bits_list, *_loo_and_or(bits_list, p.ground.full_bits))
+    return _prefilter(bits_list, p.ground.full_bits) is not None
 
 
 class UfgCatalog:
@@ -197,7 +188,9 @@ class UfgCatalog:
 
     ``pool`` is a canonical family of orders, and a family is a sorted
     tuple of pool indices: canonical too, since the pool is, and ordered
-    among families of its size as its canonical keys are.
+    among families of its size as its canonical keys are.  ``test`` is the
+    one step that decides a family, for both enumerators and for the
+    falsification trials.
     """
 
     def __init__(self, ground: GroundSet, pool: tuple[Poset, ...], max_size: int):
@@ -220,9 +213,8 @@ class UfgCatalog:
         """Decide a family of two or more pool indices, adding it when it
         is ufg; False when the distinguishing prefilter, which reads only
         the pool's bits, turns it away.  ``stats`` count both outcomes."""
-        bits_list = [self._bits[i] for i in family]
-        loo = _loo_and_or(bits_list, self._full)
-        if not _distinguishable(bits_list, *loo):
+        loo = _prefilter([self._bits[i] for i in family], self._full)
+        if loo is None:
             self.stats["filter_rejections"] += 1
             return False
         self.stats["families_tested"] += 1

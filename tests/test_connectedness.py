@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import ufgkit.connectedness
+import ufgkit.ufg
 from ufgkit.errors import FamilyTooSmall, NotUfgInput
 from ufgkit.orders import GroundSet, Poset, empty_poset, make_poset
 from ufgkit.connectedness import (
@@ -187,6 +188,27 @@ def test_every_counted_family_grew_from_a_ufg_parent():
             counted += len(grown)
         assert counted > 0
         assert falsification_search([3, 4], 24, seed).families_checked == counted
+
+
+def test_falsification_decides_through_the_one_decider(monkeypatch):
+    # a trial decides every family through the catalog step, which calls
+    # the module-global decider: each counted family was one of its witnesses
+    certs = []
+    original = ufgkit.ufg._is_ufg_sorted
+
+    def spy(members, loo=None):
+        cert = original(members, loo)
+        certs.append(cert)
+        return cert
+
+    monkeypatch.setattr(ufgkit.ufg, "_is_ufg_sorted", spy)
+    report = falsification_search([3, 4], 24, 0)
+    text = jsonio.dumps_canonical(jsonio.falsification_to_obj(report))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "828c05c76c4df9474a40a561f5bcecdad46444b5958f037e5d77c6d190845914"
+    )
+    assert report.families_checked == 29
+    assert sum(cert is not None for cert in certs) >= report.families_checked
 
 
 @pytest.mark.parametrize("sizes, budget, seed, digest", [

@@ -277,3 +277,25 @@ def test_catalog_on_mixed_grounds_is_invalid_format(certificate_payloads):
     catalog["ufg_sets"].append(certificate_payloads["verdict"][0]["certificate"])
     with pytest.raises(InvalidFormat, match=r"^catalog\.ufg_sets: .*different ground sets"):
         jsonio.catalog_from_obj(catalog)
+
+
+def _three_item_catalog(capsys):
+    obj = _cli_json(capsys, ["enumerate", "-n", "3", "--max-size", "2"])
+    jsonio.catalog_from_obj(copy.deepcopy(obj))  # as written, it parses
+    return obj
+
+
+def test_catalog_with_families_out_of_order_is_invalid_format(capsys):
+    catalog = _three_item_catalog(capsys)
+    sets = catalog["ufg_sets"]
+    sets[0], sets[1] = sets[1], sets[0]
+    with pytest.raises(InvalidFormat, match=r"^catalog\.ufg_sets\[1\]: out of order"):
+        jsonio.catalog_from_obj(catalog)
+
+
+def test_catalog_with_a_repeated_family_is_invalid_format(capsys):
+    # the counts by size still match: they count distinct families
+    catalog = _three_item_catalog(capsys)
+    catalog["ufg_sets"].insert(1, copy.deepcopy(catalog["ufg_sets"][0]))
+    with pytest.raises(InvalidFormat, match=r"^catalog\.ufg_sets\[1\]: repeats an earlier family"):
+        jsonio.catalog_from_obj(catalog)

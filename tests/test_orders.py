@@ -400,11 +400,21 @@ def test_size_table_matches_its_definitions(n):
                     assert g.pair_index(i, j) == i * n + j - s
                     held.append(1 << i * n + j)
     assert sorted(held) == sorted(cells)
-    # the key constants give the per-pair encoding on every single pair
+    # canonical_key gives the per-pair encoding on every single pair
     for k in range(g.pair_count):
         assert canonical_key(BinaryRelation(g, 1 << k)) == _per_pair_key(BinaryRelation(g, 1 << k))
     assert canonical_key(complete_relation(g)) == _per_pair_key(complete_relation(g))
-    assert (table.key_pad, table.key_bytes) == ((-g.pair_count) % 8, max(1, -(-g.pair_count // 8)))
+
+
+def test_canonical_family_on_a_wide_ground_builds_no_size_table():
+    # the table's walk steps grow as n**4 bits: keying a family walks
+    # nothing, so it must not build them
+    g = GroundSet.numbered(50)
+    members = [Poset(g, 1 << k) for k in (0, 7, 2449)]
+    before = _size_table.cache_info()
+    family = canonical_family(members)
+    assert _size_table.cache_info() == before
+    assert [canonical_key(p) for p in family] == sorted(_per_pair_key(p) for p in members)
 
 
 def test_sub_interval_holding_every_member_empties_the_walk(g3):

@@ -22,14 +22,13 @@ from ufgkit.context import (
     NLEQ,
     Attribute,
     _distinguishing_sets,
-    _loo_and_or,
     distinguishing,
     gamma_interval,
     partition_distinguishing,
 )
 from ufgkit.ufg import (
     _certificate,
-    _distinguishable,
+    _prefilter,
     candidate_filter,
     explain_not_ufg,
     is_ufg,
@@ -128,8 +127,7 @@ def test_reported_blockers_lie_in_their_leave_one_out_closure(base, data):
 
 
 def _prefilter_passes(members):
-    bits = [m.bits for m in members]
-    return _distinguishable(bits, *_loo_and_or(bits, G4.full_bits))
+    return _prefilter([m.bits for m in members], G4.full_bits) is not None
 
 
 @seeded
@@ -224,13 +222,13 @@ def test_catalog_test_runs_the_prefilter_once(corr, monkeypatch):
     # which does not filter the family again
     _, p1, p2, p3, _ = corr
     calls = []
-    original = ufgkit.ufg._distinguishable
+    original = ufgkit.ufg._prefilter
 
-    def counting(bits_list, others_and, others_or):
+    def counting(bits_list, full):
         calls.append(1)
-        return original(bits_list, others_and, others_or)
+        return original(bits_list, full)
 
-    monkeypatch.setattr(ufgkit.ufg, "_distinguishable", counting)
+    monkeypatch.setattr(ufgkit.ufg, "_prefilter", counting)
     pool = canonical_family([p1, p2, p3])
     catalog = ufgkit.ufg.UfgCatalog(p1.ground, pool, 3)
     assert catalog.test((0, 1, 2)) and catalog.get((0, 1, 2)) is not None

@@ -28,7 +28,7 @@ from ufgkit.ufg import (
     UfgCertificate,
     _blocker,
     _is_ufg_sorted,
-    _witness_bits,
+    _witness_interval,
     candidate_filter,
     default_max_family_size,
     enumerate_ufg_connected,
@@ -113,7 +113,7 @@ def test_counterexample_certificate(corr):
         ("b1", "c1"),
     }
     assert is_witness([p1, p2, p3], q)
-    witnesses = list(_witness_bits(canonical_family([p1, p2, p3])))
+    witnesses = [w.bits for w in _witness_interval(canonical_family([p1, p2, p3])).posets()]
     assert witnesses == [cert.witness.bits, q.bits]
     for d in cert.distinguishing():
         assert d.attributes, d.member
@@ -478,7 +478,8 @@ def test_pruned_kernel_matches_filtered_plain_walk():
         for S in combinations(pool, size):
             loo = list(zip(*_loo_and_or([m.bits for m in S], g5.full_bits)))
             plain = [q.bits for q in gamma_interval(S).posets() if _blocker(q.bits, loo) is None]
-            assert list(_witness_bits(S)) == plain
+            witnesses = _witness_interval(S)  # None: prefiltered, no witnesses
+            assert ([] if witnesses is None else [q.bits for q in witnesses.posets()]) == plain
 
 
 # --- failure explanations ----------------------------------------------------------------
