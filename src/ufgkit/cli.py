@@ -169,7 +169,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--pool-size", type=_positive_int, default=8)
     _add_output_flags(sub)
     sub.add_argument("--threads", type=_positive_int, default=1,
-                     help="worker count; never affects results")
+                     help="worker count, at most the budget and the core count; "
+                          "never affects results")
     sub.set_defaults(func=cmd_falsify)
 
     return parser

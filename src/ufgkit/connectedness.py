@@ -10,6 +10,7 @@ stress-tested with seeded random pools beyond that.
 
 from __future__ import annotations
 
+import os
 import random
 from bisect import bisect
 from dataclasses import dataclass
@@ -340,6 +341,7 @@ def falsification_search(
     A trial keeps only ufg children, so the parent of each family it
     counts is a ufg predecessor and ``violation`` stays None.  Randomness
     comes from (seed, trial index) alone: threads never change the report.
+    At most ``min(threads, budget, os.cpu_count())`` worker threads run.
     """
     if budget < 1:
         raise ValueError("the trial budget must be at least 1")
@@ -354,10 +356,13 @@ def falsification_search(
     def trial(t: int) -> int:
         return _run_trial(sizes[t % len(sizes)], seed, t, pool_size)
 
-    if threads > 1:
+    # the pool starts a thread for each trial submitted while none is idle:
+    # workers beyond the trials would idle, beyond the cores only contend
+    workers = min(threads, budget, os.cpu_count() or 1)
+    if workers > 1:
         from concurrent.futures import ThreadPoolExecutor  # only here: slow to import
 
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             counts = list(pool.map(trial, range(budget)))
     else:
         counts = [trial(t) for t in range(budget)]

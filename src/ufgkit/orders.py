@@ -114,7 +114,7 @@ class _SizeTable:
     """The constants of the hot routines that depend only on the item count
     n.  Matrices are packed row-major: bit ``i*n + j`` says i reaches j."""
 
-    __slots__ = ("steps", "col0", "row_mask", "shifts", "diagonal", "cells")
+    __slots__ = ("steps", "by_cell", "col0", "row_mask", "shifts", "diagonal", "cells")
 
     def __init__(self, n: int):
         # per pair position: its leaf bit, its matrix bit, its reverse's
@@ -123,6 +123,9 @@ class _SizeTable:
                             1 << j * n + i, i, 1 << i * n, j * n, 1 << j)
                            for i in range(n) for j in range(n) if i != j)
         self.cells = tuple(step[1] for step in self.steps)  # in pair-position order
+        self.by_cell = [None] * (n * n)  # the same rows by matrix bit
+        for step in self.steps:
+            self.by_cell[step[1].bit_length() - 1] = step
         self.col0 = ((1 << n * n) - 1) // ((1 << n) - 1)  # bit x*n for every row x
         self.row_mask = (1 << n) - 1
         self.diagonal = sum(1 << i * (n + 1) for i in range(n))
@@ -371,11 +374,45 @@ class PosetInterval:
         return f"PosetInterval(lower={self.lower!r}, upper={self.upper!r}{tail})"
 
 
-def _inside(bits: int, tests: list[tuple[int, int]]) -> bool:
-    for mask, want in tests:
-        if bits & mask == want:
-            return True
-    return False
+def _escape(m: int, allowed: int, subs: list[tuple[int, int]], table: _SizeTable) -> int | None:
+    """A poset t with ``m <= t <= allowed`` in no sub-interval ``(lo, up)``
+    of ``subs``, or None.  All are packed matrices as by
+    :func:`_bits_to_matrix`, ``m`` is transitively closed, and ``table``
+    is the item count's :class:`_SizeTable`.
+
+    Lemma: such a t exists exactly when one has the form close(m | X),
+    for a set X of pairs of ``allowed`` that each lie outside some ``up``.
+    Proof: for such a q, take X as its pairs outside some ``up``; then
+    close(m | X) <= q lacks whatever ``lo`` pair q lacks, and holds every
+    pair that took q outside an ``up``.
+
+    So the search runs depth-first from t = m: it takes the first
+    sub-interval t still lies in and branches on its pairs of ``allowed``
+    outside ``up``, one of which every such q above t holds.  A branch
+    closes t as the walk's include step does and dies on the walk's two
+    tests: a cycle, or a pair outside ``allowed``.
+    """
+    col0, row_mask, by_cell = table.col0, table.row_mask, table.by_cell
+    stack = [m]
+    while stack:
+        t = stack.pop()
+        for lo, up in subs:
+            if not (lo & ~t or t & ~up):
+                break
+        else:
+            return t
+        branch = allowed & ~(t | up)
+        while branch:
+            low = branch & -branch
+            branch ^= low
+            _, _, back, i, i_row, j_shift, j_col = by_cell[low.bit_length() - 1]
+            if t & back:
+                continue  # j reaches i: a cycle
+            grown = t | (((t >> i) & col0) | i_row) * (
+                ((t >> j_shift) & row_mask) | j_col)
+            if not grown & ~allowed:
+                stack.append(grown)
+    return None
 
 
 def _interval_bits(
@@ -401,58 +438,71 @@ def _interval_bits(
     ``PosetInterval.posets`` wraps them without ``Poset.__init__``.
     Pairs the closure already holds are forced: they are taken in one
     run, with no choice and no stack entry, so a leaf's bits are the
-    lower bound plus the free pairs taken on its path.  A child whose
-    decided pairs place its whole subtree inside a sub-interval is never
-    entered (branch and bound); at a leaf that is exactly the membership
-    test, so pruning removes the members of the sub-intervals only.
+    lower bound plus the free pairs taken on its path.
+
+    The bound is exact: with sub-intervals, every node the walk enters
+    holds a member of its subtree as a *hint*, a poset between ``m`` and
+    ``allowed`` outside every sub-interval, found by :func:`_escape`.
+    The root searches once; excluding a pair the hint holds searches
+    again; an include child keeps the hint when the hint holds its
+    closure and searches when it is popped otherwise.  A failed search
+    ends the branch, so a subtree without a member is never entered, and
+    every leaf reached is a member with no test of its own.  Without
+    sub-intervals no search runs and the hint stays 0.
     """
     free_bits = upper_bits & ~lower_bits
-    # a leaf lies inside the sub-interval [lo, up] iff leaf & mask == want,
-    # with mask = free & (lo | ~up) and want = free & lo; the test hangs on
-    # the pair at mask's highest bit, the last of its pairs the walk decides
-    tests_at: dict[int, list[tuple[int, int]]] = {}
-    for lo, up in outside:
-        if lo & ~(upper_bits & up) or lower_bits & ~up:
-            continue  # holds no member
-        mask = free_bits & (lo | ~up)
-        if not mask:
-            return  # holds every member
-        tests_at.setdefault(mask.bit_length() - 1, []).append((mask, free_bits & lo))
     table = _size_table(len(ground.labels))
     col0, row_mask, rows = table.col0, table.row_mask, table.steps
-    # per free pair, in order: the tests hung on it, then its step-table row
-    steps = []
+    # the sub-intervals that meet [lower, upper], unpacked as by
+    # _bits_to_matrix in one loop each: two calls per sub-interval cost
+    # more than the whole walk of a small decision
+    subs = []
+    for lo, up in outside:
+        if not (lo & ~(upper_bits & up) or lower_bits & ~up):
+            lo_m = up_m = 0
+            for s, cells in table.shifts:
+                lo_m |= (lo << s) & cells
+                up_m |= (up << s) & cells
+            subs.append((lo_m, up_m))
+    steps = []  # per free pair, in order: its step-table row
     m = allowed = _bits_to_matrix(ground, lower_bits)
     while free_bits:
         low = free_bits & -free_bits
-        k = low.bit_length() - 1
-        row = rows[k]
-        steps.append((tests_at.get(k),) + row)
+        row = rows[low.bit_length() - 1]
+        steps.append(row)
         allowed |= row[1]
         free_bits ^= low
+    hint = 0
+    if subs:
+        hint = _escape(m, allowed, subs, table)
+        if hint is None:
+            return
     depth = len(steps)
-    stack = [(0, lower_bits, m, allowed)]
+    stack = [(0, lower_bits, m, allowed, hint)]
     while stack:
-        idx, bits, m, allowed = stack.pop()
+        idx, bits, m, allowed, hint = stack.pop()
+        if subs and m & ~hint:  # an include child the hint does not hold
+            hint = _escape(m, allowed, subs, table)
+            if hint is None:
+                continue
         while idx < depth:
-            tests, bit, pair, back, i, i_row, j_shift, j_col = steps[idx]
+            bit, pair, back, i, i_row, j_shift, j_col = steps[idx]
             idx += 1
             if m & pair:  # forced by the closure: no exclude-branch
                 bits |= bit
-                if tests and _inside(bits, tests):
-                    break
                 continue
             # j reaching i makes a cycle; the product would show it too, on
             # the diagonal, which ``allowed`` never holds, but costs a multiply
             if not m & back:
                 grown = m | (((m >> i) & col0) | i_row) * (
                     ((m >> j_shift) & row_mask) | j_col)
-                taken = bits | bit
-                if not (grown & ~allowed or tests and _inside(taken, tests)):
-                    stack.append((idx, taken, grown, allowed))
-            if tests and _inside(bits, tests):
-                break
+                if not grown & ~allowed:
+                    stack.append((idx, bits | bit, grown, allowed, hint))
             allowed ^= pair  # the exclude branch, inline; unforced, so still allowed
+            if hint and hint & pair:  # no hint without sub-intervals
+                hint = _escape(m, allowed, subs, table)
+                if hint is None:
+                    break
         else:
             yield bits
 

@@ -146,7 +146,9 @@ def _is_ufg_sorted(
 ) -> UfgCertificate | None:
     """Witness scan over a canonical family; None when no witness exists.
     ``loo`` is as for :func:`_witness_interval`; the witness is the
-    interval's first leaf."""
+    interval's first leaf.  The walk's bound is exact, so a family
+    without a witness costs one failed search at the walk's root and no
+    walk step."""
     witnesses = _witness_interval(members, loo)
     q = None if witnesses is None else next(witnesses.posets(), None)
     return None if q is None else _certificate(members, q.bits)

@@ -150,6 +150,33 @@ def test_falsification_rejects_an_empty_pool_or_no_threads(kwargs, message):
         falsification_search([3], 5, seed=1, **kwargs)
 
 
+@pytest.mark.parametrize("cores, workers", [(8, [4]), (2, [2]), (1, []), (None, [])])
+def test_falsification_threads_are_capped_by_budget_and_cores(monkeypatch, cores, workers):
+    # a million requested threads start at most one per trial and per core
+    import concurrent.futures
+
+    seen = []
+
+    class InlinePool:  # records max_workers and maps in this thread: no thread starts
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", InlinePool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cores)
+    report = falsification_search([3], 4, 0, threads=10**6)
+    assert seen == workers
+    assert report == falsification_search([3], 4, 0, threads=1)
+
+
 def test_import_leaves_the_thread_pool_out():
     # the executor is imported only by a run with more than one thread
     code = ("import sys, ufgkit, ufgkit.cli; "

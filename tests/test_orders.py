@@ -390,6 +390,10 @@ def test_size_table_matches_its_definitions(n):
     assert table.diagonal == sum(1 << i * n + i for i in range(n))
     cells = [1 << i * n + j for i, j in map(g.pair_at, range(g.pair_count))]
     assert list(table.cells) == cells
+    # the step rows again by matrix bit, None on the diagonal
+    by_pair = [table.by_cell[i * n + j] for i, j in map(g.pair_at, range(g.pair_count))]
+    assert by_pair == list(table.steps)
+    assert all(table.by_cell[i * (n + 1)] is None for i in range(n))
     # the shifts hold every off-diagonal cell once, each cell s bits above
     # the pair_index position of its pair
     held = []

@@ -11,6 +11,10 @@ from ufgkit.orders import (
     BinaryRelation,
     GroundSet,
     PosetInterval,
+    _bits_to_matrix,
+    _escape,
+    _matrix_to_bits,
+    _size_table,
     canonical_family,
     canonical_key,
     enumerate_all_posets,
@@ -75,6 +79,12 @@ def test_pruned_walk_is_the_plain_walk_filtered(lower, extra, outside):
     kept = [q for q in plain
             if all(lo & ~q.bits or q.bits & ~up for lo, up in outside)]
     assert list(PosetInterval(lower, upper, outside).posets()) == kept
+    # the walk's bound at its root: a member exactly when the walk keeps one
+    subs = [(_bits_to_matrix(G4, lo), _bits_to_matrix(G4, up)) for lo, up in outside]
+    t = _escape(_bits_to_matrix(G4, lower.bits), _bits_to_matrix(G4, upper.bits), subs,
+                _size_table(4))
+    assert (t is None) == (not kept)
+    assert t is None or _matrix_to_bits(G4, t) in {q.bits for q in kept}
 
 
 @seeded

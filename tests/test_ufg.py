@@ -28,6 +28,7 @@ from ufgkit.ufg import (
     UfgCertificate,
     _blocker,
     _is_ufg_sorted,
+    _prefilter,
     _witness_interval,
     candidate_filter,
     default_max_family_size,
@@ -471,15 +472,22 @@ def test_every_pair_inside_an_ufg_triple_is_ufg(catalog3):
 
 def test_pruned_kernel_matches_filtered_plain_walk():
     # acceptance-6 pool 0: the pruned walk yields exactly the plain walk's
-    # leaves that escape every leave-one-out closure, in the same order
+    # leaves that escape every leave-one-out closure, in the same order.
+    # Every family of 2 to 4 members, and the 149 of 5 and 6 members that
+    # pass the prefilter: the deep intervals, 61 of them without a witness
     g5 = GroundSet.numbered(5)
     pool = random_pool(g5, random.Random("pool:0"), 12)
-    for size in range(2, 5):
-        for S in combinations(pool, size):
-            loo = list(zip(*_loo_and_or([m.bits for m in S], g5.full_bits)))
-            plain = [q.bits for q in gamma_interval(S).posets() if _blocker(q.bits, loo) is None]
-            witnesses = _witness_interval(S)  # None: prefiltered, no witnesses
-            assert ([] if witnesses is None else [q.bits for q in witnesses.posets()]) == plain
+    deep = [S for size in (5, 6) for S in combinations(pool, size)
+            if _prefilter([m.bits for m in S], g5.full_bits) is not None]
+    assert len(deep) == 149
+    empty = 0
+    for S in [S for size in range(2, 5) for S in combinations(pool, size)] + deep:
+        loo = list(zip(*_loo_and_or([m.bits for m in S], g5.full_bits)))
+        plain = [q.bits for q in gamma_interval(S).posets() if _blocker(q.bits, loo) is None]
+        witnesses = _witness_interval(S)  # None: prefiltered, no witnesses
+        assert ([] if witnesses is None else [q.bits for q in witnesses.posets()]) == plain
+        empty += len(S) > 4 and not plain
+    assert empty == 61
 
 
 # --- failure explanations ----------------------------------------------------------------
