@@ -112,30 +112,50 @@ def _iter_bits(bits: int) -> Iterator[int]:
 
 class _SizeTable:
     """The constants of the hot routines that depend only on the item count
-    n.  Matrices are packed row-major: bit ``i*n + j`` says i reaches j."""
+    n.  Matrices are packed row-major: bit ``i*n + j`` says i reaches j.
 
-    __slots__ = ("steps", "by_cell", "col0", "row_mask", "shifts", "diagonal", "cells")
+    The per-pair fields hold O(n**4) bits in all, so they are filled on
+    first use: ``steps`` and ``by_cell`` one pair at a time by
+    :meth:`step`, ``cells`` whole on first read.  A walk on a wide ground
+    builds only the rows of the pairs it meets."""
+
+    __slots__ = ("n", "steps", "by_cell", "col0", "row_mask", "shifts", "diagonal", "_cells")
 
     def __init__(self, n: int):
-        # per pair position: its leaf bit, its matrix bit, its reverse's
-        # matrix bit, and the shifts and bits of its closure update
-        self.steps = tuple((1 << i * (n - 1) + (j if j < i else j - 1), 1 << i * n + j,
-                            1 << j * n + i, i, 1 << i * n, j * n, 1 << j)
-                           for i in range(n) for j in range(n) if i != j)
-        self.cells = tuple(step[1] for step in self.steps)  # in pair-position order
+        self.n = n
+        self.steps = [None] * (n * (n - 1))  # per pair position, see step()
         self.by_cell = [None] * (n * n)  # the same rows by matrix bit
-        for step in self.steps:
-            self.by_cell[step[1].bit_length() - 1] = step
+        self._cells = None
         self.col0 = ((1 << n * n) - 1) // ((1 << n) - 1)  # bit x*n for every row x
         self.row_mask = (1 << n) - 1
         self.diagonal = sum(1 << i * (n + 1) for i in range(n))
         # per shift s: the matrix bits of the pairs that sit s bits above their
-        # pair position (s = i for j < i, i + 1 for j > i)
-        by_shift: dict[int, int] = {}
-        for leaf, cell, *_ in self.steps:
-            s = cell.bit_length() - leaf.bit_length()
-            by_shift[s] = by_shift.get(s, 0) | cell
-        self.shifts = tuple(by_shift.items())
+        # pair position, row s left of the diagonal and row s - 1 right of it
+        self.shifts = tuple(
+            (s, ((1 << s) - 1) << s * n | (self.row_mask >> s << s) << (s - 1) * n)
+            for s in range(1, n)
+        )
+
+    def step(self, k: int) -> tuple:
+        """The walk step of pair position k: its leaf bit, its matrix bit,
+        its reverse's matrix bit, and the shifts and bits of its closure
+        update.  Built on first use."""
+        row = self.steps[k]
+        if row is None:
+            n = self.n
+            i, r = divmod(k, n - 1)
+            j = r if r < i else r + 1
+            row = (1 << k, 1 << i * n + j, 1 << j * n + i, i, 1 << i * n, j * n, 1 << j)
+            self.steps[k] = self.by_cell[i * n + j] = row
+        return row
+
+    @property
+    def cells(self) -> tuple[int, ...]:
+        """The matrix bit of every pair, in pair-position order."""
+        if self._cells is None:
+            n = self.n
+            self._cells = tuple(1 << i * n + j for i in range(n) for j in range(n) if i != j)
+        return self._cells
 
 
 _size_table = cache(_SizeTable)  # one table per item count
@@ -350,10 +370,16 @@ class PosetInterval:
 
     def posets(self) -> Iterator[Poset]:
         """Stream the members in canonical-key order; the lower bound comes
-        first unless an ``outside`` sub-interval holds it."""
+        first unless an ``outside`` sub-interval holds it.  The space of
+        all orders is walked a row at a time by :func:`_order_bits`, every
+        other interval a pair at a time by :func:`_interval_bits`."""
         ground = self.lower.ground
+        if self.outside or self.lower.bits or self.upper.bits != ground.full_bits:
+            walk = _interval_bits(ground, self.lower.bits, self.upper.bits, self.outside)
+        else:  # the whole order space
+            walk = _order_bits(len(ground.labels))
         new = object.__new__  # walk leaves are valid: no __init__ chain
-        for bits in _interval_bits(ground, self.lower.bits, self.upper.bits, self.outside):
+        for bits in walk:
             q = new(Poset)
             q.ground, q.bits = ground, bits
             yield q
@@ -378,7 +404,8 @@ def _escape(m: int, allowed: int, subs: list[tuple[int, int]], table: _SizeTable
     """A poset t with ``m <= t <= allowed`` in no sub-interval ``(lo, up)``
     of ``subs``, or None.  All are packed matrices as by
     :func:`_bits_to_matrix`, ``m`` is transitively closed, and ``table``
-    is the item count's :class:`_SizeTable`.
+    is the item count's :class:`_SizeTable`, with the step of every pair
+    of ``allowed`` outside ``m`` filled.
 
     Lemma: such a t exists exactly when one has the form close(m | X),
     for a set X of pairs of ``allowed`` that each lie outside some ``up``.
@@ -468,7 +495,7 @@ def _interval_bits(
     m = allowed = _bits_to_matrix(ground, lower_bits)
     while free_bits:
         low = free_bits & -free_bits
-        row = rows[low.bit_length() - 1]
+        row = rows[low.bit_length() - 1] or table.step(low.bit_length() - 1)
         steps.append(row)
         allowed |= row[1]
         free_bits ^= low
@@ -505,6 +532,140 @@ def _interval_bits(
                     break
         else:
             yield bits
+
+
+_MEMO_ITEMS = 3  # _order_bits memoises the up-sets of sets this small
+_LIST_ITEMS = 5  # and lists them up to this size, generating larger ones lazily
+
+
+def _order_bits(n: int) -> Iterator[int]:
+    """Yield the bits of every order on n items in canonical-key order,
+    deciding a whole row (the items above one item) per step, where
+    :func:`_interval_bits` decides one pair.
+
+    Lemma.  Let P be an order and P_i its pairs (x, y) with x < i, that
+    is, its rows < i.  P_i is an order: if x < i reaches y and y reaches
+    z in P_i, then x reaches z in P, and that pair lies in row x < i.  So
+    the walk reaches P through P_0 = {} and P_{i+1} = P_i plus i's row
+    U, and when it reaches row i, rows < i are final and rows >= i are
+    empty.  No later row is forced, because nothing reaches one of its
+    items yet.  Let A be the set of j != i that do not reach i and that
+    every x reaching i reaches.  P_{i+1} is an order exactly when U is a
+    subset of A that is up-closed in P_i.  Proof: (j, i) with (i, j)
+    would be a cycle; x reaching i needs (x, j), which only row x < i
+    can hold; (i, j) with (j, k) in row j < i needs (i, k), as k = i
+    would close a cycle; the pairs of P_i compose among themselves.
+    P_{i+1} is then closed as it stands, so a step costs no closure
+    multiply; every valid U leads to a leaf (the later rows may stay
+    empty), so no branch dies; and different U give different orders,
+    so no leaf repeats.
+
+    A is up-closed itself: if j in A reaches k, then k does not reach i
+    (j would) and every x reaching i reaches k through j.  Its up-sets
+    come from a split on its lowest item j0: leaving j0 out leaves out
+    every item below it, taking it in takes every item above it, and
+    either way the rest of A is split again.  Taking j0 out first lists
+    each row's up-sets in canonical order (j ascending, absent before
+    present), and the rows come in row-major order, as the key reads
+    them.
+
+    The state is the matrix ``m`` of P_i, packed as by
+    :func:`_bits_to_matrix`, and its transpose ``mt`` (bit ``j*n + x``
+    says x reaches j), grown a row at a time through a table of at most
+    256 entries; leaf bits are packed inline.  Up-set lists of sets of
+    at most ``_MEMO_ITEMS`` items are memoised for this call only, keyed
+    by the set and the order on it; sets of more than ``_LIST_ITEMS``
+    items are split lazily, so a wide ground yields its first orders at
+    once.  No table of size 2**n or n**4 is built.
+    """
+    row_mask = (1 << n) - 1
+    spread8 = [0] * (1 << min(n, 8))  # bit t*n for every bit t of a byte
+    for b in range(1, len(spread8)):
+        low = b & -b
+        spread8[b] = spread8[b ^ low] | 1 << (low.bit_length() - 1) * n
+
+    def spread(s: int) -> int:  # bit j*n for every bit j of s
+        if s < 256:
+            return spread8[s]
+        out = shift = 0
+        while s:
+            out |= spread8[s & 255] << shift
+            s >>= 8
+            shift += 8 * n
+        return out
+
+    col0 = spread(row_mask)  # bit x*n for every row x
+    high = n * n  # the memo key's set sits above the matrix
+    memo: dict[int, list[int]] = {}
+
+    def upsets(b: int, m: int, mt: int) -> list[int]:
+        """The up-sets of the items ``b`` in canonical order; ``b`` holds
+        at most ``_LIST_ITEMS`` items."""
+        if not b:
+            return [0]
+        small = b.bit_count() <= _MEMO_ITEMS
+        if small:  # the set and the order on it: rows and columns in b
+            key = m & spread(b) * row_mask & b * col0 | b << high
+            got = memo.get(key)
+            if got is not None:
+                return got
+        low = b & -b
+        j = low.bit_length() - 1
+        take = low | (m >> j * n) & b
+        got = upsets(b & ~(low | mt >> j * n), m, mt) + [
+            u | take for u in upsets(b & ~take, m, mt)]
+        if small:
+            memo[key] = got
+        return got
+
+    def lazy_upsets(b: int, m: int, mt: int) -> Iterator[int]:
+        """:func:`upsets` one at a time, for sets of any size."""
+        stack = [(b, 0)]
+        while stack:
+            b, u = stack.pop()
+            if not b:
+                yield u
+                continue
+            low = b & -b
+            j = low.bit_length() - 1
+            take = low | (m >> j * n) & b
+            stack.append((b & ~take, u | take))
+            stack.append((b & ~(low | mt >> j * n), u))
+
+    def rows(i: int, m: int, mt: int) -> Iterable[int]:
+        """Every valid row of item i, given P_i as ``m`` and ``mt``."""
+        a = row_mask ^ 1 << i
+        above = (mt >> i * n) & row_mask  # the items that reach i
+        while above:  # a reaching x has no bit x, so ``a`` drops x too
+            low = above & -above
+            a &= m >> (low.bit_length() - 1) * n
+            above ^= low
+        if not a:
+            return (0,)
+        return upsets(a, m, mt) if a.bit_count() <= _LIST_ITEMS else lazy_upsets(a, m, mt)
+
+    last = n - 1
+    if not last:
+        yield 0
+        return
+    top = last * last  # where the last row's leaf bits start; none shift
+    # per open row: its item, P_i, the leaf bits so far and its rows left
+    stack = [(0, 0, 0, 0, iter(rows(0, 0, 0)))]
+    while stack:
+        i, m, mt, bits, left = stack[-1]
+        below = (1 << i) - 1  # items left of the diagonal keep their bit
+        at = i * (n - 1)
+        for u in left:
+            bits_u = bits | ((u & below) | (u >> 1 & ~below)) << at
+            m_u = m | u << i * n
+            mt_u = mt | (spread8[u] if u < 256 else spread(u)) << i
+            if i + 1 < last:
+                stack.append((i + 1, m_u, mt_u, bits_u, iter(rows(i + 1, m_u, mt_u))))
+                break
+            for v in rows(last, m_u, mt_u):  # the leaves
+                yield bits_u | v << top
+        else:
+            stack.pop()
 
 
 def enumerate_all_posets(ground: GroundSet, cap: int | None = None) -> Iterator[Poset]:

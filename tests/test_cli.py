@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from ufgkit import jsonio
+from ufgkit import cli, jsonio
 from ufgkit.cli import EXIT_ERROR, EXIT_NOT_UFG, EXIT_OK, main
 
 
@@ -289,6 +289,17 @@ def test_bad_input_exits_one_without_traceback(capsys, monkeypatch, argv, env):
     code, _, err = run(capsys, *argv)
     assert code == EXIT_ERROR
     assert "error:" in err and "Traceback" not in err
+
+
+def test_out_of_memory_exits_one_without_traceback(capsys, monkeypatch):
+    # a run too large for the address space ends in an error line
+    def exhaust(_args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "cmd_enumerate", exhaust)
+    code, out, err = run(capsys, "enumerate", "-n", "4", "--max-size", "3", "--json")
+    assert code == EXIT_ERROR
+    assert out == "" and err == "error: out of memory\n"
 
 
 @pytest.mark.parametrize(

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+from itertools import islice
 
 import pytest
 
@@ -24,6 +25,7 @@ from ufgkit.orders import (
     _bits_to_matrix,
     _interval_bits,
     _matrix_to_bits,
+    _order_bits,
     _size_table,
     _validate_poset,
     BinaryRelation,
@@ -371,9 +373,11 @@ def test_six_item_stream_is_pinned():
 @pytest.mark.parametrize("n", range(1, 9))
 def test_step_table_matches_pair_positions(n):
     g = GroundSet.numbered(n)
-    table = _size_table(n).steps
-    assert len(table) == g.pair_count  # none for one item
-    for k, row in enumerate(table):
+    table = _size_table(n)
+    # rows are built on first use; fill every one, then check them all
+    assert [table.step(k) for k in range(g.pair_count)] == table.steps
+    assert len(table.steps) == g.pair_count  # none for one item
+    for k, row in enumerate(table.steps):
         i, j = g.pair_at(k)
         assert row == (1 << k, 1 << i * n + j, 1 << j * n + i, i, 1 << i * n, j * n, 1 << j)
         assert row[1] == _bits_to_matrix(g, 1 << k)
@@ -390,9 +394,11 @@ def test_size_table_matches_its_definitions(n):
     assert table.diagonal == sum(1 << i * n + i for i in range(n))
     cells = [1 << i * n + j for i, j in map(g.pair_at, range(g.pair_count))]
     assert list(table.cells) == cells
-    # the step rows again by matrix bit, None on the diagonal
+    # the step rows again by matrix bit once filled, None on the diagonal
+    for k in range(g.pair_count):
+        table.step(k)
     by_pair = [table.by_cell[i * n + j] for i, j in map(g.pair_at, range(g.pair_count))]
-    assert by_pair == list(table.steps)
+    assert by_pair == table.steps
     assert all(table.by_cell[i * (n + 1)] is None for i in range(n))
     # the shifts hold every off-diagonal cell once, each cell s bits above
     # the pair_index position of its pair
@@ -419,6 +425,43 @@ def test_canonical_family_on_a_wide_ground_builds_no_size_table():
     family = canonical_family(members)
     assert _size_table.cache_info() == before
     assert [canonical_key(p) for p in family] == sorted(_per_pair_key(p) for p in members)
+
+
+def test_a_walk_on_a_wide_ground_fills_only_the_rows_it_meets():
+    # three one-pair orders on 340 items: the closure walk meets 3 pairs
+    g = GroundSet.numbered(340)
+    ks = [g.pair_index(0, 1), g.pair_index(2, 3), g.pair_index(4, 5)]
+    assert len(list(_interval_bits(g, 0, sum(1 << k for k in ks)))) == 8
+    table = _size_table(340)
+    assert [k for k, row in enumerate(table.steps) if row is not None] == ks
+    assert sum(row is not None for row in table.by_cell) == 3
+
+
+def test_row_walk_is_the_pair_walk_on_the_whole_space():
+    for n in range(1, 7):
+        g = GroundSet.numbered(n)
+        assert list(_order_bits(n)) == list(_interval_bits(g, 0, g.full_bits))
+
+
+def test_a_closure_of_the_whole_space_streams_through_either_walk():
+    # a chain and its reverse: their AND is empty and their OR complete
+    g = GroundSet.numbered(4)
+    up = make_poset(g, [(f"x{a}", f"x{b}") for a in range(1, 5) for b in range(a + 1, 5)])
+    down = make_poset(g, [(b, a) for a, b in up.label_pairs()])
+    iv = gamma_interval([up, down])
+    assert (iv.lower.bits, iv.upper.bits, iv.outside) == (0, g.full_bits, ())
+    streamed = [q.bits for q in iv.posets()]
+    assert len(streamed) == 219
+    assert streamed == list(_interval_bits(g, 0, g.full_bits))
+
+
+def test_row_walk_on_a_wide_ground_starts_at_once():
+    # the first orders on 40 items, lazily split, and no size table built
+    g = GroundSet.numbered(40)
+    before = _size_table.cache_info()
+    first = [p.bits for p in islice(enumerate_all_posets(g, cap=40), 50)]
+    assert _size_table.cache_info() == before
+    assert first == list(islice(_interval_bits(g, 0, g.full_bits), 50))
 
 
 def test_sub_interval_holding_every_member_empties_the_walk(g3):
