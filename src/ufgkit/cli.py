@@ -9,7 +9,6 @@ violation found, 3 negative verdict (family is not union-free generic).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from . import jsonio
@@ -180,8 +179,7 @@ def cmd_posets(args) -> int:
     ground, _ = _load_inputs(args)
     stream = enumerate_all_posets(ground, _effective_cap(args, ground))
     if args.list:
-        for p in stream:
-            sys.stdout.write(json.dumps(jsonio.poset_to_obj(p), sort_keys=True) + "\n")
+        sys.stdout.writelines(jsonio.poset_lines(ground, stream))
         return EXIT_OK
     count = sum(1 for _ in stream)
     _emit(args, [str(count)], lambda: {"elements": list(ground.labels), "count": count})

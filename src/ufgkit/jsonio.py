@@ -2,12 +2,17 @@
 
 Serialization is canonical (sorted keys, two-space indent, trailing
 newline, canonically ordered lists), so writing what a parser read back
-out reproduces the bytes exactly.
+out reproduces the bytes exactly: those of ``json.dumps(data, indent=2,
+sort_keys=True)`` plus a newline.  A payload shares one ``poset_to_obj``
+dict among the places that hold one order, so payloads are read-only.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable, Iterator
+from functools import cache
+from json.encoder import encode_basestring_ascii
 from typing import Any
 
 from .connectedness import (
@@ -23,7 +28,30 @@ from .ufg import UfgCatalog, UfgCertificate
 
 
 def dumps_canonical(data: Any) -> str:
-    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+    """``json.dumps(data, indent=2, sort_keys=True) + "\\n"``, for string keys only.
+    A dict met again at one indent reuses its text, kept by id for the call."""
+    memo: dict[tuple[int, str], str] = {}
+
+    def write(obj: Any, indent: str) -> str:  # indent: "\n" and the spaces of its line
+        if isinstance(obj, str):
+            return encode_basestring_ascii(obj)
+        if isinstance(obj, dict):
+            text = memo.get((id(obj), indent))
+            if text is None:
+                items = [encode_basestring_ascii(key) + ": " + write(obj[key], indent + "  ")
+                         for key in sorted(obj)]
+                text = memo[id(obj), indent] = _block("{", items, indent, "}")
+            return text
+        if isinstance(obj, (list, tuple)):
+            return _block("[", [write(item, indent + "  ") for item in obj], indent, "]")
+        return json.dumps(obj)
+
+    return write(data, "\n") + "\n"
+
+
+def _block(open_: str, items: list[str], indent: str, close: str) -> str:
+    inner = indent + "  "
+    return open_ + inner + ("," + inner).join(items) + indent + close if items else open_ + close
 
 
 # --- posets and families -----------------------------------------------------
@@ -34,6 +62,21 @@ def poset_to_obj(p: Poset) -> dict:
         "elements": list(p.ground.labels),
         "relations": [[a, b] for a, b in p.label_pairs()],
     }
+
+
+def poset_lines(ground: GroundSet, posets: Iterable[Poset]) -> Iterator[str]:
+    """``json.dumps(poset_to_obj(p), sort_keys=True) + "\\n"`` per order: the
+    ground's fixed head, then the text of each pair, made when first met."""
+    def pair_text(low: int) -> str:
+        return json.dumps(list(map(ground.label, ground.pair_at(low.bit_length() - 1))))
+    head = '{"elements": ' + json.dumps(list(ground.labels)) + ', "relations": ['
+    pairs = cache(pair_text)
+    for p in posets:
+        bits, texts = p.bits, []
+        while bits:
+            texts.append(pairs(bits & -bits))
+            bits &= bits - 1
+        yield head + ", ".join(texts) + "]}\n"
 
 
 def _require(condition: bool, where: str, message: str) -> None:
@@ -119,18 +162,19 @@ def _distinguishing_texts(cert: UfgCertificate) -> dict:
     }
 
 
-def certificate_to_obj(cert: UfgCertificate) -> dict:
+def certificate_to_obj(cert: UfgCertificate, poset_obj=poset_to_obj) -> dict:
     return {
-        "members": [poset_to_obj(m) for m in cert.family],
-        "witness": poset_to_obj(cert.witness),
+        "members": [poset_obj(m) for m in cert.family],
+        "witness": poset_obj(cert.witness),
         "distinguishing": _distinguishing_texts(cert),
     }
 
 
 def catalog_to_obj(catalog: UfgCatalog) -> dict:
+    poset_obj = cache(poset_to_obj)  # one dict per order, for this payload
     return {
         "ground": list(catalog.ground.labels),
-        "ufg_sets": [certificate_to_obj(c) for c in catalog.certificates()],
+        "ufg_sets": [certificate_to_obj(c, poset_obj) for c in catalog.certificates()],
         "stats": {
             "count_by_size": {
                 str(size): count
@@ -140,28 +184,25 @@ def catalog_to_obj(catalog: UfgCatalog) -> dict:
     }
 
 
-def _analysis_to_obj(analysis: dict) -> dict:
+def _analysis_to_obj(analysis: dict, poset_obj) -> dict:
     out: dict[str, Any] = {"ufg": analysis["ufg"], "reason": analysis["reason"]}
     if "blockers" in analysis:
         out["blockers"] = [
-            {
-                "candidate": poset_to_obj(entry["candidate"]),
-                "covered_without": poset_to_obj(entry["covered_without"]),
-            }
+            {key: poset_obj(entry[key]) for key in ("candidate", "covered_without")}
             for entry in analysis["blockers"]
         ]
     return out
 
 
-def violation_to_obj(v: ConnectednessViolation) -> dict:
+def violation_to_obj(v: ConnectednessViolation, poset_obj=poset_to_obj) -> dict:
     return {
-        "family": [poset_to_obj(m) for m in v.family],
-        "certificate": certificate_to_obj(v.certificate),
+        "family": [poset_obj(m) for m in v.family],
+        "certificate": certificate_to_obj(v.certificate, poset_obj),
         "leave_one_out": [
             {
-                "removed": poset_to_obj(entry["removed"]),
-                "members": [poset_to_obj(m) for m in entry["members"]],
-                "analysis": _analysis_to_obj(entry["analysis"]),
+                "removed": poset_obj(entry["removed"]),
+                "members": [poset_obj(m) for m in entry["members"]],
+                "analysis": _analysis_to_obj(entry["analysis"], poset_obj),
             }
             for entry in v.leave_one_out
         ],
@@ -169,17 +210,18 @@ def violation_to_obj(v: ConnectednessViolation) -> dict:
 
 
 def connectedness_to_obj(report: ConnectednessReport) -> dict:
+    poset_obj = cache(poset_to_obj)  # one dict per order, for this payload
     return {
         "ground": list(report.ground.labels),
         "max_size": report.max_size,
         "checked": report.checked,
         "connected": report.connected,
-        "violations": [violation_to_obj(v) for v in report.violations],
+        "violations": [violation_to_obj(v, poset_obj) for v in report.violations],
         "predecessors": [
             {
-                "family": [poset_to_obj(m) for m in entry["family"]],
-                "predecessor": [poset_to_obj(m) for m in entry["predecessor"]],
-                "witness": poset_to_obj(entry["witness"]),
+                "family": [poset_obj(m) for m in entry["family"]],
+                "predecessor": [poset_obj(m) for m in entry["predecessor"]],
+                "witness": poset_obj(entry["witness"]),
             }
             for entry in report.predecessors
         ],
@@ -195,7 +237,7 @@ def falsification_to_obj(report: FalsificationReport) -> dict:
         "trials": report.trials,
         "families_checked": report.families_checked,
         "violation": (
-            violation_to_obj(report.violation) if report.violation else None
+            violation_to_obj(report.violation, cache(poset_to_obj)) if report.violation else None
         ),
     }
 

@@ -361,6 +361,28 @@ def test_json_roundtrips_byte_identical(capsys, corr_family_file, tmp_path):
         _roundtrip(out, parse, render)
 
 
+def test_json_output_is_the_stdlib_bytes(capsys, corr, tmp_path):
+    # the writer's text must be what json.dumps writes for the parsed value
+    _, p1, p2, p3, q = corr
+    yes, no = tmp_path / "yes.json", tmp_path / "no.json"
+    yes.write_text(jsonio.dumps_canonical(jsonio.family_to_obj([p1, p2, p3])))
+    no.write_text(jsonio.dumps_canonical(jsonio.family_to_obj([p1, p2, p3, q])))
+    cases = [
+        (("posets", "-n", "3"), EXIT_OK),
+        (("closure", "--input", yes, "--materialize"), EXIT_OK),
+        (("check-ufg", "--input", yes), EXIT_OK),
+        (("check-ufg", "--input", no), EXIT_NOT_UFG),
+        (("enumerate", "--verify", "-n", "3", "--max-size", "4"), EXIT_OK),
+        (("connectedness", "-n", "3"), EXIT_OK),
+        (("corrigendum",), EXIT_OK),
+        (("falsify", "-n", "3", "--budget", "10", "--seed", "3"), EXIT_OK),
+    ]
+    for argv, want in cases:
+        code, out, _ = run(capsys, *map(str, argv), "--json")
+        assert code == want, argv
+        assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n", argv
+
+
 def test_out_writes_json_file_and_keeps_stdout_human(capsys, tmp_path, corr_family_file):
     target = tmp_path / "catalog.json"
     code, out, _ = run(

@@ -1,4 +1,5 @@
-"""Report parsers: round trips through violation trails, and strictness."""
+"""The canonical writer against the stdlib, shared poset dicts, and the
+report parsers: round trips through violation trails, and strictness."""
 
 from __future__ import annotations
 
@@ -6,6 +7,8 @@ import copy
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ufgkit import jsonio
 from ufgkit.cli import main
@@ -14,10 +17,85 @@ from ufgkit.connectedness import (
     ConnectednessViolation,
     FalsificationReport,
     run_corrigendum,
+    verify_connectedness,
 )
 from ufgkit.errors import InvalidFormat
-from ufgkit.orders import GroundSet, empty_poset
+from ufgkit.orders import GroundSet, empty_poset, enumerate_all_posets
 from ufgkit.ufg import UfgCatalog, enumerate_ufg_exhaustive, explain_not_ufg, is_ufg
+
+
+# --- the writer --------------------------------------------------------------
+
+
+_texts = st.text(st.characters() | st.sampled_from('"\\/\x00\x1f\x7f\u00e9\u2028\U0001f600'))
+_scalars = st.none() | st.booleans() | st.integers() | st.floats() | _texts
+
+
+def _shared(value):
+    """One object held twice at one depth and once at two other depths."""
+    return {"twice": [value, value], "deeper": {"once": [value]}, "here": value}
+
+
+_values = st.recursive(
+    _scalars,
+    lambda children: (
+        st.lists(children, max_size=4)
+        | st.lists(children, max_size=4).map(tuple)
+        | st.dictionaries(_texts, children, max_size=4)
+        | children.map(_shared)
+    ),
+    max_leaves=20,
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(_values)
+@example({})
+@example([[], (), {}, {"": {}}])
+@example(_shared({"k": [1, 2.5, None]}))
+@example({'"\\\x00\x1f\u00e9\U0001f600': ["\n\t\u2028", True, False, -0.0, 10**30]})
+@example([float("inf"), float("-inf"), float("nan"), 1e-300, -7])
+def test_writer_gives_the_stdlib_bytes(value):
+    assert jsonio.dumps_canonical(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize(
+    "value", [{1: "a"}, {"a": {None: 1}}, [{("t",): 1}], {1.5: 0, 2.5: 1}, {True: 0}]
+)
+def test_writer_refuses_keys_that_are_not_strings(value):
+    with pytest.raises(TypeError):
+        jsonio.dumps_canonical(value)
+
+
+def test_poset_lines_are_the_stdlib_lines():
+    grounds = [GroundSet.numbered(n) for n in (1, 2, 4)] + [GroundSet(['a"', "\u00e9", "\\"])]
+    for ground in grounds:
+        orders = list(enumerate_all_posets(ground))
+        lines = list(jsonio.poset_lines(ground, orders))
+        assert lines == [json.dumps(jsonio.poset_to_obj(p), sort_keys=True) + "\n" for p in orders]
+
+
+def _poset_dicts(obj):
+    """Every poset dict in a payload, once per place that holds it."""
+    if isinstance(obj, dict) and obj.keys() == {"elements", "relations"}:
+        yield obj
+    elif isinstance(obj, (dict, list)):
+        for value in obj.values() if isinstance(obj, dict) else obj:
+            yield from _poset_dicts(value)
+
+
+def _objects_and_orders(payload) -> tuple[int, int]:
+    held = list(_poset_dicts(payload))
+    return len({id(d) for d in held}), len({json.dumps(d, sort_keys=True) for d in held})
+
+
+def test_a_payload_holds_one_dict_per_distinct_order(catalog3, g3, reports):
+    assert _objects_and_orders(jsonio.catalog_to_obj(catalog3)) == (19, 19)
+    objects, orders = _objects_and_orders(jsonio.connectedness_to_obj(verify_connectedness(g3)))
+    assert objects == orders > 1
+    for kind in ("connectedness", "falsification"):  # each with a violation trail
+        objects, orders = _objects_and_orders(reports[kind][0])
+        assert objects == orders > 1
 
 
 @pytest.fixture(scope="module")
