@@ -298,14 +298,17 @@ def _grown_families(
     if len(pool) < 3:
         return
     # a family is a sorted tuple of pool indices, so canonical as it grows,
-    # and the trial's catalog decides it
+    # and the trial's catalog decides it, one step from the family before
+    # with that family's leave-one-out lists
     limit = min(len(pool), default_max_family_size(ground))
     catalog = UfgCatalog(ground, pool, limit)
     indices = list(range(len(pool)))
     pairs = [(i, j) for i in indices for j in indices[i + 1:]]
     rng.shuffle(pairs)
-    for family in pairs[:30]:
-        if catalog.test(family) and catalog.get(family) is not None:
+    for i, j in pairs[:30]:
+        loo = catalog.step((i,), catalog.singleton, 1, j)
+        if loo is not None and catalog.get((i, j)) is not None:
+            family = (i, j)
             break
     else:
         return
@@ -314,12 +317,16 @@ def _grown_families(
         rng.shuffle(candidates)
         for k in candidates:
             pos = bisect(family, k)
+            child_loo = catalog.step(family, loo, pos, k)
+            if child_loo is None:
+                continue
             child = family[:pos] + (k,) + family[pos:]
-            if not (catalog.test(child) and catalog.get(child) is not None):
+            cert = catalog.get(child)
+            if cert is None:
                 continue
             # the family it grew from, decided one step earlier, is a predecessor
-            yield catalog.get(child).family
-            family = child
+            yield cert.family
+            family, loo = child, child_loo
             break
         else:
             return

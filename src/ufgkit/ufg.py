@@ -83,7 +83,8 @@ def _witness_interval(
     """The closure interval with the leave-one-out closures as ``outside``,
     whose members are the witnesses; None for a singleton or a family the
     prefilter turns away, which have none.  ``loo`` is the family's
-    ``_prefilter`` result when the caller has prefiltered."""
+    leave-one-out lists, as ``_prefilter`` returns them, when the caller
+    has prefiltered."""
     if loo is None:
         if len(members) < 2:
             return None
@@ -190,9 +191,11 @@ class UfgCatalog:
 
     ``pool`` is a canonical family of orders, and a family is a sorted
     tuple of pool indices: canonical too, since the pool is, and ordered
-    among families of its size as its canonical keys are.  ``test`` is the
+    among families of its size as its canonical keys are.  ``step`` is the
     one step that decides a family, for both enumerators and for the
-    falsification trials.
+    falsification trials: it grows a family by one pool index, carrying
+    the leave-one-out lists of the family beside it.  ``singleton`` is
+    those lists for a family of one order.
     """
 
     def __init__(self, ground: GroundSet, pool: tuple[Poset, ...], max_size: int):
@@ -200,7 +203,7 @@ class UfgCatalog:
         self.pool = pool
         self.max_size = max_size
         self._bits = [p.bits for p in pool]
-        self._full = ground.full_bits
+        self.singleton = ([ground.full_bits], [0])
         self._families: dict[tuple[int, ...], UfgCertificate] = {}
         self.stats: dict[str, object] = {
             "families_tested": 0,
@@ -211,19 +214,58 @@ class UfgCatalog:
     def add(self, family: tuple[int, ...], cert: UfgCertificate) -> None:
         self._families[family] = cert
 
-    def test(self, family: tuple[int, ...]) -> bool:
-        """Decide a family of two or more pool indices, adding it when it
-        is ufg; False when the distinguishing prefilter, which reads only
-        the pool's bits, turns it away.  ``stats`` count both outcomes."""
-        loo = _prefilter([self._bits[i] for i in family], self._full)
-        if loo is None:
+    def step(
+        self,
+        family: tuple[int, ...],
+        loo: tuple[list[int], list[int]],
+        pos: int,
+        k: int,
+    ) -> tuple[list[int], list[int]] | None:
+        """Decide the child ``family[:pos] + (k,) + family[pos:]``, adding
+        it when it is ufg, and return its leave-one-out ``(and, or)``
+        lists; None when the distinguishing prefilter turns it away.
+
+        ``loo`` is the parent's pair of lists, ``A_i`` and ``O_i``, the
+        AND and OR of every member but member i; ``b_i`` is member i's
+        bits and ``b_k`` the new order's.  Adding one order only meets
+        it into each AND and joins it into each OR:
+
+        - member i keeps ``A_i & b_k`` and ``O_i | b_k``;
+        - the new member gets the parent's whole AND and OR,
+          ``A_0 & b_0`` and ``O_0 | b_0``.
+
+        So the prefilter needs no pass over the child.  Member i keeps a
+        distinguishing attribute when ``A_i & b_k & ~b_i or b_i & ~O_i &
+        ~b_k``, and the new member when ``AND & ~b_k or b_k & ~OR``; the
+        test runs before any list is built, since most children fail it.
+        The child's lists go to the kernel, which does not filter again.
+        ``stats`` count both outcomes.  The step costs O(m) for a parent
+        of m members.
+        """
+        bits = self._bits
+        bk = bits[k]
+        ands, ors = loo
+        b0 = bits[family[0]]
+        whole_and, whole_or = ands[0] & b0, ors[0] | b0
+        if not (whole_and & ~bk or bk & ~whole_or):
             self.stats["filter_rejections"] += 1
-            return False
+            return None
+        not_bk = ~bk
+        for i, lo, up in zip(family, ands, ors):
+            b = bits[i]
+            if not (lo & bk & ~b or b & ~up & not_bk):
+                self.stats["filter_rejections"] += 1
+                return None
+        ands = [lo & bk for lo in ands]
+        ors = [up | bk for up in ors]
+        ands.insert(pos, whole_and)
+        ors.insert(pos, whole_or)
         self.stats["families_tested"] += 1
-        cert = _is_ufg_sorted(tuple(self.pool[i] for i in family), loo)
+        child = family[:pos] + (k,) + family[pos:]
+        cert = _is_ufg_sorted(tuple(self.pool[i] for i in child), (ands, ors))
         if cert is not None:
-            self._families[family] = cert
-        return True
+            self._families[child] = cert
+        return ands, ors
 
     def __len__(self) -> int:
         return len(self._families)
@@ -305,13 +347,15 @@ def enumerate_ufg_exhaustive(
         )
     catalog = UfgCatalog(ground, pool, max_size)
     start = time.perf_counter()
-    stack = [(i,) for i in range(len(pool))] if max_size >= 2 else []
+    # each family beside its leave-one-out lists; children go at the end
+    stack = [((i,), catalog.singleton) for i in range(len(pool))] if max_size >= 2 else []
     while stack:
-        family = stack.pop()
+        family, loo = stack.pop()
+        pos = len(family)
         for k in range(family[-1] + 1, len(pool)):
-            child = family + (k,)
-            if catalog.test(child) and len(child) < max_size:
-                stack.append(child)
+            child_loo = catalog.step(family, loo, pos, k)
+            if child_loo is not None and pos + 1 < max_size:
+                stack.append((family + (k,), child_loo))
     catalog.stats["elapsed_seconds"] = time.perf_counter() - start
     return catalog
 
@@ -341,13 +385,13 @@ def enumerate_ufg_connected(
     pool, max_size = _resolve_pool(ground, premises, cap, max_size)
     catalog = UfgCatalog(ground, pool, max_size)
     start = time.perf_counter()
-    # the ufg families of one size; the first level holds every single
-    # order, so every pair is opened, and two distinct orders always
-    # pass the prefilter
-    level = {(i,) for i in range(len(pool))}
+    # the ufg families of one size, each to its leave-one-out lists; the
+    # first level holds every single order, so every pair is opened, and
+    # two distinct orders always pass the prefilter
+    level = {(i,): catalog.singleton for i in range(len(pool))}
     for _ in range(1, max_size):
-        grown: set[tuple[int, ...]] = set()
-        for family in level:
+        grown: dict[tuple[int, ...], tuple[list[int], list[int]]] = {}
+        for family, loo in level.items():
             for k in range(len(pool)):
                 pos = bisect(family, k)
                 if pos and family[pos - 1] == k:
@@ -357,8 +401,9 @@ def enumerate_ufg_connected(
                 # leave-one-out subfamily in the level is the parent instead
                 if any(child[:j] + child[j + 1:] in level for j in range(pos)):
                     continue
-                if catalog.test(child) and catalog.get(child) is not None:
-                    grown.add(child)
+                child_loo = catalog.step(family, loo, pos, k)
+                if child_loo is not None and catalog.get(child) is not None:
+                    grown[child] = child_loo
                 if catalog.stats["families_tested"] > budget:
                     raise CombinatorialBudgetExceeded(
                         f"extension tests exceed the budget {budget}"

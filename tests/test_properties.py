@@ -1,9 +1,10 @@
 """Property tests on 4 items: the interval walk, the extension filter,
-the distinguishing sets and the witness kernel against the brute-force
-references and the independent deciders."""
+the catalog step, the distinguishing sets and the witness kernel against
+the brute-force references and the independent deciders."""
 
 from __future__ import annotations
 
+from bisect import bisect
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -153,6 +154,39 @@ def test_prefilter_failure_is_hereditary(base, data, extra):
         assert not _prefilter_passes(canonical_family(base + [inside] + extra))
 
 
+parents = st.lists(st.integers(0, len(ORDERS4) - 1), min_size=1, max_size=4, unique=True)
+
+
+@seeded
+@given(parents)
+@example([0])  # singleton parents: every child inserts at the end ...
+@example([len(ORDERS4) - 1])  # ... or at position 0
+@example([7])
+@example([0, 100, len(ORDERS4) - 1])  # both ends are taken: only inner positions
+@example([3, 40, 41, 150])
+def test_catalog_step_is_the_prefilter_of_the_child(indices):
+    # for every k outside the parent, at its insert position, the step's
+    # verdict and lists are the prefilter's on the child's bits, and the
+    # child is cataloged exactly when it is ufg
+    catalog = ufgkit.ufg.UfgCatalog(G4, ORDERS4, 6)  # every order on 4 items
+    family = tuple(sorted(indices))
+    loo = ufgkit.context._loo_and_or([ORDERS4[i].bits for i in family], G4.full_bits)
+    if len(family) == 1:
+        assert catalog.singleton == loo
+        loo = catalog.singleton
+    before = tuple(list(lists) for lists in loo)
+    for k in range(len(ORDERS4)):
+        pos = bisect(family, k)
+        if pos and family[pos - 1] == k:
+            continue
+        child = family[:pos] + (k,) + family[pos:]
+        expected = _prefilter([ORDERS4[i].bits for i in child], G4.full_bits)
+        assert catalog.step(family, loo, pos, k) == expected
+        if expected is not None:
+            assert catalog.get(child) == is_ufg(ORDERS4[i] for i in child)
+    assert loo == before  # the step leaves the parent's lists as they were
+
+
 def _naive_distinguishing(x, members, q):
     # the definition: the other members' AND and OR, then every pair position
     others_and, others_or = G4.full_bits, 0
@@ -227,19 +261,25 @@ def test_is_ufg_makes_one_leave_one_out_pass(corr, monkeypatch):
     assert len(calls) == 1  # kernel and certificate share it
 
 
-def test_catalog_test_runs_the_prefilter_once(corr, monkeypatch):
-    # the catalog's prefilter hands its leave-one-out pass to the kernel,
-    # which does not filter the family again
+def test_catalog_step_makes_no_leave_one_out_pass(corr, monkeypatch):
+    # a child decided through the step takes its lists from its parent's:
+    # no prefilter and no leave-one-out pass, and the kernel does not
+    # filter it again
     _, p1, p2, p3, _ = corr
     calls = []
-    original = ufgkit.ufg._prefilter
 
-    def counting(bits_list, full):
-        calls.append(1)
-        return original(bits_list, full)
+    def counting(original):
+        def wrapped(bits_list, full):
+            calls.append(original.__name__)
+            return original(bits_list, full)
+        return wrapped
 
-    monkeypatch.setattr(ufgkit.ufg, "_prefilter", counting)
+    monkeypatch.setattr(ufgkit.ufg, "_prefilter", counting(ufgkit.ufg._prefilter))
+    monkeypatch.setattr(ufgkit.context, "_loo_and_or", counting(ufgkit.context._loo_and_or))
+    monkeypatch.setattr(ufgkit.ufg, "_loo_and_or", counting(ufgkit.ufg._loo_and_or))
     pool = canonical_family([p1, p2, p3])
     catalog = ufgkit.ufg.UfgCatalog(p1.ground, pool, 3)
-    assert catalog.test((0, 1, 2)) and catalog.get((0, 1, 2)) is not None
-    assert len(calls) == 1
+    pair = catalog.step((0,), catalog.singleton, 1, 1)
+    assert catalog.step((0, 1), pair, 2, 2) is not None
+    assert catalog.get((0, 1, 2)) is not None
+    assert calls == []
