@@ -20,7 +20,6 @@ from .connectedness import (
 from .context import gamma_interval
 from .errors import UfgkitError
 from .oracles import (
-    FormalContext,
     gamma_explicit,
     is_generic,
     is_ufg_by_distinguishing,
@@ -94,7 +93,6 @@ def _load_inputs(args) -> tuple[GroundSet, list[Poset] | None]:
 
 
 _INPUT_HELP = "family file: {\"elements\": [...], \"posets\": [...]}"
-_CAP_HELP = "acknowledge enumeration beyond the size cap"
 
 
 def _add_output_flags(sub) -> None:
@@ -108,7 +106,8 @@ def _add_io_flags(sub) -> None:
     grp.add_argument("-n", "--size", type=_positive_int, metavar="N",
                      help="ground set of N items labelled x1..xN")
     grp.add_argument("--input", metavar="FILE.json", help=_INPUT_HELP)
-    sub.add_argument("--cap-override-ack", action="store_true", help=_CAP_HELP)
+    sub.add_argument("--cap-override-ack", action="store_true",
+                     help="acknowledge enumeration beyond the size cap")
     _add_output_flags(sub)
 
 
@@ -124,7 +123,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("closure", help="interval form of a family's closure")
     sub.add_argument("--input", metavar="FILE.json", required=True, help=_INPUT_HELP)
-    sub.add_argument("--cap-override-ack", action="store_true", help=_CAP_HELP)
     _add_output_flags(sub)
     sub.add_argument("--materialize", action="store_true",
                      help="list every order inside the closure")
@@ -203,7 +201,7 @@ def cmd_closure(args) -> int:
         lines.append(f"members: {len(closure_members)}")
         lines.extend("  " + _relation_str(p) for p in closure_members)
     if args.oracle:
-        explicit = gamma_explicit(family, FormalContext(ground, _effective_cap(args, ground)))
+        explicit = gamma_explicit(family)
         if set(closure_members) != explicit:
             raise UfgkitError("closure oracle mismatch: interval and derivation routes disagree")
         lines.append(f"oracle check: both closure routes agree on {len(explicit)} orders")
@@ -242,9 +240,8 @@ def cmd_check_ufg(args) -> int:
         "witness: " + _relation_str(cert.witness),
         "distinguishing:",
     ]
-    for d in cert.distinguishing():
-        attrs = sorted(a.text(ground) for a in d.attributes)
-        lines.append(f"  {_relation_str(d.member)}: " + ", ".join(attrs))
+    for member, attrs in zip(cert.family, jsonio._distinguishing_texts(cert).values()):
+        lines.append(f"  {_relation_str(member)}: " + ", ".join(attrs))
     if args.debug:
         lines.append("cross-check: all three deciders agree")
     _emit(args, lines, lambda: {"ufg": True, "certificate": jsonio.certificate_to_obj(cert)})

@@ -19,8 +19,8 @@ from .connectedness import (
     ConnectednessReport,
     CorrigendumScenario,
     FalsificationReport,
-    ScenarioCheck,
     ConnectednessViolation,
+    run_corrigendum,
 )
 from .errors import InvalidFormat, MixedGroundSets, UfgkitError
 from .orders import GroundSet, Poset, canonical_family, canonical_key, make_poset
@@ -316,6 +316,15 @@ def _raw(value: Any, where: str) -> Any:
     return value
 
 
+def _validated(members: tuple[Poset, ...], witness: Poset, where: str) -> UfgCertificate:
+    cert = UfgCertificate(members, witness)
+    try:
+        cert.validate()
+    except (AssertionError, UfgkitError) as exc:
+        raise InvalidFormat(f"{where}: {exc}") from None
+    return cert
+
+
 def certificate_from_obj(obj: Any, where: str = "certificate") -> UfgCertificate:
     """A certificate re-validated from its members and witness; the
     ``distinguishing`` texts must be the ones they derive."""
@@ -324,11 +333,7 @@ def certificate_from_obj(obj: Any, where: str = "certificate") -> UfgCertificate
         "witness": poset_from_obj,
         "distinguishing": _raw,
     })
-    cert = UfgCertificate(rec["members"], rec["witness"])
-    try:
-        cert.validate()
-    except (AssertionError, UfgkitError) as exc:
-        raise InvalidFormat(f"{where}: {exc}") from None
+    cert = _validated(rec["members"], rec["witness"], where)
     _require(
         rec["distinguishing"] == _distinguishing_texts(cert),
         f"{where}.distinguishing",
@@ -394,26 +399,47 @@ def violation_from_obj(obj: Any, where: str = "violation") -> ConnectednessViola
             "analysis": _analysis_from_obj,
         })),
     })
+    _require(rec["family"] == rec["certificate"].family, f"{where}.family",
+             "differs from the members of its certificate")
     return ConnectednessViolation(rec["family"], rec["certificate"], rec["leave_one_out"])
 
 
+def _predecessor_from_obj(obj: Any, where: str) -> dict:
+    """An entry whose witness certifies its predecessor, the family
+    without exactly one of its members."""
+    rec = _record(obj, where, {
+        "family": _posets,
+        "predecessor": _posets,
+        "witness": poset_from_obj,
+    })
+    family, predecessor = rec["family"], rec["predecessor"]
+    _validated(predecessor, rec["witness"], where)
+    _require(any(family[:j] + family[j + 1:] == predecessor for j in range(len(family))),
+             f"{where}.predecessor", "is not the family without one of its members")
+    return rec
+
+
 def connectedness_from_obj(obj: Any, where: str = "report") -> ConnectednessReport:
-    return ConnectednessReport(**_record(obj, where, {
+    """A report whose counts are those of its lists: every predecessor
+    entry is a connected family, every violation one more checked."""
+    rec = _record(obj, where, {
         "ground": _parse_elements,
         "max_size": _int,
         "checked": _int,
         "connected": _int,
         "violations": _list(violation_from_obj),
-        "predecessors": _list(_record_of({
-            "family": _posets,
-            "predecessor": _posets,
-            "witness": poset_from_obj,
-        })),
-    }))
+        "predecessors": _list(_predecessor_from_obj),
+    })
+    connected = len(rec["predecessors"])
+    _require(rec["connected"] == connected, f"{where}.connected",
+             "does not count the predecessor entries")
+    _require(rec["checked"] == connected + len(rec["violations"]), f"{where}.checked",
+             "does not count the predecessor entries and the violations")
+    return ConnectednessReport(**rec)
 
 
 def falsification_from_obj(obj: Any, where: str = "report") -> FalsificationReport:
-    return FalsificationReport(**_record(obj, where, {
+    rec = _record(obj, where, {
         "n_range": lambda value, spot: tuple(_list(_int)(value, spot)),
         "budget": _int,
         "seed": _int,
@@ -423,17 +449,17 @@ def falsification_from_obj(obj: Any, where: str = "report") -> FalsificationRepo
         "violation": lambda value, spot: (
             None if value is None else violation_from_obj(value, spot)
         ),
-    }))
+    })
+    _require(rec["trials"] == rec["budget"], f"{where}.trials", "differs from the budget")
+    return FalsificationReport(**rec)
 
 
 def scenario_from_obj(obj: Any, where: str = "scenario") -> CorrigendumScenario:
-    rec = _record(obj, where, {
-        "ground": _parse_elements,
-        "posets": _record_of(dict.fromkeys(("p1", "p2", "p3", "q"), poset_from_obj)),
-        "assertions": _list(_record_of({"name": _str, "passed": _bool, "detail": _str})),
-    })
-    checks = [ScenarioCheck(**c) for c in rec["assertions"]]
-    return CorrigendumScenario(rec["ground"], **rec["posets"], checks=checks)
+    """The scenario :func:`run_corrigendum` replays, written as it writes it."""
+    scenario = run_corrigendum()
+    same = dumps_canonical(obj) == dumps_canonical(scenario_to_obj(scenario))
+    _require(same, where, "differs from the replayed scenario")
+    return scenario
 
 
 def count_payload_from_obj(obj: Any, where: str = "payload") -> dict:

@@ -4,8 +4,8 @@ Nothing in the library calls these: they exist so that the tests, and
 ``closure --oracle`` / ``check-ufg --debug`` on the command line, can
 check the interval closure and the witness scan against answers reached
 another way.  The closure route goes through the explicit derivation
-operators of the attribute context, whose objects are all partial
-orders of a ground set; the two deciders go through per-member
+operators of the attribute context a ground set fixes, whose objects
+are all partial orders of it; the two deciders go through per-member
 distinguishing attributes and through the two defining conditions,
 genericity and materialized proper-subset closures.
 """
@@ -15,23 +15,20 @@ from __future__ import annotations
 from collections.abc import Iterable
 from itertools import combinations, islice
 
-from .context import LEQ, NLEQ, Attribute, _distinguishing_sets, all_attributes, gamma_interval
+from .context import LEQ, NLEQ, Attribute, _distinguishing_sets, gamma_interval
 from .errors import (
     EmptyFamily,
-    GroundSetTooLarge,
     InconsistentAttributes,
     MixedGroundSets,
     NotAntisymmetric,
     ObjectNotInContext,
 )
 from .orders import (
-    CAP_ENV_VAR,
     BinaryRelation,
     GroundSet,
     Poset,
     PosetInterval,
     canonical_family,
-    resolve_cap,
     transitive_closure,
 )
 
@@ -43,29 +40,12 @@ def incidence(p: Poset, m: Attribute) -> bool:
     return present if m.kind == LEQ else not present
 
 
-class FormalContext:
-    """All partial orders of a ground set against scaled pair attributes.
-
-    Incidence is computed and never stored.
-    """
-
-    def __init__(self, ground: GroundSet, cap: int | None = None):
-        self.ground = ground
-        self.cap = cap
-
-
-def psi(A: Iterable[Poset], ctx: FormalContext) -> frozenset[Attribute]:
+def psi(A: Iterable[Poset], ground: GroundSet) -> frozenset[Attribute]:
     """Attributes shared by every order in A; all of them for empty A."""
-    members = list(A)
-    ground = ctx.ground
-    if not members:
-        return frozenset(all_attributes(ground))
-    for g in members:
+    inter, union = ground.full_bits, 0
+    for g in A:
         if g.ground != ground:
             raise ObjectNotInContext(f"{g!r} is not an object of the context")
-    inter = ground.full_bits
-    union = 0
-    for g in members:
         inter &= g.bits
         union |= g.bits
     attrs = []
@@ -83,19 +63,19 @@ class PhiExtent:
 
     LEQ attributes become required pairs, NLEQ attributes forbidden
     pairs.  The extent is used almost exclusively through the membership
-    predicate; materialization is explicit because the full object space
-    explodes with the ground size.
+    predicate; materialization walks the interval of orders between the
+    required pairs and every pair not forbidden.
     """
 
-    __slots__ = ("ctx", "required_bits", "forbidden_bits")
+    __slots__ = ("ground", "required_bits", "forbidden_bits")
 
-    def __init__(self, ctx: FormalContext, required_bits: int, forbidden_bits: int):
-        self.ctx = ctx
+    def __init__(self, ground: GroundSet, required_bits: int, forbidden_bits: int):
+        self.ground = ground
         self.required_bits = required_bits
         self.forbidden_bits = forbidden_bits
 
     def contains(self, p: Poset) -> bool:
-        if p.ground != self.ctx.ground:
+        if p.ground != self.ground:
             raise MixedGroundSets("query poset lives on a different ground set")
         return not (self.required_bits & ~p.bits) and not (p.bits & self.forbidden_bits)
 
@@ -105,16 +85,10 @@ class PhiExtent:
         Raises :class:`InconsistentAttributes` when a pair is both
         required and forbidden (the extent is empty in that case).
         """
-        ground = self.ctx.ground
+        ground = self.ground
         if self.required_bits & self.forbidden_bits:
             raise InconsistentAttributes(
                 "a pair is both required (leq) and forbidden (nleq); the extent is empty"
-            )
-        limit = resolve_cap(self.ctx.cap)
-        if ground.size > limit:
-            raise GroundSetTooLarge(
-                f"materializing over all orders of {ground.size} items exceeds "
-                f"the cap {limit} (env {CAP_ENV_VAR} raises it)"
             )
         closed = transitive_closure(BinaryRelation(ground, self.required_bits))
         if closed.bits & self.forbidden_bits:
@@ -127,9 +101,8 @@ class PhiExtent:
         return tuple(PosetInterval(lower, upper).posets())
 
 
-def phi(B: Iterable[Attribute], ctx: FormalContext) -> PhiExtent:
+def phi(B: Iterable[Attribute], ground: GroundSet) -> PhiExtent:
     """Constraint form of the common objects of an attribute set."""
-    ground = ctx.ground
     required = 0
     forbidden = 0
     for m in B:
@@ -139,16 +112,18 @@ def phi(B: Iterable[Attribute], ctx: FormalContext) -> PhiExtent:
             required |= 1 << k
         else:
             forbidden |= 1 << k
-    return PhiExtent(ctx, required, forbidden)
+    return PhiExtent(ground, required, forbidden)
 
 
-def gamma_explicit(S: Iterable[Poset], ctx: FormalContext) -> frozenset[Poset]:
-    """Closure computed the long way round, through both derivations:
-    the independent oracle for the interval shortcut."""
+def gamma_explicit(S: Iterable[Poset]) -> frozenset[Poset]:
+    """Closure computed the long way round, through both derivations on
+    the context of the members' ground: the independent oracle for the
+    interval shortcut."""
     members = list(S)
     if not members:
         raise EmptyFamily("the family has no members")
-    return frozenset(phi(psi(members, ctx), ctx).materialize())
+    ground = members[0].ground
+    return frozenset(phi(psi(members, ground), ground).materialize())
 
 
 def intersect_family(family: Iterable[Poset]) -> Poset:

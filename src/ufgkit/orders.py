@@ -90,9 +90,6 @@ class GroundSet:
         i, r = divmod(k, n1)
         return i, (r if r < i else r + 1)
 
-    def __len__(self) -> int:
-        return len(self.labels)
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, GroundSet) and self.labels == other.labels
 

@@ -28,7 +28,6 @@ from ufgkit.connectedness import (
     verify_connectedness,
 )
 from ufgkit.oracles import (
-    FormalContext,
     gamma_explicit,
     is_generic,
     is_ufg_by_distinguishing,
@@ -90,9 +89,8 @@ def test_criterion_2_closure_axioms(pool3):
 
 def test_criterion_3_closure_oracle_equivalence(pool3):
     with criterion(3, "interval closure equals derivation closure", 30.0):
-        ctx = FormalContext(pool3[0].ground)
         for S in _families_up_to(pool3, 3):
-            assert gamma_explicit(S, ctx) == frozenset(gamma_interval(S).posets())
+            assert gamma_explicit(S) == frozenset(gamma_interval(S).posets())
 
 
 def test_criterion_4_three_deciders_agree(pool3):

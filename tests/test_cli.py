@@ -8,6 +8,7 @@ import pytest
 
 from ufgkit import cli, jsonio
 from ufgkit.cli import EXIT_ERROR, EXIT_NOT_UFG, EXIT_OK, main
+from ufgkit.orders import GroundSet, make_poset
 
 
 @pytest.fixture
@@ -63,15 +64,10 @@ def test_cap_override_lifts_the_cap_to_a_loaded_ground(capsys, monkeypatch, tmp_
         {"elements": ["a", "b", "c"], "posets": [[["a", "b"]], [["b", "c"]]]}
     ))
     monkeypatch.setenv("UFGKIT_CAP", "2")
-    for argv in (("posets",), ("closure", "--oracle")):
-        code, _, err = run(capsys, *argv, "--input", str(path))
-        assert code == EXIT_ERROR and "cap" in err, argv
+    code, _, err = run(capsys, "posets", "--input", str(path))
+    assert code == EXIT_ERROR and "cap" in err
     code, out, _ = run(capsys, "posets", "--input", str(path), "--cap-override-ack")
     assert code == EXIT_OK and out.strip() == "19"
-    code, out, _ = run(
-        capsys, "closure", "--input", str(path), "--oracle", "--cap-override-ack"
-    )
-    assert code == EXIT_OK and "both closure routes agree on 3 orders" in out
 
 
 # --- closure -----------------------------------------------------------------
@@ -92,6 +88,17 @@ def test_closure_materialize_and_oracle(capsys, corr_family_file):
     assert "members: 14" in out
     assert "{a<b, a1<b1, a1<c1, b1<c1}" in out  # q is among the members
     assert "both closure routes agree on 14 orders" in out
+
+
+def test_closure_oracle_on_a_ground_beyond_the_cap(capsys, tmp_path):
+    # the oracle walks the closure interval, as --materialize does: no cap
+    g = GroundSet.numbered(7)
+    family = [make_poset(g, [(f"x{i}", f"x{i + 1}")]) for i in (1, 3, 5)]
+    path = tmp_path / "seven.json"
+    path.write_text(jsonio.dumps_canonical(jsonio.family_to_obj(family)))
+    code, out, err = run(capsys, "closure", "--input", str(path), "--oracle")
+    assert code == EXIT_OK and err == ""
+    assert "oracle check: both closure routes agree on 8 orders" in out
 
 
 def test_closure_of_singleton_family(capsys, tmp_path, corr):
@@ -281,6 +288,7 @@ def test_usage_errors_exit_one(capsys):
         (("falsify", "-n", ""), {}),
         (("posets", "-n", "3"), {"UFGKIT_CAP": "abc"}),
         (("posets", "-n", "3"), {"UFGKIT_CAP": "0"}),
+        (("closure", "--input", "x.json", "--cap-override-ack"), {}),
     ],
 )
 def test_bad_input_exits_one_without_traceback(capsys, monkeypatch, argv, env):

@@ -9,7 +9,6 @@ import pytest
 from ufgkit.errors import (
     EmptyFamily,
     FamilyTooSmall,
-    GroundSetTooLarge,
     InconsistentAttributes,
     IndexOutOfRange,
     MemberNotInFamily,
@@ -32,7 +31,6 @@ from ufgkit.context import (
     partition_distinguishing,
 )
 from ufgkit.oracles import (
-    FormalContext,
     gamma_explicit,
     implication_valid,
     incidence,
@@ -79,16 +77,14 @@ def test_attribute_count(g3):
 
 def test_psi_singleton_row(corr):
     ground, p1, _, _, _ = corr
-    ctx = FormalContext(ground)
-    row = psi([p1], ctx)
+    row = psi([p1], ground)
     assert len(row) == ground.pair_count  # one attribute per ordered pair
     assert all(incidence(p1, m) for m in row)
 
 
 def test_psi_counterexample_pair(corr):
     ground, _, p2, p3, _ = corr
-    ctx = FormalContext(ground)
-    shared = psi([p2, p3], ctx)
+    shared = psi([p2, p3], ground)
     texts = {m.text(ground) for m in shared}
     assert "nleq(a,b)" in texts
     assert "nleq(a1,c1)" in texts
@@ -96,40 +92,35 @@ def test_psi_counterexample_pair(corr):
 
 
 def test_psi_empty_set_gives_all_attributes(g3):
-    ctx = FormalContext(g3)
-    assert psi([], ctx) == frozenset(all_attributes(g3))
+    assert psi([], g3) == frozenset(all_attributes(g3))
 
 
 def test_psi_rejects_foreign_objects(g2, g3):
     with pytest.raises(ObjectNotInContext):
-        psi([empty_poset(g3)], FormalContext(g2))
+        psi([empty_poset(g3)], g2)
 
 
 def test_phi_empty_attribute_set(g2):
-    ctx = FormalContext(g2)
-    assert set(phi([], ctx).materialize()) == set(enumerate_all_posets(g2))
+    assert set(phi([], g2).materialize()) == set(enumerate_all_posets(g2))
 
 
 def test_phi_of_full_row_is_the_object(corr):
     ground, p1, _, _, _ = corr
-    ctx = FormalContext(ground)
-    extent = phi(psi([p1], ctx), ctx).materialize()
+    extent = phi(psi([p1], ground), ground).materialize()
     assert extent == (p1,)
 
 
 def test_phi_mixed_constraints_on_counterexample(corr):
     ground, _, p2, p3, q = corr
-    ctx = FormalContext(ground)
     a1, b1, c1 = (ground.index(l) for l in ("a1", "b1", "c1"))
-    ext = phi([Attribute(LEQ, a1, b1), Attribute(NLEQ, b1, c1)], ctx)
+    ext = phi([Attribute(LEQ, a1, b1), Attribute(NLEQ, b1, c1)], ground)
     assert ext.contains(p2)
     assert not ext.contains(p3)
     assert not ext.contains(q)
 
 
 def test_phi_inconsistency_is_lazy(g2):
-    ctx = FormalContext(g2)
-    ext = phi([Attribute(LEQ, 0, 1), Attribute(NLEQ, 0, 1)], ctx)
+    ext = phi([Attribute(LEQ, 0, 1), Attribute(NLEQ, 0, 1)], g2)
     assert not ext.contains(empty_poset(g2))  # predicate still answers
     with pytest.raises(InconsistentAttributes):
         ext.materialize()
@@ -137,22 +128,20 @@ def test_phi_inconsistency_is_lazy(g2):
 
 def test_phi_unsatisfiable_but_consistent_gives_empty_extent(g3):
     # required pairs close into a cycle: no order qualifies, nothing raises
-    ctx = FormalContext(g3)
-    ext = phi([Attribute(LEQ, 0, 1), Attribute(LEQ, 1, 0)], ctx)
+    ext = phi([Attribute(LEQ, 0, 1), Attribute(LEQ, 1, 0)], g3)
     assert ext.materialize() == ()
 
 
 def test_galois_property_sampled(pool3):
     g = pool3[0].ground
-    ctx = FormalContext(g)
     attrs = all_attributes(g)
     rng = random.Random(13)
     for _ in range(60):
         A = rng.sample(pool3, rng.randint(0, 3))
         B = rng.sample(attrs, rng.randint(0, 4))
-        ext = phi(B, ctx)
+        ext = phi(B, g)
         lhs = all(ext.contains(p) for p in A)
-        rhs = set(B) <= psi(A, ctx)
+        rhs = set(B) <= psi(A, g)
         assert lhs == rhs
 
 
@@ -194,38 +183,39 @@ def test_gamma_interval_makes_no_canonical_family(corr, monkeypatch):
 
 
 def test_gamma_explicit_matches_interval_on_samples(pool3):
-    g = pool3[0].ground
-    ctx = FormalContext(g)
     rng = random.Random(3)
     for _ in range(50):
         S = rng.sample(pool3, rng.randint(1, 3))
-        assert gamma_explicit(S, ctx) == frozenset(gamma_interval(S).posets())
+        assert gamma_explicit(S) == frozenset(gamma_interval(S).posets())
 
 
 def test_gamma_explicit_counterexample(corr):
     ground, p1, p2, p3, q = corr
-    ctx = FormalContext(ground)
-    closure = gamma_explicit([p1, p2, p3], ctx)
+    closure = gamma_explicit([p1, p2, p3])
     assert {p1, p2, p3, q} <= closure
 
 
-def test_gamma_explicit_respects_cap():
+def test_gamma_explicit_is_uncapped_like_the_interval_walk():
+    # a 7-item ground is beyond the default cap on enumerating every order
     g = GroundSet.numbered(7)
-    ctx = FormalContext(g)
-    with pytest.raises(GroundSetTooLarge):
-        gamma_explicit([empty_poset(g)], ctx)
+    S = [make_poset(g, [(f"x{i}", f"x{i + 1}")]) for i in (1, 3, 5)]
+    closure = gamma_explicit(S)
+    assert closure == set(gamma_interval(S).posets())
+    assert len(closure) == 8
 
 
-def test_gamma_rejects_empty_family(g2):
+def test_gamma_rejects_empty_family():
     with pytest.raises(EmptyFamily):
         gamma_interval([])
     with pytest.raises(EmptyFamily):
-        gamma_explicit([], FormalContext(g2))
+        gamma_explicit([])
 
 
 def test_gamma_rejects_mixed_ground_sets(g2, g3):
     with pytest.raises(MixedGroundSets):
         gamma_interval([empty_poset(g2), empty_poset(g3)])
+    with pytest.raises(ObjectNotInContext):  # the context is the first member's
+        gamma_explicit([empty_poset(g2), empty_poset(g3)])
 
 
 def test_closure_axioms_sampled(pool3):
@@ -258,15 +248,13 @@ def test_implication_reflexive_and_empty(corr):
 
 def test_implication_matches_membership_reading(pool3):
     # the bound form agrees with "conclusion inside the closure of the premise"
-    g = pool3[0].ground
-    ctx = FormalContext(g)
     rng = random.Random(17)
     for _ in range(60):
         Y = rng.sample(pool3, rng.randint(1, 3))
         Z = rng.sample(pool3, rng.randint(1, 3))
         got = implication_valid(Y, Z)
-        closure = gamma_explicit(Y, ctx)
-        assert got == (gamma_explicit(Z, ctx) <= closure)
+        closure = gamma_explicit(Y)
+        assert got == (gamma_explicit(Z) <= closure)
         assert got == all(z in closure for z in Z)
 
 

@@ -16,6 +16,7 @@ from ufgkit.connectedness import (
     ConnectednessReport,
     ConnectednessViolation,
     FalsificationReport,
+    has_predecessor,
     run_corrigendum,
     verify_connectedness,
 )
@@ -104,7 +105,8 @@ def violation(corr):
     not-ufg shapes: a single order, a family that is not generic, and one
     that is not union-free (the only shape with blockers)."""
     ground, p1, p2, p3, q = corr
-    family = (p1, p2, p3)
+    cert = is_ufg((p1, p2, p3))
+    family = cert.family
     analyses = [
         explain_not_ufg([p1]),
         explain_not_ufg([empty_poset(ground), p2]),
@@ -115,21 +117,24 @@ def violation(corr):
         {"removed": m, "members": tuple(x for x in family if x != m), "analysis": a}
         for m, a in zip(family, analyses)
     ]
-    return ConnectednessViolation(family, is_ufg(family), trail)
+    return ConnectednessViolation(family, cert, trail)
 
 
 @pytest.fixture(scope="module")
 def reports(corr, violation):
     """Serialized reports of every kind, each with its parser and writer."""
-    ground, _, p2, p3, _ = corr
-    cert = is_ufg(violation.family)
+    ground = corr[0]
+    cert = violation.certificate
+    predecessor, sub = has_predecessor(cert.family)
     connectedness = ConnectednessReport(
         ground=ground,
         max_size=3,
         checked=2,
         connected=1,
         violations=[violation],
-        predecessors=[{"family": cert.family, "predecessor": (p2, p3), "witness": cert.witness}],
+        predecessors=[
+            {"family": cert.family, "predecessor": predecessor, "witness": sub.witness}
+        ],
     )
     falsification = FalsificationReport(
         n_range=(4, 5), budget=3, seed=-2, pool_size=8, trials=3,
@@ -218,6 +223,13 @@ def test_dropping_any_key_the_serializer_writes_is_rejected(capsys, tmp_path, co
     assert dropped > 400
 
 
+def _set(obj, spot, value):
+    holder = obj
+    for step in spot[:-1]:
+        holder = holder[step]
+    holder[spot[-1]] = value
+
+
 @pytest.mark.parametrize(
     "kind, spot, value",
     [
@@ -236,11 +248,63 @@ def test_dropping_any_key_the_serializer_writes_is_rejected(capsys, tmp_path, co
 def test_wrong_types_and_extra_keys_are_rejected(reports, kind, spot, value):
     obj, parse, _ = reports[kind]
     obj = copy.deepcopy(obj)
-    holder = obj
-    for step in spot[:-1]:
-        holder = holder[step]
-    holder[spot[-1]] = value
+    _set(obj, spot, value)
     with pytest.raises(InvalidFormat):
+        parse(obj)
+
+
+def _certificate(obj):
+    return obj["violations"][0]["certificate"]
+
+
+def _family_without_a_predecessor_member(obj):
+    # one order of the predecessor gives way to an order outside the family
+    entry, cert = obj["predecessors"][0], _certificate(obj)
+    entry["family"] = [cert["witness"] if m == entry["predecessor"][0] else m
+                       for m in entry["family"]]
+
+
+# each forgery keeps the report's shape and types, so only the parser's
+# cross-checks against its own lists can catch it
+FORGERIES = {
+    "checked-too-high": ("connectedness", lambda o: _set(o, ("checked",), 3),
+                         r"^report\.checked: does not count"),
+    "connected-too-low": ("connectedness", lambda o: _set(o, ("connected",), 0),
+                          r"^report\.connected: does not count"),
+    "predecessor-with-the-family-witness": (
+        "connectedness",
+        lambda o: _set(o, ("predecessors", 0, "witness"), _certificate(o)["witness"]),
+        r"^report\.predecessors\[0\]: witness fails re-validation"),
+    "predecessor-not-inside-the-family": (
+        "connectedness", _family_without_a_predecessor_member,
+        r"^report\.predecessors\[0\]\.predecessor: is not the family without one"),
+    "predecessor-is-the-family": (
+        "connectedness",
+        lambda o: _set(o, ("predecessors", 0, "family"), o["predecessors"][0]["predecessor"]),
+        r"^report\.predecessors\[0\]\.predecessor: is not the family without one"),
+    "violation-family-not-its-certificate": (
+        "connectedness",
+        lambda o: _set(o, ("violations", 0, "family"), _certificate(o)["members"][::-1]),
+        r"^report\.violations\[0\]\.family: differs from the members"),
+    "scenario-passed-flipped": ("scenario",
+                                lambda o: _set(o, ("assertions", 2, "passed"), False),
+                                r"^scenario: differs from the replayed scenario"),
+    "scenario-detail-edited": ("scenario",
+                               lambda o: _set(o, ("assertions", 0, "detail"), "all fine"),
+                               r"^scenario: differs from the replayed scenario"),
+    "falsification-trials-not-budget": ("falsification",
+                                        lambda o: _set(o, ("trials",), 2),
+                                        r"^report\.trials: differs from the budget"),
+}
+
+
+@pytest.mark.parametrize("name", FORGERIES)
+def test_forged_reports_are_rejected(reports, name):
+    kind, forge, message = FORGERIES[name]
+    obj, parse, _ = reports[kind]
+    obj = copy.deepcopy(obj)
+    forge(obj)
+    with pytest.raises(InvalidFormat, match=message):
         parse(obj)
 
 
