@@ -35,9 +35,9 @@ from .orders import (
 )
 from .ufg import (
     DEFAULT_SUBSET_BUDGET,
+    _not_ufg_reason,
     enumerate_ufg_connected,
     enumerate_ufg_exhaustive,
-    explain_not_ufg,
     is_ufg,
 )
 
@@ -230,9 +230,9 @@ def cmd_check_ufg(args) -> int:
         if (cert is not None) != by_attrs or (cert is not None) != by_conditions:
             raise UfgkitError("ufg deciders disagree; this is a bug")
     if cert is None:
-        analysis = explain_not_ufg(family)
-        lines = [f"family: {len(family)} orders", "ufg: no", f"reason: {analysis['reason']}"]
-        _emit(args, lines, lambda: {"ufg": False, "reason": analysis["reason"]})
+        reason = _not_ufg_reason(family)
+        lines = [f"family: {len(family)} orders", "ufg: no", f"reason: {reason}"]
+        _emit(args, lines, lambda: {"ufg": False, "reason": reason})
         return EXIT_NOT_UFG
     lines = [
         f"family: {len(family)} orders on {{{', '.join(ground.labels)}}}",

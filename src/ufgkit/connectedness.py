@@ -299,15 +299,16 @@ def _grown_families(
         return
     # a family is a sorted tuple of pool indices, so canonical as it grows,
     # and the trial's catalog decides it, one step from the family before
-    # with that family's leave-one-out lists
+    # with that family's leave-one-out lists; a trial only counts, so the
+    # catalog decides by the root search and writes no certificate
     limit = min(len(pool), default_max_family_size(ground))
-    catalog = UfgCatalog(ground, pool, limit)
+    catalog = UfgCatalog(ground, pool, limit, witnesses=False)
     indices = list(range(len(pool)))
     pairs = [(i, j) for i in indices for j in indices[i + 1:]]
     rng.shuffle(pairs)
     for i, j in pairs[:30]:
         loo = catalog.step((i,), catalog.singleton, 1, j)
-        if loo is not None and catalog.get((i, j)) is not None:
+        if loo is not None and (i, j) in catalog:
             family = (i, j)
             break
     else:
@@ -321,11 +322,10 @@ def _grown_families(
             if child_loo is None:
                 continue
             child = family[:pos] + (k,) + family[pos:]
-            cert = catalog.get(child)
-            if cert is None:
+            if child not in catalog:
                 continue
             # the family it grew from, decided one step earlier, is a predecessor
-            yield cert.family
+            yield tuple(pool[i] for i in child)
             family, loo = child, child_loo
             break
         else:
@@ -346,7 +346,10 @@ def falsification_search(
     """Run seeded random growth trials and count the families they reach.
 
     A trial keeps only ufg children, so the parent of each family it
-    counts is a ufg predecessor and ``violation`` stays None.  Randomness
+    counts is a ufg predecessor and ``violation`` stays None.  It only
+    counts, so its catalog decides each child by the root search of the
+    witness scan (:func:`ufgkit.ufg._decides`), with no walk to a
+    witness and no certificate.  Randomness
     comes from (seed, trial index) alone: threads never change the report.
     At most ``min(threads, budget, os.cpu_count())`` worker threads run.
     """

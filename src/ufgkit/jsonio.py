@@ -421,7 +421,9 @@ def _predecessor_from_obj(obj: Any, where: str) -> dict:
 
 def connectedness_from_obj(obj: Any, where: str = "report") -> ConnectednessReport:
     """A report whose counts are those of its lists: every predecessor
-    entry is a connected family, every violation one more checked."""
+    entry is a connected family, every violation one more checked.  Its
+    families lie on its ground and within its ``max_size``, and the
+    predecessor entries come once each, in the writer's order."""
     rec = _record(obj, where, {
         "ground": _parse_elements,
         "max_size": _int,
@@ -435,6 +437,21 @@ def connectedness_from_obj(obj: Any, where: str = "report") -> ConnectednessRepo
              "does not count the predecessor entries")
     _require(rec["checked"] == connected + len(rec["violations"]), f"{where}.checked",
              "does not count the predecessor entries and the violations")
+    families = [entry["family"] for entry in rec["predecessors"]]
+    listed = families + [v.family for v in rec["violations"]]
+    _require(all(m.ground == rec["ground"] for family in listed for m in family),
+             f"{where}.ground", "differs from the ground of its families")
+    _require(rec["max_size"] >= max(map(len, listed), default=0), f"{where}.max_size",
+             "is below the size of a family it lists")
+    # the writer lists the families by size, then in canonical order; an
+    # entry repeated further on is out of order there
+    last: tuple = ()
+    for i, family in enumerate(families):
+        key = (len(family), tuple(canonical_key(m) for m in family))
+        _require(key != last, f"{where}.predecessors[{i}]", "repeats the entry before it")
+        _require(last < key, f"{where}.predecessors[{i}]",
+                 "out of order: families go by size, then in canonical order")
+        last = key
     return ConnectednessReport(**rec)
 
 

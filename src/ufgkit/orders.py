@@ -439,6 +439,38 @@ def _escape(m: int, allowed: int, subs: list[tuple[int, int]], table: _SizeTable
     return None
 
 
+def _interval_setup(
+    table: _SizeTable, lower_bits: int, upper_bits: int, outside: Iterable[tuple[int, int]]
+) -> tuple[list[tuple[int, int]], int, int, list[tuple]]:
+    """The matrices of a walk over [lower, upper] outside ``outside``, as
+    :func:`_escape` takes them: the sub-intervals that meet the interval,
+    the lower bound ``m`` and the ``allowed`` upper bound, all packed as
+    by :func:`_bits_to_matrix`, and the step-table row of each free pair
+    in pair-position order.  Every such row is filled on the way."""
+    # unpacked in one loop each: two calls per sub-interval cost more
+    # than the whole walk of a small decision
+    subs = []
+    for lo, up in outside:
+        if not (lo & ~(upper_bits & up) or lower_bits & ~up):
+            lo_m = up_m = 0
+            for s, cells in table.shifts:
+                lo_m |= (lo << s) & cells
+                up_m |= (up << s) & cells
+            subs.append((lo_m, up_m))
+    m = 0
+    for s, cells in table.shifts:
+        m |= (lower_bits << s) & cells
+    allowed, rows, steps = m, table.steps, []
+    free_bits = upper_bits & ~lower_bits
+    while free_bits:
+        low = free_bits & -free_bits
+        row = rows[low.bit_length() - 1] or table.step(low.bit_length() - 1)
+        steps.append(row)
+        allowed |= row[1]
+        free_bits ^= low
+    return subs, m, allowed, steps
+
+
 def _interval_bits(
     ground: GroundSet,
     lower_bits: int,
@@ -474,28 +506,9 @@ def _interval_bits(
     every leaf reached is a member with no test of its own.  Without
     sub-intervals no search runs and the hint stays 0.
     """
-    free_bits = upper_bits & ~lower_bits
     table = _size_table(len(ground.labels))
-    col0, row_mask, rows = table.col0, table.row_mask, table.steps
-    # the sub-intervals that meet [lower, upper], unpacked as by
-    # _bits_to_matrix in one loop each: two calls per sub-interval cost
-    # more than the whole walk of a small decision
-    subs = []
-    for lo, up in outside:
-        if not (lo & ~(upper_bits & up) or lower_bits & ~up):
-            lo_m = up_m = 0
-            for s, cells in table.shifts:
-                lo_m |= (lo << s) & cells
-                up_m |= (up << s) & cells
-            subs.append((lo_m, up_m))
-    steps = []  # per free pair, in order: its step-table row
-    m = allowed = _bits_to_matrix(ground, lower_bits)
-    while free_bits:
-        low = free_bits & -free_bits
-        row = rows[low.bit_length() - 1] or table.step(low.bit_length() - 1)
-        steps.append(row)
-        allowed |= row[1]
-        free_bits ^= low
+    col0, row_mask = table.col0, table.row_mask
+    subs, m, allowed, steps = _interval_setup(table, lower_bits, upper_bits, outside)
     hint = 0
     if subs:
         hint = _escape(m, allowed, subs, table)

@@ -6,9 +6,14 @@ the closure of S.  Both together are equivalent to the existence of a
 witness order q in the closure of S that escapes every leave-one-out
 closure: isotony dominates any covering collection of proper subsets
 by the collection {S minus one member}, so those are the only subsets
-that ever need checking.  ``is_ufg`` runs that witness scan, the one
-decider of the library; :mod:`ufgkit.oracles` holds the independent
-deciders it is checked against.
+that ever need checking.
+
+One search at the root of the closure decides whether such a witness
+exists (:func:`_decides`); the walk of ``is_ufg``, the witness scan,
+goes on from there only to pick the canonical-first witness, which a
+certificate records.  A catalog that counts families and writes no
+certificates decides by the search alone.  :mod:`ufgkit.oracles` holds
+the independent deciders both are checked against.
 """
 
 from __future__ import annotations
@@ -35,6 +40,10 @@ from .orders import (
     GroundSet,
     Poset,
     PosetInterval,
+    _escape,
+    _interval_setup,
+    _size_table,
+    _SizeTable,
     canonical_family,
     enumerate_all_posets,
 )
@@ -155,6 +164,23 @@ def _is_ufg_sorted(
     return None if q is None else _certificate(members, q.bits)
 
 
+def _decides(table: _SizeTable, lower: int, upper: int, loo: tuple[list[int], list[int]]) -> bool:
+    """Whether a family of two or more orders is union-free generic, from
+    the bits of its closure ``[lower, upper]`` and its leave-one-out
+    ``(and, or)`` lists; ``table`` is the item count's step table.
+
+    One :func:`ufgkit.orders._escape` search from the closure's root
+    decides it exactly.  By that search's lemma it finds an order of
+    ``[lower, upper]`` in no leave-one-out closure exactly when one
+    exists.  Such an order is a witness: it is no member, since each
+    member lies in the closure of the family without any other member.
+    The walk of :func:`_is_ufg_sorted` starts with the same search and
+    adds only the choice of the canonical-first witness.
+    """
+    subs, m, allowed, _ = _interval_setup(table, lower, upper, zip(*loo))
+    return _escape(m, allowed, subs, table) is not None
+
+
 def is_ufg(S: Iterable[Poset]) -> UfgCertificate | None:
     """Certificate for a union-free generic family, or None.
 
@@ -196,15 +222,24 @@ class UfgCatalog:
     falsification trials: it grows a family by one pool index, carrying
     the leave-one-out lists of the family beside it.  ``singleton`` is
     those lists for a family of one order.
+
+    With ``witnesses`` (the enumerators) each family maps to its
+    certificate.  Without (the trials, which only count) ``step``
+    decides by :func:`_decides` and a family maps to None: ``in`` and
+    the key methods see it, ``get`` and ``certificates`` have nothing.
     """
 
-    def __init__(self, ground: GroundSet, pool: tuple[Poset, ...], max_size: int):
+    def __init__(
+        self, ground: GroundSet, pool: tuple[Poset, ...], max_size: int, witnesses: bool = True
+    ):
         self.ground = ground
         self.pool = pool
         self.max_size = max_size
+        self.witnesses = witnesses
+        self._table = None if witnesses else _size_table(ground.size)  # for _decides
         self._bits = [p.bits for p in pool]
         self.singleton = ([ground.full_bits], [0])
-        self._families: dict[tuple[int, ...], UfgCertificate] = {}
+        self._families: dict[tuple[int, ...], UfgCertificate | None] = {}
         self.stats: dict[str, object] = {
             "families_tested": 0,
             "filter_rejections": 0,
@@ -238,9 +273,10 @@ class UfgCatalog:
         distinguishing attribute when ``A_i & b_k & ~b_i or b_i & ~O_i &
         ~b_k``, and the new member when ``AND & ~b_k or b_k & ~OR``; the
         test runs before any list is built, since most children fail it.
-        The child's lists go to the kernel, which does not filter again.
-        ``stats`` count both outcomes.  The step costs O(m) for a parent
-        of m members.
+        The child's lists go to the kernel, which does not filter again:
+        the witness scan, or without ``witnesses`` the root search alone,
+        on the closure ``[AND & b_k, OR | b_k]``.  ``stats`` count both
+        outcomes.  The step costs O(m) for a parent of m members.
         """
         bits = self._bits
         bk = bits[k]
@@ -262,6 +298,10 @@ class UfgCatalog:
         ors.insert(pos, whole_or)
         self.stats["families_tested"] += 1
         child = family[:pos] + (k,) + family[pos:]
+        if not self.witnesses:
+            if _decides(self._table, whole_and & bk, whole_or | bk, (ands, ors)):
+                self._families[child] = None
+            return ands, ors
         cert = _is_ufg_sorted(tuple(self.pool[i] for i in child), (ands, ors))
         if cert is not None:
             self._families[child] = cert
@@ -269,6 +309,9 @@ class UfgCatalog:
 
     def __len__(self) -> int:
         return len(self._families)
+
+    def __contains__(self, family: tuple[int, ...]) -> bool:
+        return family in self._families
 
     def get(self, family: tuple[int, ...]) -> UfgCertificate | None:
         return self._families.get(family)
@@ -402,7 +445,7 @@ def enumerate_ufg_connected(
                 if any(child[:j] + child[j + 1:] in level for j in range(pos)):
                     continue
                 child_loo = catalog.step(family, loo, pos, k)
-                if child_loo is not None and catalog.get(child) is not None:
+                if child_loo is not None and child in catalog:
                     grown[child] = child_loo
                 if catalog.stats["families_tested"] > budget:
                     raise CombinatorialBudgetExceeded(
@@ -413,19 +456,45 @@ def enumerate_ufg_connected(
     return catalog
 
 
+_NOT_UNION_FREE = (
+    "not union-free: every closure order outside the family already "
+    "lies in a leave-one-out closure"
+)
+
+
+def _not_ufg_reason(members: tuple[Poset, ...]) -> str:
+    """Why a canonical family without a witness is not union-free
+    generic, in bounded work.
+
+    The closure is walked only to its first order outside the family, at
+    most m + 1 leaves for m members.  Such an order makes the family
+    generic, so with no witness it is not union-free; without one the
+    family is not generic.  The caller has decided that no witness
+    exists: this looks for none.
+    """
+    if len(members) < 2:
+        return "a single order is closed already: the closure adds nothing"
+    bits = {m.bits for m in members}
+    beyond = next((q for q in gamma_interval(members).posets() if q.bits not in bits), None)
+    if beyond is None:
+        return "not generic: the closure holds no order beyond the family"
+    return _NOT_UNION_FREE
+
+
 def explain_not_ufg(S: Iterable[Poset]) -> dict:
-    """Re-checkable account of why a family is not union-free generic.
+    """Re-checkable account of why a family is not union-free generic:
+    the reason of :func:`_not_ufg_reason` and, for a family that is not
+    union-free, every blocker, from one walk of the whole closure, which
+    the trail of a connectedness violation records.
 
     Returns a dict whose values may contain Poset objects; the JSON
     layer renders them.  Raises :class:`UfgkitError` when the family has
     a witness, since then there is nothing to explain.
     """
     members = canonical_family(S)
-    if len(members) < 2:
-        return {
-            "ufg": False,
-            "reason": "a single order is closed already: the closure adds nothing",
-        }
+    reason = _not_ufg_reason(members)  # a family with a witness is generic
+    if reason != _NOT_UNION_FREE:
+        return {"ufg": False, "reason": reason}
     bits_list = [m.bits for m in members]
     loo = list(zip(*_loo_and_or(bits_list, members[0].ground.full_bits)))
     blockers = []
@@ -436,16 +505,4 @@ def explain_not_ufg(S: Iterable[Poset]) -> dict:
         if i is None:  # a non-member in no leave-one-out closure: a witness
             raise UfgkitError("the family is union-free generic: it has a witness")
         blockers.append({"candidate": q, "covered_without": members[i]})
-    if not blockers:
-        return {
-            "ufg": False,
-            "reason": "not generic: the closure holds no order beyond the family",
-        }
-    return {
-        "ufg": False,
-        "reason": (
-            "not union-free: every closure order outside the family already "
-            "lies in a leave-one-out closure"
-        ),
-        "blockers": blockers,
-    }
+    return {"ufg": False, "reason": reason, "blockers": blockers}

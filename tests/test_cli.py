@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from ufgkit import cli, jsonio
+from ufgkit import cli, jsonio, orders
 from ufgkit.cli import EXIT_ERROR, EXIT_NOT_UFG, EXIT_OK, main
 from ufgkit.orders import GroundSet, make_poset
 
@@ -158,6 +158,31 @@ def test_check_ufg_singleton_negative(capsys, tmp_path, corr):
     assert code == EXIT_NOT_UFG
     assert "ufg: no" in out
     assert "closure adds nothing" in out
+
+
+def test_check_ufg_no_walks_the_closure_only_to_an_order_beyond_the_family(
+    capsys, monkeypatch, tmp_path
+):
+    # {empty, chain a1<...<a12, a1<a2}: the closure holds every order inside
+    # the chain, but the reason needs only its first order outside the family
+    labels = [f"a{i}" for i in range(1, 13)]
+    chain = [[a, b] for i, a in enumerate(labels) for b in labels[i + 1:]]
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps({"elements": labels, "posets": [[], chain, [["a1", "a2"]]]}))
+    leaves = []
+    walk = orders._interval_bits
+
+    def counted(*args):
+        for bits in walk(*args):
+            leaves.append(bits)
+            yield bits
+
+    monkeypatch.setattr(orders, "_interval_bits", counted)
+    code, out, err = run(capsys, "check-ufg", "--input", str(path))
+    assert (code, err) == (EXIT_NOT_UFG, "")
+    assert out.splitlines()[1:] == ["ufg: no", "reason: not union-free: every closure order "
+                                    "outside the family already lies in a leave-one-out closure"]
+    assert 0 < len(leaves) <= 4  # at most one more than the family's members
 
 
 def test_check_ufg_pair(capsys, tmp_path, corr):

@@ -219,23 +219,24 @@ def test_every_counted_family_grew_from_a_ufg_parent():
 
 def test_falsification_decides_through_the_one_decider(monkeypatch):
     # a trial decides every family through the catalog step, which calls
-    # the module-global decider: each counted family was one of its witnesses
-    certs = []
-    original = ufgkit.ufg._is_ufg_sorted
+    # the module-global root-search decider: each counted family was one
+    # of its yes verdicts
+    verdicts = []
+    original = ufgkit.ufg._decides
 
-    def spy(members, loo=None):
-        cert = original(members, loo)
-        certs.append(cert)
-        return cert
+    def spy(*args):
+        verdict = original(*args)
+        verdicts.append(verdict)
+        return verdict
 
-    monkeypatch.setattr(ufgkit.ufg, "_is_ufg_sorted", spy)
+    monkeypatch.setattr(ufgkit.ufg, "_decides", spy)
     report = falsification_search([3, 4], 24, 0)
     text = jsonio.dumps_canonical(jsonio.falsification_to_obj(report))
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "828c05c76c4df9474a40a561f5bcecdad46444b5958f037e5d77c6d190845914"
     )
     assert report.families_checked == 29
-    assert sum(cert is not None for cert in certs) >= report.families_checked
+    assert sum(verdicts) >= report.families_checked
 
 
 @pytest.mark.parametrize("sizes, budget, seed, digest", [

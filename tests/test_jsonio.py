@@ -308,6 +308,54 @@ def test_forged_reports_are_rejected(reports, name):
         parse(obj)
 
 
+def _raise_counts(obj):
+    obj["checked"] += 1
+    obj["connected"] += 1
+
+
+def _predecessor_repeated(obj):
+    obj["predecessors"].insert(1, copy.deepcopy(obj["predecessors"][0]))
+    _raise_counts(obj)
+
+
+def _predecessor_repeated_last(obj):
+    obj["predecessors"].append(copy.deepcopy(obj["predecessors"][0]))
+    _raise_counts(obj)
+
+
+def _predecessors_swapped(obj):
+    entries = obj["predecessors"]
+    entries[0], entries[1] = entries[1], entries[0]
+
+
+# forgeries of the real ``connectedness -n 3 --json`` output whose entries
+# each re-validate and whose counts match the lists
+CONNECTEDNESS_FORGERIES = {
+    "ground-not-its-families": (lambda o: _set(o, ("ground",), ["a", "b", "c"]),
+                                r"^report\.ground: differs from the ground of its families"),
+    "max-size-below-a-family": (lambda o: _set(o, ("max_size",), 2),
+                                r"^report\.max_size: is below the size of a family"),
+    "predecessor-repeated": (_predecessor_repeated,
+                             r"^report\.predecessors\[1\]: repeats the entry before it"),
+    "predecessor-repeated-last": (_predecessor_repeated_last,
+                                  r"^report\.predecessors\[140\]: out of order"),
+    "predecessors-out-of-order": (_predecessors_swapped,
+                                  r"^report\.predecessors\[1\]: out of order"),
+}
+
+
+@pytest.mark.parametrize("name", CONNECTEDNESS_FORGERIES)
+def test_forged_connectedness_output_is_rejected(capsys, name):
+    obj = _cli_json(capsys, ["connectedness", "-n", "3"])
+    jsonio.connectedness_from_obj(copy.deepcopy(obj))  # as written, it parses
+    assert (obj["ground"], obj["max_size"]) == (["x1", "x2", "x3"], 12)
+    assert len(obj["predecessors"]) == 140
+    forge, message = CONNECTEDNESS_FORGERIES[name]
+    forge(obj)
+    with pytest.raises(InvalidFormat, match=message):
+        jsonio.connectedness_from_obj(obj)
+
+
 def test_empty_and_truncated_reports_are_rejected():
     with pytest.raises(InvalidFormat):
         jsonio.falsification_from_obj({})

@@ -1,16 +1,20 @@
 """Property tests on 4 items: the interval walk, the extension filter,
 the catalog step, the distinguishing sets and the witness kernel against
-the brute-force references and the independent deciders."""
+the brute-force references and the independent deciders; and the root
+search's decision against the witness scan on 3 to 5 items."""
 
 from __future__ import annotations
 
+import random
 from bisect import bisect
+from itertools import combinations
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ufgkit.orders import (
     BinaryRelation,
     GroundSet,
+    Poset,
     PosetInterval,
     _bits_to_matrix,
     _escape,
@@ -33,11 +37,13 @@ from ufgkit.context import (
 )
 from ufgkit.ufg import (
     _certificate,
+    _decides,
     _prefilter,
     candidate_filter,
     explain_not_ufg,
     is_ufg,
 )
+from ufgkit.connectedness import random_pool
 from ufgkit.oracles import is_generic, is_ufg_by_distinguishing, is_union_free_bruteforce
 
 from oracles import brute_force_interval
@@ -132,9 +138,64 @@ def test_reported_blockers_lie_in_their_leave_one_out_closure(base, data):
     for entry in report.get("blockers", []):
         rest = [m for m in members if m != entry["covered_without"]]
         assert gamma_interval(rest).contains(entry["candidate"])
-    if "blockers" in report:  # not union-free: every order outside is blocked
-        outside = set(gamma_interval(members).posets()) - set(members)
-        assert len(report["blockers"]) == len(outside)
+    # generic, so not union-free, exactly when the closure holds an order
+    # outside the family; then every such order is blocked
+    outside = set(gamma_interval(members).posets()) - set(members)
+    assert report["reason"].startswith("not union-free") == bool(outside)
+    assert len(report.get("blockers", [])) == len(outside)
+
+
+ORDERS_BY_SIZE = {n: tuple(enumerate_all_posets(GroundSet.numbered(n))) for n in (3, 4, 5)}
+
+
+def _orders(n, *bits):
+    ground = GroundSet.numbered(n)
+    return [Poset(ground, b) for b in bits]
+
+
+def _root_decision(members):
+    ground = members[0].ground
+    bits = [m.bits for m in members]
+    ands, ors = loo = ufgkit.context._loo_and_or(bits, ground.full_bits)
+    return _decides(_size_table(ground.size), ands[0] & bits[0], ors[0] | bits[0], loo)
+
+
+@seeded
+@given(st.sampled_from(sorted(ORDERS_BY_SIZE)).flatmap(
+    lambda n: st.lists(st.sampled_from(ORDERS_BY_SIZE[n]), min_size=2, max_size=6)))
+# families that pass the prefilter and still have no witness, of 3 to 6
+# members on 3 to 5 items
+@example(_orders(3, 0, 48, 20))
+@example(_orders(4, 256, 56, 2562))
+@example(_orders(4, 3072, 264, 36, 3))
+@example(_orders(4, 640, 2624, 2064, 2562, 293))
+@example(_orders(5, 90144, 872562, 278782, 319659))
+@example(_orders(5, 984896, 278688, 332080, 55306, 43529))
+@example(_orders(5, 7504, 49160, 2696, 722004, 487474, 991745))
+def test_root_search_decides_as_is_ufg(family):
+    # exact without the prefilter too: a family it turns away has no
+    # order outside the leave-one-out closures either
+    members = canonical_family(family)
+    if len(members) >= 2:
+        assert _root_decision(members) == (is_ufg(members) is not None)
+
+
+def test_root_search_decides_as_the_witness_scan_on_whole_spaces():
+    # every family of 2 to 4 orders on 3 items, and of 2 to 6 orders of
+    # enum5's pool on 5 items: the verdicts are the witness scan's, also
+    # on the families that pass the prefilter without a witness
+    pool5 = random_pool(GroundSet.numbered(5), random.Random("pool:0"), 12)
+    for space, sizes, expected in ((ORDERS_BY_SIZE[3], (2, 3, 4), 337),
+                                   (pool5, (2, 3, 4, 5, 6), 94)):
+        full = space[0].ground.full_bits
+        unwitnessed = 0
+        for size in sizes:
+            for members in combinations(space, size):
+                witnessed = is_ufg(members) is not None
+                assert _root_decision(members) == witnessed
+                passes = _prefilter([m.bits for m in members], full) is not None
+                unwitnessed += passes and not witnessed
+        assert unwitnessed == expected
 
 
 def _prefilter_passes(members):

@@ -25,6 +25,7 @@ from ufgkit.orders import (
 from ufgkit import ufg
 from ufgkit.context import _loo_and_or, gamma_interval
 from ufgkit.ufg import (
+    UfgCatalog,
     UfgCertificate,
     _blocker,
     _is_ufg_sorted,
@@ -372,6 +373,37 @@ def test_tree_equals_distinguishing_decider_on_three_items(catalog3, pool3):
     assert catalog3.keys() == oracle
 
 
+def _counted_tree(ground, pool, max_size):
+    """The exhaustive tree's walk on a catalog that only counts."""
+    catalog = UfgCatalog(ground, pool, max_size, witnesses=False)
+    stack = [((i,), catalog.singleton) for i in range(len(pool))]
+    while stack:
+        family, loo = stack.pop()
+        for k in range(family[-1] + 1, len(pool)):
+            child_loo = catalog.step(family, loo, len(family), k)
+            if child_loo is not None and len(family) + 1 < max_size:
+                stack.append((family + (k,), child_loo))
+    return catalog
+
+
+@pytest.mark.parametrize("items, pool_seed", [(3, None), (5, 0)], ids=["3-items", "pool:0"])
+def test_counting_catalog_finds_the_exhaustive_keys(monkeypatch, items, pool_seed):
+    # the whole 3-item space, and enum5's pool: the root search alone finds
+    # the keys the witness scan certifies, at the same cost in steps, and
+    # never calls the witness scan
+    ground = GroundSet.numbered(items)
+    pool = None if pool_seed is None else random_pool(
+        ground, random.Random(f"pool:{pool_seed}"), 12)
+    exhaustive = enumerate_ufg_exhaustive(ground, premises=pool)
+    monkeypatch.setattr(ufg, "_is_ufg_sorted", None)
+    counted = _counted_tree(ground, exhaustive.pool, exhaustive.max_size)
+    assert counted.keys() == exhaustive.keys()
+    assert counted.count_by_size() == exhaustive.count_by_size()
+    assert all(key in counted and counted.get(key) is None for key in exhaustive.keys())
+    for stat in ("families_tested", "filter_rejections"):
+        assert counted.stats[stat] == exhaustive.stats[stat]
+
+
 def test_premises_must_share_the_ground(g2, g3):
     with pytest.raises(MixedGroundSets):
         enumerate_ufg_exhaustive(g3, premises=[empty_poset(g2)])
@@ -501,6 +533,9 @@ def test_explanations_name_the_failure(corr):
     covered = explain_not_ufg([p1, p2, r])
     assert "union-free" in covered["reason"]
     assert covered["blockers"]
+    closed = [make_poset(ground, [("a", "b")]), make_poset(ground, [("a", "b"), ("a1", "b1")])]
+    assert explain_not_ufg(closed) == {"ufg": False, "reason": (
+        "not generic: the closure holds no order beyond the family")}
     for entry in covered["blockers"]:
         fam = [p1, p2, r]
         rest = [m for m in canonical_family(fam) if m != entry["covered_without"]]
