@@ -20,9 +20,10 @@ from .connectedness import (
     CorrigendumScenario,
     FalsificationReport,
     ConnectednessViolation,
+    has_predecessor,
     run_corrigendum,
 )
-from .errors import InvalidFormat, MixedGroundSets, UfgkitError
+from .errors import InvalidFormat, MixedGroundSets, NotUfgInput, UfgkitError
 from .orders import GroundSet, Poset, canonical_family, canonical_key, make_poset
 from .ufg import UfgCatalog, UfgCertificate
 
@@ -406,7 +407,10 @@ def violation_from_obj(obj: Any, where: str = "violation") -> ConnectednessViola
 
 def _predecessor_from_obj(obj: Any, where: str) -> dict:
     """An entry whose witness certifies its predecessor, the family
-    without exactly one of its members."""
+    without exactly one of its members; the family is ufg, and the
+    predecessor is its first ufg leave-one-out subfamily in the order of
+    :func:`ufgkit.connectedness.has_predecessor`, the one the writer
+    lists.  That costs one decision per member removed before it."""
     rec = _record(obj, where, {
         "family": _posets,
         "predecessor": _posets,
@@ -416,6 +420,14 @@ def _predecessor_from_obj(obj: Any, where: str) -> dict:
     _validated(predecessor, rec["witness"], where)
     _require(any(family[:j] + family[j + 1:] == predecessor for j in range(len(family))),
              f"{where}.predecessor", "is not the family without one of its members")
+    try:
+        first = has_predecessor(family)[0]
+    except NotUfgInput:
+        raise InvalidFormat(f"{where}.family: is not union-free generic") from None
+    except UfgkitError as exc:
+        raise InvalidFormat(f"{where}.family: {exc}") from None
+    _require(first == predecessor, f"{where}.predecessor",
+             "is not the first ufg subfamily, removing members in canonical order")
     return rec
 
 

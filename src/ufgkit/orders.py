@@ -110,18 +110,20 @@ def _iter_bits(bits: int) -> Iterator[int]:
 class _SizeTable:
     """The constants of the hot routines that depend only on the item count
     n.  Matrices are packed row-major: bit ``i*n + j`` says i reaches j.
+    Matrix bit order is pair-position order with the diagonal left out,
+    so the layout is a permutation of the pair bits: AND, OR and subset
+    tests mean the same in both.
 
-    The per-pair fields hold O(n**4) bits in all, so they are filled on
-    first use: ``steps`` and ``by_cell`` one pair at a time by
-    :meth:`step`, ``cells`` whole on first read.  A walk on a wide ground
-    builds only the rows of the pairs it meets."""
+    The walk steps hold O(n**4) bits in all, so they are filled on first
+    use, one matrix cell at a time, by :meth:`step`, and ``cells`` whole
+    on first read.  A walk on a wide ground builds only the rows of the
+    pairs it meets."""
 
-    __slots__ = ("n", "steps", "by_cell", "col0", "row_mask", "shifts", "diagonal", "_cells")
+    __slots__ = ("n", "by_cell", "col0", "row_mask", "shifts", "diagonal", "_cells")
 
     def __init__(self, n: int):
         self.n = n
-        self.steps = [None] * (n * (n - 1))  # per pair position, see step()
-        self.by_cell = [None] * (n * n)  # the same rows by matrix bit
+        self.by_cell = [None] * (n * n)  # per matrix bit, see step()
         self._cells = None
         self.col0 = ((1 << n * n) - 1) // ((1 << n) - 1)  # bit x*n for every row x
         self.row_mask = (1 << n) - 1
@@ -133,17 +135,18 @@ class _SizeTable:
             for s in range(1, n)
         )
 
-    def step(self, k: int) -> tuple:
-        """The walk step of pair position k: its leaf bit, its matrix bit,
-        its reverse's matrix bit, and the shifts and bits of its closure
-        update.  Built on first use."""
-        row = self.steps[k]
+    def step(self, c: int) -> tuple:
+        """The walk step of the pair at matrix bit c = i*n + j, i != j: its
+        leaf bit (at its pair position), its matrix bit, its reverse's
+        matrix bit, and the shifts and bits of its closure update.  Built
+        on first use."""
+        row = self.by_cell[c]
         if row is None:
             n = self.n
-            i, r = divmod(k, n - 1)
-            j = r if r < i else r + 1
-            row = (1 << k, 1 << i * n + j, 1 << j * n + i, i, 1 << i * n, j * n, 1 << j)
-            self.steps[k] = self.by_cell[i * n + j] = row
+            i, j = divmod(c, n)
+            k = i * (n - 1) + (j if j < i else j - 1)
+            row = (1 << k, 1 << c, 1 << j * n + i, i, 1 << i * n, j * n, 1 << j)
+            self.by_cell[c] = row
         return row
 
     @property
@@ -401,8 +404,7 @@ def _escape(m: int, allowed: int, subs: list[tuple[int, int]], table: _SizeTable
     """A poset t with ``m <= t <= allowed`` in no sub-interval ``(lo, up)``
     of ``subs``, or None.  All are packed matrices as by
     :func:`_bits_to_matrix`, ``m`` is transitively closed, and ``table``
-    is the item count's :class:`_SizeTable`, with the step of every pair
-    of ``allowed`` outside ``m`` filled.
+    is the item count's :class:`_SizeTable`.
 
     Lemma: such a t exists exactly when one has the form close(m | X),
     for a set X of pairs of ``allowed`` that each lie outside some ``up``.
@@ -429,7 +431,8 @@ def _escape(m: int, allowed: int, subs: list[tuple[int, int]], table: _SizeTable
         while branch:
             low = branch & -branch
             branch ^= low
-            _, _, back, i, i_row, j_shift, j_col = by_cell[low.bit_length() - 1]
+            c = low.bit_length() - 1
+            _, _, back, i, i_row, j_shift, j_col = by_cell[c] or table.step(c)
             if t & back:
                 continue  # j reaches i: a cycle
             grown = t | (((t >> i) & col0) | i_row) * (
@@ -440,57 +443,38 @@ def _escape(m: int, allowed: int, subs: list[tuple[int, int]], table: _SizeTable
 
 
 def _interval_setup(
-    table: _SizeTable, lower_bits: int, upper_bits: int, outside: Iterable[tuple[int, int]]
-) -> tuple[list[tuple[int, int]], int, int, list[tuple]]:
-    """The matrices of a walk over [lower, upper] outside ``outside``, as
-    :func:`_escape` takes them: the sub-intervals that meet the interval,
-    the lower bound ``m`` and the ``allowed`` upper bound, all packed as
-    by :func:`_bits_to_matrix`, and the step-table row of each free pair
-    in pair-position order.  Every such row is filled on the way."""
-    # unpacked in one loop each: two calls per sub-interval cost more
-    # than the whole walk of a small decision
-    subs = []
-    for lo, up in outside:
-        if not (lo & ~(upper_bits & up) or lower_bits & ~up):
-            lo_m = up_m = 0
-            for s, cells in table.shifts:
-                lo_m |= (lo << s) & cells
-                up_m |= (up << s) & cells
-            subs.append((lo_m, up_m))
-    m = 0
-    for s, cells in table.shifts:
-        m |= (lower_bits << s) & cells
-    allowed, rows, steps = m, table.steps, []
-    free_bits = upper_bits & ~lower_bits
-    while free_bits:
-        low = free_bits & -free_bits
-        row = rows[low.bit_length() - 1] or table.step(low.bit_length() - 1)
-        steps.append(row)
-        allowed |= row[1]
-        free_bits ^= low
-    return subs, m, allowed, steps
+    table: _SizeTable, lower: int, upper: int, outside: Iterable[tuple[int, int]]
+) -> tuple[list[tuple[int, int]], int | None]:
+    """The start of a walk over [lower, upper] outside the sub-intervals
+    ``outside``, all packed matrices as by :func:`_bits_to_matrix`: the
+    sub-intervals that meet the interval, and the root's hint for
+    :func:`_walk`.  The hint is 0 without sub-intervals; otherwise it is
+    the order :func:`_escape` finds from the root, or None when the
+    interval has no member.  ``lower`` is closed and its own walk matrix
+    ``m``; ``upper`` is the walk's ``allowed`` matrix as it stands."""
+    subs = [(lo, up) for lo, up in outside if not (lo & ~(upper & up) or lower & ~up)]
+    return subs, (_escape(lower, upper, subs, table) if subs else 0)
 
 
-def _interval_bits(
-    ground: GroundSet,
-    lower_bits: int,
-    upper_bits: int,
-    outside: Iterable[tuple[int, int]] = (),
+def _walk(
+    table: _SizeTable, bits: int, m: int, allowed: int, subs: list[tuple[int, int]], hint: int
 ) -> Iterator[int]:
-    """Yield the bits of every poset in [lower, upper] outside every
-    ``outside`` sub-interval, in canonical-key order.
+    """Yield the bits of every poset in [m, allowed] outside every
+    sub-interval of ``subs``, in canonical-key order, from the matrices
+    and the root hint of :func:`_interval_setup`; ``bits`` is the lower
+    bound ``m`` packed as pair bits.
 
-    Depth-first over the free pair positions in row-major order,
-    exclude-branch first: it is taken inline, and only the include
-    branch is pushed on the explicit stack, one push per include branch.
-    A node holds the next decision, the leaf bits so far, the
-    reachability matrix ``m`` of the chosen pairs (packed as by
-    :func:`_bits_to_matrix`, transitively closed) and the matrix
-    ``allowed`` of pairs not yet excluded.  Including (i, j) closes
-    ``m`` in one step: every row reaching i, and row i, takes row j and
-    j itself, as the product of i's column with j's row.  A branch dies
-    when j already reaches i (a cycle) or the closure leaves ``allowed``,
-    so leaves are exactly the valid posets, without duplicates, and
+    Depth-first over the free pairs, the bits of ``allowed & ~m``, in
+    matrix-bit order, which is pair-position order, exclude-branch first:
+    it is taken inline, and only the include branch is pushed on the
+    explicit stack, one push per include branch.  A node holds the next
+    decision, the leaf bits so far, the reachability matrix ``m`` of the
+    chosen pairs (transitively closed) and the matrix ``allowed`` of
+    pairs not yet excluded.  Including (i, j) closes ``m`` in one step:
+    every row reaching i, and row i, takes row j and j itself, as the
+    product of i's column with j's row.  A branch dies when j already
+    reaches i (a cycle) or the closure leaves ``allowed``, so leaves are
+    exactly the valid posets, without duplicates, and
     ``PosetInterval.posets`` wraps them without ``Poset.__init__``.
     Pairs the closure already holds are forced: they are taken in one
     run, with no choice and no stack entry, so a leaf's bits are the
@@ -499,23 +483,23 @@ def _interval_bits(
     The bound is exact: with sub-intervals, every node the walk enters
     holds a member of its subtree as a *hint*, a poset between ``m`` and
     ``allowed`` outside every sub-interval, found by :func:`_escape`.
-    The root searches once; excluding a pair the hint holds searches
-    again; an include child keeps the hint when the hint holds its
-    closure and searches when it is popped otherwise.  A failed search
-    ends the branch, so a subtree without a member is never entered, and
-    every leaf reached is a member with no test of its own.  Without
-    sub-intervals no search runs and the hint stays 0.
+    The root's comes from the set-up; excluding a pair the hint holds
+    searches again; an include child keeps the hint when the hint holds
+    its closure and searches when it is popped otherwise.  A failed
+    search ends the branch, so a subtree without a member is never
+    entered, and every leaf reached is a member with no test of its own.
+    Without sub-intervals no search runs and the hint stays 0.
     """
-    table = _size_table(len(ground.labels))
-    col0, row_mask = table.col0, table.row_mask
-    subs, m, allowed, steps = _interval_setup(table, lower_bits, upper_bits, outside)
-    hint = 0
-    if subs:
-        hint = _escape(m, allowed, subs, table)
-        if hint is None:
-            return
+    col0, row_mask, by_cell = table.col0, table.row_mask, table.by_cell
+    steps = []
+    free = allowed & ~m
+    while free:
+        low = free & -free
+        c = low.bit_length() - 1
+        steps.append(by_cell[c] or table.step(c))
+        free ^= low
     depth = len(steps)
-    stack = [(0, lower_bits, m, allowed, hint)]
+    stack = [(0, bits, m, allowed, hint)]
     while stack:
         idx, bits, m, allowed, hint = stack.pop()
         if subs and m & ~hint:  # an include child the hint does not hold
@@ -542,6 +526,23 @@ def _interval_bits(
                     break
         else:
             yield bits
+
+
+def _interval_bits(
+    ground: GroundSet,
+    lower_bits: int,
+    upper_bits: int,
+    outside: Iterable[tuple[int, int]] = (),
+) -> Iterator[int]:
+    """Yield the bits of every poset in [lower, upper] outside every
+    ``outside`` sub-interval, in canonical-key order: the pair-bit
+    arguments unpacked to matrices, then :func:`_interval_setup` and
+    :func:`_walk`."""
+    table = _size_table(len(ground.labels))
+    m, allowed = _bits_to_matrix(ground, lower_bits), _bits_to_matrix(ground, upper_bits)
+    outside = [(_bits_to_matrix(ground, lo), _bits_to_matrix(ground, up)) for lo, up in outside]
+    subs, hint = _interval_setup(table, m, allowed, outside)
+    return iter(()) if hint is None else _walk(table, lower_bits, m, allowed, subs, hint)
 
 
 _MEMO_ITEMS = 3  # _order_bits memoises the up-sets of sets this small

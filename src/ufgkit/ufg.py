@@ -11,8 +11,11 @@ that ever need checking.
 One search at the root of the closure decides whether such a witness
 exists (:func:`_decides`); the walk of ``is_ufg``, the witness scan,
 goes on from there only to pick the canonical-first witness, which a
-certificate records.  A catalog that counts families and writes no
-certificates decides by the search alone.  :mod:`ufgkit.oracles` holds
+certificate records.  The catalog runs both on packed matrices, the
+layout of :func:`ufgkit.orders._bits_to_matrix`: a catalog that counts
+families and writes no certificates decides by the search alone, one
+with certificates takes the first leaf of the same walk
+(:func:`_first_witness`).  :mod:`ufgkit.oracles` holds
 the independent deciders both are checked against.
 """
 
@@ -40,10 +43,12 @@ from .orders import (
     GroundSet,
     Poset,
     PosetInterval,
-    _escape,
+    _bits_to_matrix,
     _interval_setup,
+    _matrix_to_bits,
     _size_table,
     _SizeTable,
+    _walk,
     canonical_family,
     enumerate_all_posets,
 )
@@ -86,20 +91,15 @@ def _prefilter(bits_list: list[int], full: int) -> tuple[list[int], list[int]] |
     return loo
 
 
-def _witness_interval(
-    members: tuple[Poset, ...], loo: tuple[list[int], list[int]] | None = None
-) -> PosetInterval | None:
+def _witness_interval(members: tuple[Poset, ...]) -> PosetInterval | None:
     """The closure interval with the leave-one-out closures as ``outside``,
     whose members are the witnesses; None for a singleton or a family the
-    prefilter turns away, which have none.  ``loo`` is the family's
-    leave-one-out lists, as ``_prefilter`` returns them, when the caller
-    has prefiltered."""
+    prefilter turns away, which have none."""
+    if len(members) < 2:
+        return None
+    loo = _prefilter([m.bits for m in members], members[0].ground.full_bits)
     if loo is None:
-        if len(members) < 2:
-            return None
-        loo = _prefilter([m.bits for m in members], members[0].ground.full_bits)
-        if loo is None:
-            return None
+        return None
     witnesses = gamma_interval(members)  # a fresh interval: give it the sub-intervals
     witnesses.outside = tuple(zip(*loo))
     return witnesses
@@ -151,34 +151,50 @@ def _certificate(members: tuple[Poset, ...], witness_bits: int) -> UfgCertificat
     return UfgCertificate(members, Poset(members[0].ground, witness_bits, check=False))
 
 
-def _is_ufg_sorted(
-    members: tuple[Poset, ...], loo: tuple[list[int], list[int]] | None = None
-) -> UfgCertificate | None:
+def _is_ufg_sorted(members: tuple[Poset, ...]) -> UfgCertificate | None:
     """Witness scan over a canonical family; None when no witness exists.
-    ``loo`` is as for :func:`_witness_interval`; the witness is the
-    interval's first leaf.  The walk's bound is exact, so a family
-    without a witness costs one failed search at the walk's root and no
-    walk step."""
-    witnesses = _witness_interval(members, loo)
+    The witness is the first leaf of :func:`_witness_interval`.  The
+    walk's bound is exact, so a family without a witness costs one
+    failed search at the walk's root and no walk step."""
+    witnesses = _witness_interval(members)
     q = None if witnesses is None else next(witnesses.posets(), None)
     return None if q is None else _certificate(members, q.bits)
 
 
-def _decides(table: _SizeTable, lower: int, upper: int, loo: tuple[list[int], list[int]]) -> bool:
+def _decides(
+    table: _SizeTable, lower: int, upper: int, loo: Iterable[tuple[int, int]]
+) -> bool:
     """Whether a family of two or more orders is union-free generic, from
-    the bits of its closure ``[lower, upper]`` and its leave-one-out
-    ``(and, or)`` lists; ``table`` is the item count's step table.
+    its closure ``[lower, upper]`` and its leave-one-out closures ``loo``
+    as ``(and, or)`` pairs, all packed matrices as by
+    :func:`ufgkit.orders._bits_to_matrix`; ``table`` is the item count's
+    step table.
 
-    One :func:`ufgkit.orders._escape` search from the closure's root
-    decides it exactly.  By that search's lemma it finds an order of
-    ``[lower, upper]`` in no leave-one-out closure exactly when one
-    exists.  Such an order is a witness: it is no member, since each
-    member lies in the closure of the family without any other member.
-    The walk of :func:`_is_ufg_sorted` starts with the same search and
-    adds only the choice of the canonical-first witness.
+    One :func:`ufgkit.orders._escape` search from the closure's root, the
+    one :func:`ufgkit.orders._interval_setup` runs, decides it exactly.
+    By that search's lemma it finds an order of ``[lower, upper]`` in no
+    leave-one-out closure exactly when one exists.  Such an order is a
+    witness: it is no member, since each member lies in the closure of
+    the family without any other member.  The walk of
+    :func:`_first_witness` starts with the same search and adds only the
+    choice of the canonical-first witness.
     """
-    subs, m, allowed, _ = _interval_setup(table, lower, upper, zip(*loo))
-    return _escape(m, allowed, subs, table) is not None
+    return _interval_setup(table, lower, upper, loo)[1] is not None
+
+
+def _first_witness(
+    ground: GroundSet, lower: int, upper: int, loo: Iterable[tuple[int, int]]
+) -> int | None:
+    """The bits of the canonical-first witness of a family of two or
+    more orders, from the matrices :func:`_decides` takes; None when the
+    family has none.  It is the first leaf of the walk over the closure
+    outside the leave-one-out closures, the leaf :func:`_is_ufg_sorted`
+    takes; the lower bound is packed to leaf bits once."""
+    table = _size_table(len(ground.labels))
+    subs, hint = _interval_setup(table, lower, upper, loo)
+    if hint is None:
+        return None
+    return next(_walk(table, _matrix_to_bits(ground, lower), lower, upper, subs, hint))
 
 
 def is_ufg(S: Iterable[Poset]) -> UfgCertificate | None:
@@ -223,10 +239,19 @@ class UfgCatalog:
     the leave-one-out lists of the family beside it.  ``singleton`` is
     those lists for a family of one order.
 
+    The catalog works in the matrix layout of
+    :func:`ufgkit.orders._bits_to_matrix`: each pool order is unpacked
+    once, here, and the leave-one-out lists ``step`` takes and returns
+    are packed matrices, so the kernel unpacks nothing per decision.
+    The layout is a permutation of the pair bits, so AND, OR and subset
+    tests, and with them the prefilter, mean the same in it.
+    ``singleton`` holds the full relation and the empty one as matrices.
+
     With ``witnesses`` (the enumerators) each family maps to its
-    certificate.  Without (the trials, which only count) ``step``
-    decides by :func:`_decides` and a family maps to None: ``in`` and
-    the key methods see it, ``get`` and ``certificates`` have nothing.
+    certificate, built only for a family that is ufg.  Without (the
+    trials, which only count) ``step`` decides by :func:`_decides` and a
+    family maps to None: ``in`` and the key methods see it, ``get`` and
+    ``certificates`` have nothing.
     """
 
     def __init__(
@@ -236,9 +261,9 @@ class UfgCatalog:
         self.pool = pool
         self.max_size = max_size
         self.witnesses = witnesses
-        self._table = None if witnesses else _size_table(ground.size)  # for _decides
-        self._bits = [p.bits for p in pool]
-        self.singleton = ([ground.full_bits], [0])
+        self._table = _size_table(ground.size)
+        self._matrices = [_bits_to_matrix(ground, p.bits) for p in pool]
+        self.singleton = ([_bits_to_matrix(ground, ground.full_bits)], [0])
         self._families: dict[tuple[int, ...], UfgCertificate | None] = {}
         self.stats: dict[str, object] = {
             "families_tested": 0,
@@ -262,7 +287,9 @@ class UfgCatalog:
 
         ``loo`` is the parent's pair of lists, ``A_i`` and ``O_i``, the
         AND and OR of every member but member i; ``b_i`` is member i's
-        bits and ``b_k`` the new order's.  Adding one order only meets
+        matrix and ``b_k`` the new order's.  Lists and members are packed
+        matrices (see the class), on which every test below reads as on
+        pair bits.  Adding one order only meets
         it into each AND and joins it into each OR:
 
         - member i keeps ``A_i & b_k`` and ``O_i | b_k``;
@@ -273,22 +300,26 @@ class UfgCatalog:
         distinguishing attribute when ``A_i & b_k & ~b_i or b_i & ~O_i &
         ~b_k``, and the new member when ``AND & ~b_k or b_k & ~OR``; the
         test runs before any list is built, since most children fail it.
-        The child's lists go to the kernel, which does not filter again:
-        the witness scan, or without ``witnesses`` the root search alone,
-        on the closure ``[AND & b_k, OR | b_k]``.  ``stats`` count both
-        outcomes.  The step costs O(m) for a parent of m members.
+        The child's closure ``[AND & b_k, OR | b_k]`` and its lists, as
+        the leave-one-out closures ``zip(ands, ors)``, go to the kernel,
+        which does not filter again: :func:`_first_witness`, or without
+        ``witnesses`` the root search :func:`_decides` alone.  The
+        upper bound is the walk's ``allowed`` matrix as it stands, and the
+        member tuple and certificate are built only for a ufg child.
+        ``stats`` count both outcomes.  The step costs O(m) for a parent
+        of m members, before the kernel.
         """
-        bits = self._bits
-        bk = bits[k]
+        matrices = self._matrices
+        bk = matrices[k]
         ands, ors = loo
-        b0 = bits[family[0]]
+        b0 = matrices[family[0]]
         whole_and, whole_or = ands[0] & b0, ors[0] | b0
         if not (whole_and & ~bk or bk & ~whole_or):
             self.stats["filter_rejections"] += 1
             return None
         not_bk = ~bk
         for i, lo, up in zip(family, ands, ors):
-            b = bits[i]
+            b = matrices[i]
             if not (lo & bk & ~b or b & ~up & not_bk):
                 self.stats["filter_rejections"] += 1
                 return None
@@ -298,13 +329,14 @@ class UfgCatalog:
         ors.insert(pos, whole_or)
         self.stats["families_tested"] += 1
         child = family[:pos] + (k,) + family[pos:]
+        lower, upper = whole_and & bk, whole_or | bk
         if not self.witnesses:
-            if _decides(self._table, whole_and & bk, whole_or | bk, (ands, ors)):
+            if _decides(self._table, lower, upper, zip(ands, ors)):
                 self._families[child] = None
             return ands, ors
-        cert = _is_ufg_sorted(tuple(self.pool[i] for i in child), (ands, ors))
-        if cert is not None:
-            self._families[child] = cert
+        witness = _first_witness(self.ground, lower, upper, zip(ands, ors))
+        if witness is not None:
+            self._families[child] = _certificate(tuple(self.pool[i] for i in child), witness)
         return ands, ors
 
     def __len__(self) -> int:
@@ -338,7 +370,8 @@ class UfgCatalog:
         return self._member_bits() == other._member_bits()
 
     def _member_bits(self) -> set[tuple[int, ...]]:
-        return {tuple(self._bits[i] for i in k) for k in self._families}
+        pool = self.pool
+        return {tuple(pool[i].bits for i in k) for k in self._families}
 
 
 def _resolve_pool(

@@ -21,7 +21,7 @@ from ufgkit.connectedness import (
     verify_connectedness,
 )
 from ufgkit.errors import InvalidFormat
-from ufgkit.orders import GroundSet, empty_poset, enumerate_all_posets
+from ufgkit.orders import GroundSet, canonical_family, empty_poset, enumerate_all_posets
 from ufgkit.ufg import UfgCatalog, enumerate_ufg_exhaustive, explain_not_ufg, is_ufg
 
 
@@ -328,6 +328,24 @@ def _predecessors_swapped(obj):
     entries[0], entries[1] = entries[1], entries[0]
 
 
+def _family_not_ufg(obj):
+    # the predecessor and its own witness: the witness lies in the
+    # predecessor's closure, so it keeps no distinguishing attribute
+    entry = obj["predecessors"][0]
+    members = [jsonio.poset_from_obj(m) for m in entry["predecessor"] + [entry["witness"]]]
+    entry["family"] = [jsonio.poset_to_obj(m) for m in canonical_family(members)]
+
+
+def _predecessor_not_first(obj):
+    # on 3 items every pair inside a ufg triple is ufg, so removing the
+    # second member gives a ufg subfamily too, but not the first
+    entry = obj["predecessors"][0]
+    family = [jsonio.poset_from_obj(m) for m in entry["family"]]
+    later = (family[0], family[2])
+    entry["predecessor"] = [jsonio.poset_to_obj(m) for m in later]
+    entry["witness"] = jsonio.poset_to_obj(is_ufg(later).witness)
+
+
 # forgeries of the real ``connectedness -n 3 --json`` output whose entries
 # each re-validate and whose counts match the lists
 CONNECTEDNESS_FORGERIES = {
@@ -341,6 +359,10 @@ CONNECTEDNESS_FORGERIES = {
                                   r"^report\.predecessors\[140\]: out of order"),
     "predecessors-out-of-order": (_predecessors_swapped,
                                   r"^report\.predecessors\[1\]: out of order"),
+    "family-not-ufg": (_family_not_ufg,
+                       r"^report\.predecessors\[0\]\.family: is not union-free generic"),
+    "predecessor-not-first": (_predecessor_not_first,
+                              r"^report\.predecessors\[0\]\.predecessor: is not the first ufg"),
 }
 
 

@@ -374,10 +374,13 @@ def test_six_item_stream_is_pinned():
 def test_step_table_matches_pair_positions(n):
     g = GroundSet.numbered(n)
     table = _size_table(n)
-    # rows are built on first use; fill every one, then check them all
-    assert [table.step(k) for k in range(g.pair_count)] == table.steps
-    assert len(table.steps) == g.pair_count  # none for one item
-    for k, row in enumerate(table.steps):
+    # rows are built on first use, keyed by matrix bit; fill every one,
+    # then check them all
+    cells = [i * n + j for i, j in map(g.pair_at, range(g.pair_count))]
+    rows = [table.step(c) for c in cells]
+    assert rows == [table.by_cell[c] for c in cells]
+    assert len(rows) == g.pair_count  # none for one item
+    for k, row in enumerate(rows):
         i, j = g.pair_at(k)
         assert row == (1 << k, 1 << i * n + j, 1 << j * n + i, i, 1 << i * n, j * n, 1 << j)
         assert row[1] == _bits_to_matrix(g, 1 << k)
@@ -394,11 +397,9 @@ def test_size_table_matches_its_definitions(n):
     assert table.diagonal == sum(1 << i * n + i for i in range(n))
     cells = [1 << i * n + j for i, j in map(g.pair_at, range(g.pair_count))]
     assert list(table.cells) == cells
-    # the step rows again by matrix bit once filled, None on the diagonal
-    for k in range(g.pair_count):
-        table.step(k)
-    by_pair = [table.by_cell[i * n + j] for i, j in map(g.pair_at, range(g.pair_count))]
-    assert by_pair == table.steps
+    # the step rows by matrix bit once filled, None on the diagonal
+    for i, j in map(g.pair_at, range(g.pair_count)):
+        table.step(i * n + j)
     assert all(table.by_cell[i * (n + 1)] is None for i in range(n))
     # the shifts hold every off-diagonal cell once, each cell s bits above
     # the pair_index position of its pair
@@ -433,8 +434,8 @@ def test_a_walk_on_a_wide_ground_fills_only_the_rows_it_meets():
     ks = [g.pair_index(0, 1), g.pair_index(2, 3), g.pair_index(4, 5)]
     assert len(list(_interval_bits(g, 0, sum(1 << k for k in ks)))) == 8
     table = _size_table(340)
-    assert [k for k, row in enumerate(table.steps) if row is not None] == ks
-    assert sum(row is not None for row in table.by_cell) == 3
+    filled = [c for c, row in enumerate(table.by_cell) if row is not None]
+    assert filled == [i * 340 + j for i, j in map(g.pair_at, ks)]
 
 
 def test_row_walk_is_the_pair_walk_on_the_whole_space():

@@ -154,10 +154,14 @@ def _orders(n, *bits):
 
 
 def _root_decision(members):
+    # the decider takes packed matrices: unpack the closure and the lists
     ground = members[0].ground
     bits = [m.bits for m in members]
-    ands, ors = loo = ufgkit.context._loo_and_or(bits, ground.full_bits)
-    return _decides(_size_table(ground.size), ands[0] & bits[0], ors[0] | bits[0], loo)
+    ands, ors = ufgkit.context._loo_and_or(bits, ground.full_bits)
+    lower = _bits_to_matrix(ground, ands[0] & bits[0])
+    upper = _bits_to_matrix(ground, ors[0] | bits[0])
+    loo = [(_bits_to_matrix(ground, lo), _bits_to_matrix(ground, up)) for lo, up in zip(ands, ors)]
+    return _decides(_size_table(ground.size), lower, upper, loo)
 
 
 @seeded
@@ -227,11 +231,17 @@ parents = st.lists(st.integers(0, len(ORDERS4) - 1), min_size=1, max_size=4, uni
 @example([3, 40, 41, 150])
 def test_catalog_step_is_the_prefilter_of_the_child(indices):
     # for every k outside the parent, at its insert position, the step's
-    # verdict and lists are the prefilter's on the child's bits, and the
-    # child is cataloged exactly when it is ufg
+    # verdict and lists are the prefilter's on the child's bits, unpacked
+    # to the catalog's matrices, and the child is cataloged exactly when
+    # it is ufg
     catalog = ufgkit.ufg.UfgCatalog(G4, ORDERS4, 6)  # every order on 4 items
+
+    def matrices(lists):
+        return None if lists is None else tuple(
+            [_bits_to_matrix(G4, b) for b in part] for part in lists)
+
     family = tuple(sorted(indices))
-    loo = ufgkit.context._loo_and_or([ORDERS4[i].bits for i in family], G4.full_bits)
+    loo = matrices(ufgkit.context._loo_and_or([ORDERS4[i].bits for i in family], G4.full_bits))
     if len(family) == 1:
         assert catalog.singleton == loo
         loo = catalog.singleton
@@ -241,7 +251,7 @@ def test_catalog_step_is_the_prefilter_of_the_child(indices):
         if pos and family[pos - 1] == k:
             continue
         child = family[:pos] + (k,) + family[pos:]
-        expected = _prefilter([ORDERS4[i].bits for i in child], G4.full_bits)
+        expected = matrices(_prefilter([ORDERS4[i].bits for i in child], G4.full_bits))
         assert catalog.step(family, loo, pos, k) == expected
         if expected is not None:
             assert catalog.get(child) == is_ufg(ORDERS4[i] for i in child)

@@ -309,7 +309,8 @@ def test_connected_decides_each_family_once(
     monkeypatch, items, pool_seed, found, tested, rejected
 ):
     # each child is opened from its canonical parent only, so no family
-    # reaches the decider twice
+    # reaches the witness kernel twice; a call is keyed by its closure and
+    # its leave-one-out closures, the matrices the step hands over
     ground = GroundSet.numbered(items)
     if pool_seed is None:
         kwargs = {"max_size": 6}
@@ -318,11 +319,14 @@ def test_connected_decides_each_family_once(
         kwargs = {"premises": pool}
     decided = []
 
-    def spy(members, loo=None):
-        decided.append(_bits_key(members))
-        return _is_ufg_sorted(members, loo)
+    first_witness = ufg._first_witness
 
-    monkeypatch.setattr(ufg, "_is_ufg_sorted", spy)
+    def spy(ground, lower, upper, loo):
+        loo = tuple(loo)
+        decided.append((lower, upper, loo))
+        return first_witness(ground, lower, upper, loo)
+
+    monkeypatch.setattr(ufg, "_first_witness", spy)
     catalog = enumerate_ufg_connected(ground, **kwargs)
     assert len(set(decided)) == len(decided) == catalog.stats["families_tested"] == tested
     assert catalog.stats["filter_rejections"] == rejected
@@ -373,10 +377,13 @@ def test_tree_equals_distinguishing_decider_on_three_items(catalog3, pool3):
     assert catalog3.keys() == oracle
 
 
-def _counted_tree(ground, pool, max_size):
-    """The exhaustive tree's walk on a catalog that only counts."""
-    catalog = UfgCatalog(ground, pool, max_size, witnesses=False)
-    stack = [((i,), catalog.singleton) for i in range(len(pool))]
+def _counted_tree(ground, pool, max_size, witnesses=False, firsts=None):
+    """The exhaustive tree's walk, on a catalog that only counts unless
+    ``witnesses``; ``firsts`` limits it to the families whose first pool
+    index it names."""
+    catalog = UfgCatalog(ground, pool, max_size, witnesses=witnesses)
+    firsts = range(len(pool)) if firsts is None else firsts
+    stack = [((i,), catalog.singleton) for i in firsts]
     while stack:
         family, loo = stack.pop()
         for k in range(family[-1] + 1, len(pool)):
@@ -390,18 +397,51 @@ def _counted_tree(ground, pool, max_size):
 def test_counting_catalog_finds_the_exhaustive_keys(monkeypatch, items, pool_seed):
     # the whole 3-item space, and enum5's pool: the root search alone finds
     # the keys the witness scan certifies, at the same cost in steps, and
-    # never calls the witness scan
+    # never calls the witness scan or the catalog's first-witness walk
     ground = GroundSet.numbered(items)
     pool = None if pool_seed is None else random_pool(
         ground, random.Random(f"pool:{pool_seed}"), 12)
     exhaustive = enumerate_ufg_exhaustive(ground, premises=pool)
     monkeypatch.setattr(ufg, "_is_ufg_sorted", None)
+    monkeypatch.setattr(ufg, "_first_witness", None)
     counted = _counted_tree(ground, exhaustive.pool, exhaustive.max_size)
     assert counted.keys() == exhaustive.keys()
     assert counted.count_by_size() == exhaustive.count_by_size()
     assert all(key in counted and counted.get(key) is None for key in exhaustive.keys())
     for stat in ("families_tested", "filter_rejections"):
         assert counted.stats[stat] == exhaustive.stats[stat]
+
+
+@pytest.mark.parametrize("witnesses", [True, False], ids=["witnesses", "counting"])
+def test_four_item_slice_is_pinned(witnesses):
+    # the slice of the exhaustive tree over all 219 orders on 4 items whose
+    # families start at pool index 150, up to size 6: both kernels find the
+    # same families at each size
+    ground = GroundSet.numbered(4)
+    pool = tuple(enumerate_all_posets(ground))
+    assert len(pool) == 219
+    catalog = _counted_tree(ground, pool, 6, witnesses=witnesses, firsts=[150])
+    assert catalog.count_by_size() == {2: 66, 3: 1163, 4: 3351, 5: 1524, 6: 144}
+    assert catalog.stats["families_tested"] == 14039
+    if witnesses:
+        for cert in catalog.certificates()[::500]:
+            cert.validate()
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_one_pair_orders_attain_the_pair_count_bound(n):
+    # the C(n,2) orders that each hold one pair a<b, a before b in the
+    # ground's order: a ufg family whose witness is the chain, since
+    # dropping the member a<b drops (a,b) from the union
+    ground = GroundSet.numbered(n)
+    family = [Poset(ground, 1 << ground.pair_index(a, b))
+              for a in range(n) for b in range(a + 1, n)]
+    assert len(family) == n * (n - 1) // 2
+    chain = sum(1 << ground.pair_index(a, b) for a in range(n) for b in range(a + 1, n))
+    cert = is_ufg(family)
+    assert cert is not None and cert.witness.bits == chain
+    if n <= 4:
+        assert is_ufg_by_distinguishing(family) == cert.witness
 
 
 def test_premises_must_share_the_ground(g2, g3):
