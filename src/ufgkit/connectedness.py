@@ -105,29 +105,32 @@ def verify_connectedness(
     and within ``max_size``, so it is ufg exactly when the catalog holds
     it: the predecessor is the first ``family[:j] + family[j + 1:]`` the
     catalog holds, the one :func:`has_predecessor` picks, found by lookup
-    with no decider call.
+    with no decider call.  Certificates are read, and so walked, only for
+    the predecessors and violations the report writes.
     """
     catalog = enumerate_ufg_exhaustive(
         ground, max_size=max_size, premises=premises, budget=budget, cap=cap
     )
     violations: list[ConnectednessViolation] = []
     predecessors: list[dict] = []
+    pool = catalog.pool
     for family in catalog.families():
         if len(family) < 3:
             continue
-        cert = catalog.get(family)
         for j in range(len(family)):
-            sub_cert = catalog.get(family[:j] + family[j + 1:])
-            if sub_cert is not None:
+            sub = family[:j] + family[j + 1:]
+            if sub in catalog:
+                sub_cert = catalog.get(sub)
                 predecessors.append(
                     {
-                        "family": cert.family,
+                        "family": tuple(pool[i] for i in family),
                         "predecessor": sub_cert.family,
                         "witness": sub_cert.witness,
                     }
                 )
                 break
         else:
+            cert = catalog.get(family)
             violations.append(_violation(cert.family, cert))
     return ConnectednessReport(
         ground=ground,
@@ -299,10 +302,10 @@ def _grown_families(
         return
     # a family is a sorted tuple of pool indices, so canonical as it grows,
     # and the trial's catalog decides it, one step from the family before
-    # with that family's leave-one-out lists; a trial only counts, so the
-    # catalog decides by the root search and writes no certificate
+    # with that family's leave-one-out lists; a trial only counts, so it
+    # reads no certificate and the catalog walks none
     limit = min(len(pool), default_max_family_size(ground))
-    catalog = UfgCatalog(ground, pool, limit, witnesses=False)
+    catalog = UfgCatalog(ground, pool, limit)
     indices = list(range(len(pool)))
     pairs = [(i, j) for i in indices for j in indices[i + 1:]]
     rng.shuffle(pairs)

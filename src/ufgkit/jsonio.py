@@ -366,7 +366,7 @@ def catalog_from_obj(obj: Any, where: str = "catalog") -> UfgCatalog:
     last: tuple[int, ...] = ()
     for i, cert in enumerate(certs):
         family = tuple(index[m.bits] for m in cert.family)
-        _require(catalog.get(family) is None, f"{where}.ufg_sets[{i}]", "repeats an earlier family")
+        _require(family not in catalog, f"{where}.ufg_sets[{i}]", "repeats an earlier family")
         _require(
             (len(last), last) < (len(family), family),
             f"{where}.ufg_sets[{i}]",

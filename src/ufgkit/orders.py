@@ -447,22 +447,27 @@ def _interval_setup(
 ) -> tuple[list[tuple[int, int]], int | None]:
     """The start of a walk over [lower, upper] outside the sub-intervals
     ``outside``, all packed matrices as by :func:`_bits_to_matrix`: the
-    sub-intervals that meet the interval, and the root's hint for
-    :func:`_walk`.  The hint is 0 without sub-intervals; otherwise it is
-    the order :func:`_escape` finds from the root, or None when the
-    interval has no member.  ``lower`` is closed and its own walk matrix
-    ``m``; ``upper`` is the walk's ``allowed`` matrix as it stands."""
+    sub-intervals that meet the interval, and the root's hint for the
+    walk of :func:`_interval_bits`.  The hint is 0 without sub-intervals;
+    otherwise it is the order :func:`_escape` finds from the root, or
+    None when the interval has no member.  ``lower`` is closed and its
+    own walk matrix ``m``; ``upper`` is the walk's ``allowed`` matrix as
+    it stands."""
     subs = [(lo, up) for lo, up in outside if not (lo & ~(upper & up) or lower & ~up)]
     return subs, (_escape(lower, upper, subs, table) if subs else 0)
 
 
-def _walk(
-    table: _SizeTable, bits: int, m: int, allowed: int, subs: list[tuple[int, int]], hint: int
+def _interval_bits(
+    ground: GroundSet,
+    lower_bits: int,
+    upper_bits: int,
+    outside: Iterable[tuple[int, int]] = (),
 ) -> Iterator[int]:
-    """Yield the bits of every poset in [m, allowed] outside every
-    sub-interval of ``subs``, in canonical-key order, from the matrices
-    and the root hint of :func:`_interval_setup`; ``bits`` is the lower
-    bound ``m`` packed as pair bits.
+    """Yield the bits of every poset in [lower, upper] outside every
+    ``outside`` sub-interval, in canonical-key order.  The pair-bit
+    arguments are unpacked once, the bounds to the matrices ``m`` and
+    ``allowed``, and :func:`_interval_setup` keeps the sub-intervals
+    that meet the interval and finds the root's hint.
 
     Depth-first over the free pairs, the bits of ``allowed & ~m``, in
     matrix-bit order, which is pair-position order, exclude-branch first:
@@ -490,6 +495,12 @@ def _walk(
     entered, and every leaf reached is a member with no test of its own.
     Without sub-intervals no search runs and the hint stays 0.
     """
+    table = _size_table(len(ground.labels))
+    m, allowed = _bits_to_matrix(ground, lower_bits), _bits_to_matrix(ground, upper_bits)
+    outside = [(_bits_to_matrix(ground, lo), _bits_to_matrix(ground, up)) for lo, up in outside]
+    subs, hint = _interval_setup(table, m, allowed, outside)
+    if hint is None:
+        return
     col0, row_mask, by_cell = table.col0, table.row_mask, table.by_cell
     steps = []
     free = allowed & ~m
@@ -499,7 +510,7 @@ def _walk(
         steps.append(by_cell[c] or table.step(c))
         free ^= low
     depth = len(steps)
-    stack = [(0, bits, m, allowed, hint)]
+    stack = [(0, lower_bits, m, allowed, hint)]
     while stack:
         idx, bits, m, allowed, hint = stack.pop()
         if subs and m & ~hint:  # an include child the hint does not hold
@@ -526,23 +537,6 @@ def _walk(
                     break
         else:
             yield bits
-
-
-def _interval_bits(
-    ground: GroundSet,
-    lower_bits: int,
-    upper_bits: int,
-    outside: Iterable[tuple[int, int]] = (),
-) -> Iterator[int]:
-    """Yield the bits of every poset in [lower, upper] outside every
-    ``outside`` sub-interval, in canonical-key order: the pair-bit
-    arguments unpacked to matrices, then :func:`_interval_setup` and
-    :func:`_walk`."""
-    table = _size_table(len(ground.labels))
-    m, allowed = _bits_to_matrix(ground, lower_bits), _bits_to_matrix(ground, upper_bits)
-    outside = [(_bits_to_matrix(ground, lo), _bits_to_matrix(ground, up)) for lo, up in outside]
-    subs, hint = _interval_setup(table, m, allowed, outside)
-    return iter(()) if hint is None else _walk(table, lower_bits, m, allowed, subs, hint)
 
 
 _MEMO_ITEMS = 3  # _order_bits memoises the up-sets of sets this small

@@ -11,11 +11,10 @@ that ever need checking.
 One search at the root of the closure decides whether such a witness
 exists (:func:`_decides`); the walk of ``is_ufg``, the witness scan,
 goes on from there only to pick the canonical-first witness, which a
-certificate records.  The catalog runs both on packed matrices, the
-layout of :func:`ufgkit.orders._bits_to_matrix`: a catalog that counts
-families and writes no certificates decides by the search alone, one
-with certificates takes the first leaf of the same walk
-(:func:`_first_witness`).  :mod:`ufgkit.oracles` holds
+certificate records.  The catalog decides on packed matrices, the
+layout of :func:`ufgkit.orders._bits_to_matrix`, by the search alone,
+and walks a family's certificate with the witness scan only when it is
+read.  :mod:`ufgkit.oracles` holds
 the independent deciders both are checked against.
 """
 
@@ -45,10 +44,8 @@ from .orders import (
     PosetInterval,
     _bits_to_matrix,
     _interval_setup,
-    _matrix_to_bits,
     _size_table,
     _SizeTable,
-    _walk,
     canonical_family,
     enumerate_all_posets,
 )
@@ -176,25 +173,10 @@ def _decides(
     leave-one-out closure exactly when one exists.  Such an order is a
     witness: it is no member, since each member lies in the closure of
     the family without any other member.  The walk of
-    :func:`_first_witness` starts with the same search and adds only the
+    :func:`_is_ufg_sorted` starts with the same search and adds only the
     choice of the canonical-first witness.
     """
     return _interval_setup(table, lower, upper, loo)[1] is not None
-
-
-def _first_witness(
-    ground: GroundSet, lower: int, upper: int, loo: Iterable[tuple[int, int]]
-) -> int | None:
-    """The bits of the canonical-first witness of a family of two or
-    more orders, from the matrices :func:`_decides` takes; None when the
-    family has none.  It is the first leaf of the walk over the closure
-    outside the leave-one-out closures, the leaf :func:`_is_ufg_sorted`
-    takes; the lower bound is packed to leaf bits once."""
-    table = _size_table(len(ground.labels))
-    subs, hint = _interval_setup(table, lower, upper, loo)
-    if hint is None:
-        return None
-    return next(_walk(table, _matrix_to_bits(ground, lower), lower, upper, subs, hint))
 
 
 def is_ufg(S: Iterable[Poset]) -> UfgCertificate | None:
@@ -247,23 +229,20 @@ class UfgCatalog:
     tests, and with them the prefilter, mean the same in it.
     ``singleton`` holds the full relation and the empty one as matrices.
 
-    With ``witnesses`` (the enumerators) each family maps to its
-    certificate, built only for a family that is ufg.  Without (the
-    trials, which only count) ``step`` decides by :func:`_decides` and a
-    family maps to None: ``in`` and the key methods see it, ``get`` and
-    ``certificates`` have nothing.
+    ``step`` decides a family by the root search :func:`_decides` and
+    stores only its key.  A family's certificate is walked by the witness
+    scan :func:`_is_ufg_sorted` when ``get`` or ``certificates`` first
+    reads it, and kept; ``in`` and the key methods walk nothing.
     """
 
-    def __init__(
-        self, ground: GroundSet, pool: tuple[Poset, ...], max_size: int, witnesses: bool = True
-    ):
+    def __init__(self, ground: GroundSet, pool: tuple[Poset, ...], max_size: int):
         self.ground = ground
         self.pool = pool
         self.max_size = max_size
-        self.witnesses = witnesses
         self._table = _size_table(ground.size)
         self._matrices = [_bits_to_matrix(ground, p.bits) for p in pool]
         self.singleton = ([_bits_to_matrix(ground, ground.full_bits)], [0])
+        # each family to its certificate, None until it is first read
         self._families: dict[tuple[int, ...], UfgCertificate | None] = {}
         self.stats: dict[str, object] = {
             "families_tested": 0,
@@ -301,13 +280,12 @@ class UfgCatalog:
         ~b_k``, and the new member when ``AND & ~b_k or b_k & ~OR``; the
         test runs before any list is built, since most children fail it.
         The child's closure ``[AND & b_k, OR | b_k]`` and its lists, as
-        the leave-one-out closures ``zip(ands, ors)``, go to the kernel,
-        which does not filter again: :func:`_first_witness`, or without
-        ``witnesses`` the root search :func:`_decides` alone.  The
-        upper bound is the walk's ``allowed`` matrix as it stands, and the
-        member tuple and certificate are built only for a ufg child.
-        ``stats`` count both outcomes.  The step costs O(m) for a parent
-        of m members, before the kernel.
+        the leave-one-out closures ``zip(ands, ors)``, go to the root
+        search :func:`_decides`, which does not filter again; the upper
+        bound is the search's ``allowed`` matrix as it stands.  A ufg
+        child is stored by its key alone, with no member tuple and no
+        certificate.  ``stats`` count both outcomes.  The step costs O(m)
+        for a parent of m members, before the search.
         """
         matrices = self._matrices
         bk = matrices[k]
@@ -328,15 +306,8 @@ class UfgCatalog:
         ands.insert(pos, whole_and)
         ors.insert(pos, whole_or)
         self.stats["families_tested"] += 1
-        child = family[:pos] + (k,) + family[pos:]
-        lower, upper = whole_and & bk, whole_or | bk
-        if not self.witnesses:
-            if _decides(self._table, lower, upper, zip(ands, ors)):
-                self._families[child] = None
-            return ands, ors
-        witness = _first_witness(self.ground, lower, upper, zip(ands, ors))
-        if witness is not None:
-            self._families[child] = _certificate(tuple(self.pool[i] for i in child), witness)
+        if _decides(self._table, whole_and & bk, whole_or | bk, zip(ands, ors)):
+            self._families[family[:pos] + (k,) + family[pos:]] = None
         return ands, ors
 
     def __len__(self) -> int:
@@ -346,7 +317,12 @@ class UfgCatalog:
         return family in self._families
 
     def get(self, family: tuple[int, ...]) -> UfgCertificate | None:
-        return self._families.get(family)
+        """The certificate of a family the catalog holds, walked on its
+        first read; None for a family it does not hold."""
+        cert = self._families.get(family)
+        if cert is None and family in self._families:
+            cert = self._families[family] = _is_ufg_sorted(tuple(self.pool[i] for i in family))
+        return cert
 
     def keys(self) -> frozenset[tuple[int, ...]]:
         return frozenset(self._families)
@@ -356,7 +332,7 @@ class UfgCatalog:
         return sorted(self._families, key=lambda k: (len(k), k))
 
     def certificates(self) -> list[UfgCertificate]:
-        return [self._families[k] for k in self.families()]
+        return [self.get(k) for k in self.families()]
 
     def count_by_size(self) -> dict[int, int]:
         out: dict[int, int] = {}
@@ -409,7 +385,7 @@ def enumerate_ufg_exhaustive(
     keeps no distinguishing attribute keeps none in any superset, and no
     superset is ufg (the Apriori rule of Agrawal & Srikant 1994).  A
     family failing it is neither tested nor extended; every other family
-    of two or more members goes to the witness kernel.  The budget still
+    of two or more members goes to the root search.  The budget still
     counts every subset up to ``max_size``.  ``stats`` record the
     families tested and the subtrees pruned.  The tests and
     ``bench/make_references.py`` check the tree against deciding every
@@ -453,7 +429,7 @@ def enumerate_ufg_connected(
     reverse search (Avis & Fukuda 1996): each child of a ufg family is
     opened once, with no record of the families seen.  An opened child
     gets the prefilter of the exhaustive tree and, when it passes, the
-    witness kernel; the budget counts the children that pass.
+    root search; the budget counts the children that pass.
     Completeness rests on the connectedness property of ufg families,
     which this package verifies rather than assumes; run the exhaustive
     strategy next to it when the guarantee matters.

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from ufgkit import cli, jsonio, orders
+from ufgkit import cli, jsonio, orders, ufg
 from ufgkit.cli import EXIT_ERROR, EXIT_NOT_UFG, EXIT_OK, main
 from ufgkit.orders import GroundSet, make_poset
 
@@ -220,6 +220,18 @@ def test_enumerate_verify_reads_the_family_file_once(capsys, monkeypatch, corr_f
     code, out, _ = run(capsys, "enumerate", "--input", corr_family_file, "--verify")
     assert code == EXIT_OK and "catalogs identical" in out
     assert calls == [corr_family_file]
+
+
+def test_text_enumerate_walks_no_witness(capsys, monkeypatch):
+    # the text report reads counts only, so no certificate is built and
+    # no interval is walked to a witness
+    def refuse(*_):
+        raise AssertionError("a witness was walked for text output")
+
+    monkeypatch.setattr(ufg, "_certificate", refuse)
+    monkeypatch.setattr(orders, "_interval_bits", refuse)
+    code, out, _ = run(capsys, "enumerate", "-n", "3")
+    assert code == EXIT_OK and "ufg sets: 281 (by size 2:141, 3:140)" in out
 
 
 def test_enumerate_max_size_one(capsys):

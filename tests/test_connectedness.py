@@ -89,6 +89,23 @@ def test_connectedness_lookup_is_has_predecessor(g3, monkeypatch):
         assert cert.witness == entry["witness"]
 
 
+def test_connectedness_walks_only_the_predecessors_it_writes(g3, monkeypatch):
+    # predecessors are found by lookup; a certificate is walked once, on
+    # its first read, and only for a predecessor the report writes
+    walked = []
+    scan = ufgkit.ufg._is_ufg_sorted
+
+    def spy(members):
+        walked.append(members)
+        return scan(members)
+
+    monkeypatch.setattr(ufgkit.ufg, "_is_ufg_sorted", spy)
+    report = verify_connectedness(g3)
+    written = {entry["predecessor"] for entry in report.predecessors}
+    assert len(walked) == len(set(walked)) == len(written) < report.checked
+    assert set(walked) == written
+
+
 def test_connectedness_two_items(g2):
     # only one ufg family exists there and it has size 2: nothing to check
     report = verify_connectedness(g2)

@@ -352,5 +352,5 @@ def test_catalog_step_makes_no_leave_one_out_pass(corr, monkeypatch):
     catalog = ufgkit.ufg.UfgCatalog(p1.ground, pool, 3)
     pair = catalog.step((0,), catalog.singleton, 1, 1)
     assert catalog.step((0, 1), pair, 2, 2) is not None
-    assert catalog.get((0, 1, 2)) is not None
+    assert (0, 1, 2) in catalog
     assert calls == []

@@ -22,7 +22,7 @@ from ufgkit.orders import (
     make_poset,
     transitive_closure,
 )
-from ufgkit import ufg
+from ufgkit import orders, ufg
 from ufgkit.context import _loo_and_or, gamma_interval
 from ufgkit.ufg import (
     UfgCatalog,
@@ -309,7 +309,7 @@ def test_connected_decides_each_family_once(
     monkeypatch, items, pool_seed, found, tested, rejected
 ):
     # each child is opened from its canonical parent only, so no family
-    # reaches the witness kernel twice; a call is keyed by its closure and
+    # reaches the root search twice; a call is keyed by its closure and
     # its leave-one-out closures, the matrices the step hands over
     ground = GroundSet.numbered(items)
     if pool_seed is None:
@@ -319,14 +319,14 @@ def test_connected_decides_each_family_once(
         kwargs = {"premises": pool}
     decided = []
 
-    first_witness = ufg._first_witness
+    decides = ufg._decides
 
-    def spy(ground, lower, upper, loo):
+    def spy(table, lower, upper, loo):
         loo = tuple(loo)
         decided.append((lower, upper, loo))
-        return first_witness(ground, lower, upper, loo)
+        return decides(table, lower, upper, loo)
 
-    monkeypatch.setattr(ufg, "_first_witness", spy)
+    monkeypatch.setattr(ufg, "_decides", spy)
     catalog = enumerate_ufg_connected(ground, **kwargs)
     assert len(set(decided)) == len(decided) == catalog.stats["families_tested"] == tested
     assert catalog.stats["filter_rejections"] == rejected
@@ -377,11 +377,10 @@ def test_tree_equals_distinguishing_decider_on_three_items(catalog3, pool3):
     assert catalog3.keys() == oracle
 
 
-def _counted_tree(ground, pool, max_size, witnesses=False, firsts=None):
-    """The exhaustive tree's walk, on a catalog that only counts unless
-    ``witnesses``; ``firsts`` limits it to the families whose first pool
-    index it names."""
-    catalog = UfgCatalog(ground, pool, max_size, witnesses=witnesses)
+def _counted_tree(ground, pool, max_size, firsts=None):
+    """The exhaustive tree's walk on a fresh catalog; ``firsts`` limits it
+    to the families whose first pool index it names."""
+    catalog = UfgCatalog(ground, pool, max_size)
     firsts = range(len(pool)) if firsts is None else firsts
     stack = [((i,), catalog.singleton) for i in firsts]
     while stack:
@@ -393,39 +392,64 @@ def _counted_tree(ground, pool, max_size, witnesses=False, firsts=None):
     return catalog
 
 
+def _no_walk(*args, **kwargs):
+    raise AssertionError("a witness was walked")
+
+
 @pytest.mark.parametrize("items, pool_seed", [(3, None), (5, 0)], ids=["3-items", "pool:0"])
 def test_counting_catalog_finds_the_exhaustive_keys(monkeypatch, items, pool_seed):
-    # the whole 3-item space, and enum5's pool: the root search alone finds
-    # the keys the witness scan certifies, at the same cost in steps, and
-    # never calls the witness scan or the catalog's first-witness walk
+    # the whole 3-item space, and enum5's pool: a fresh catalog walked as
+    # the exhaustive tree finds its keys at the same cost in steps, the
+    # connected enumerator finds them too, and none of the three walks to
+    # a witness while it enumerates
     ground = GroundSet.numbered(items)
     pool = None if pool_seed is None else random_pool(
         ground, random.Random(f"pool:{pool_seed}"), 12)
     exhaustive = enumerate_ufg_exhaustive(ground, premises=pool)
-    monkeypatch.setattr(ufg, "_is_ufg_sorted", None)
-    monkeypatch.setattr(ufg, "_first_witness", None)
+    monkeypatch.setattr(ufg, "_is_ufg_sorted", _no_walk)
+    monkeypatch.setattr(orders, "_interval_bits", _no_walk)
     counted = _counted_tree(ground, exhaustive.pool, exhaustive.max_size)
-    assert counted.keys() == exhaustive.keys()
+    connected = enumerate_ufg_connected(ground, premises=pool)
+    assert counted.keys() == connected.keys() == exhaustive.keys()
     assert counted.count_by_size() == exhaustive.count_by_size()
-    assert all(key in counted and counted.get(key) is None for key in exhaustive.keys())
     for stat in ("families_tested", "filter_rejections"):
         assert counted.stats[stat] == exhaustive.stats[stat]
 
 
-@pytest.mark.parametrize("witnesses", [True, False], ids=["witnesses", "counting"])
-def test_four_item_slice_is_pinned(witnesses):
+def test_four_item_slice_is_pinned():
     # the slice of the exhaustive tree over all 219 orders on 4 items whose
-    # families start at pool index 150, up to size 6: both kernels find the
-    # same families at each size
+    # families start at pool index 150, up to size 6; the certificates read
+    # back, walked on read, hold
     ground = GroundSet.numbered(4)
     pool = tuple(enumerate_all_posets(ground))
     assert len(pool) == 219
-    catalog = _counted_tree(ground, pool, 6, witnesses=witnesses, firsts=[150])
+    catalog = _counted_tree(ground, pool, 6, firsts=[150])
     assert catalog.count_by_size() == {2: 66, 3: 1163, 4: 3351, 5: 1524, 6: 144}
     assert catalog.stats["families_tested"] == 14039
-    if witnesses:
-        for cert in catalog.certificates()[::500]:
-            cert.validate()
+    for family in catalog.families()[::500]:
+        catalog.get(family).validate()
+
+
+def test_a_certificate_is_walked_once_on_first_read(monkeypatch, pool3, g3):
+    # the step stores keys only; the first get walks the witness scan, a
+    # second one returns the same object, and a family not held gets None
+    walked = []
+    scan = ufg._is_ufg_sorted
+
+    def spy(members):
+        walked.append(members)
+        return scan(members)
+
+    monkeypatch.setattr(ufg, "_is_ufg_sorted", spy)
+    catalog = _counted_tree(g3, pool3, 3)
+    assert walked == []
+    family = catalog.families()[0]
+    cert = catalog.get(family)
+    assert catalog.get(family) is cert
+    assert walked == [tuple(pool3[i] for i in family)]
+    cert.validate()
+    assert catalog.get((0,)) is None  # a single order is never ufg
+    assert len(walked) == 1
 
 
 @pytest.mark.parametrize("n", range(3, 8))
