@@ -427,7 +427,16 @@ def enumerate_ufg_connected(
     leave-one-out subfamily removing members in canonical order (the
     rule of :func:`ufgkit.connectedness.has_predecessor`).  This is
     reverse search (Avis & Fukuda 1996): each child of a ufg family is
-    opened once, with no record of the families seen.  An opened child
+    opened once, with no record of the families seen.
+
+    The parent test costs one mask per family.  At each level, ``ext``
+    maps each family without one member to the mask of the pool indices
+    whose addition gives back a family of the level.  A family opens the
+    k outside ``closed``, in ascending order: its members, and for each
+    member f the bits above f of ``ext[family - f]``.  That is the rule,
+    since for a member f < k the earlier subfamily ``child - f`` is
+    ``(family - f) + k``, in the level exactly when bit k is in
+    ``ext[family - f]``.  An opened child
     gets the prefilter of the exhaustive tree and, when it passes, the
     root search; the budget counts the children that pass.
     Completeness rests on the connectedness property of ufg families,
@@ -441,21 +450,28 @@ def enumerate_ufg_connected(
     # first level holds every single order, so every pair is opened, and
     # two distinct orders always pass the prefilter
     level = {(i,): catalog.singleton for i in range(len(pool))}
+    everything = (1 << len(pool)) - 1
     for _ in range(1, max_size):
+        ext: dict[tuple[int, ...], int] = {}
+        for family in level:
+            for j, f in enumerate(family):
+                rest = family[:j] + family[j + 1:]
+                ext[rest] = ext.get(rest, 0) | 1 << f
         grown: dict[tuple[int, ...], tuple[list[int], list[int]]] = {}
         for family, loo in level.items():
-            for k in range(len(pool)):
+            closed = 0
+            for j, f in enumerate(family):
+                closed |= 1 << f | ext[family[:j] + family[j + 1:]] >> (f + 1) << (f + 1)
+            opened = everything & ~closed
+            while opened:
+                k = (opened & -opened).bit_length() - 1
+                opened &= opened - 1
                 pos = bisect(family, k)
-                if pos and family[pos - 1] == k:
-                    continue
-                child = family[:pos] + (k,) + family[pos:]
-                # family is the child without child[pos]; an earlier
-                # leave-one-out subfamily in the level is the parent instead
-                if any(child[:j] + child[j + 1:] in level for j in range(pos)):
-                    continue
                 child_loo = catalog.step(family, loo, pos, k)
-                if child_loo is not None and child in catalog:
-                    grown[child] = child_loo
+                if child_loo is not None:
+                    child = family[:pos] + (k,) + family[pos:]
+                    if child in catalog:
+                        grown[child] = child_loo
                 if catalog.stats["families_tested"] > budget:
                     raise CombinatorialBudgetExceeded(
                         f"extension tests exceed the budget {budget}"

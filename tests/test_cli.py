@@ -7,7 +7,7 @@ import json
 import pytest
 
 from ufgkit import cli, jsonio, orders, ufg
-from ufgkit.cli import EXIT_ERROR, EXIT_NOT_UFG, EXIT_OK, main
+from ufgkit.cli import EXIT_ERROR, EXIT_NOT_UFG, EXIT_OK, EXIT_VIOLATION, main
 from ufgkit.orders import GroundSet, make_poset
 
 
@@ -201,6 +201,23 @@ def test_enumerate_verify_identical(capsys):
     assert code == EXIT_OK
     assert "catalogs identical" in out
     assert "ufg sets: 1" in out
+
+
+def test_enumerate_verify_reports_differing_catalogs(capsys, monkeypatch):
+    # a connected catalog missing one family: exit 2, a count line on
+    # stderr and nothing on stdout
+    enumerate_connected = cli.enumerate_ufg_connected
+
+    def missing_one(*args, **kwargs):
+        catalog = enumerate_connected(*args, **kwargs)
+        del catalog._families[catalog.families()[0]]
+        return catalog
+
+    monkeypatch.setattr(cli, "enumerate_ufg_connected", missing_one)
+    code, out, err = run(capsys, "enumerate", "-n", "3", "--verify")
+    assert code == EXIT_VIOLATION
+    assert err == "catalogs differ: 1 missing from connected, 0 unexpected\n"
+    assert out == ""
 
 
 def test_enumerate_connected_pool(capsys, corr_family_file):

@@ -6,10 +6,13 @@ import os
 import random
 import subprocess
 import sys
+from bisect import bisect
 from itertools import combinations
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ufgkit.errors import CombinatorialBudgetExceeded, MixedGroundSets, UfgkitError
 from ufgkit.orders import (
@@ -333,6 +336,69 @@ def test_connected_decides_each_family_once(
     assert len(catalog) == found
 
 
+def _tuple_rule_steps(keys, size, max_size):
+    """The ``(family, pos, k)`` steps of the connected enumerator under the
+    tuple parent rule: a child is stepped unless removing one of its
+    members below k leaves a family of the level.  ``keys`` are the ufg
+    families, the children that reach the next level."""
+    level = [(i,) for i in range(size)]
+    steps = []
+    for _ in range(1, max_size):
+        members = set(level)
+        grown = []
+        for family in level:
+            for k in range(size):
+                pos = bisect(family, k)
+                if pos and family[pos - 1] == k:
+                    continue
+                child = family[:pos] + (k,) + family[pos:]
+                if any(child[:j] + child[j + 1:] in members for j in range(pos)):
+                    continue
+                steps.append((family, pos, k))
+                if child in keys:
+                    grown.append(child)
+        level = grown
+    return steps
+
+
+def _check_connected_steps(ground, pool=None, max_size=None):
+    """The connected enumerator steps the children the tuple rule opens,
+    in the same order; the ufg families come from the exhaustive tree."""
+    steps = []
+    step = UfgCatalog.step
+
+    def spy(self, family, loo, pos, k):
+        steps.append((family, pos, k))
+        return step(self, family, loo, pos, k)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(UfgCatalog, "step", spy)
+        catalog = enumerate_ufg_connected(ground, max_size=max_size, premises=pool)
+    keys = enumerate_ufg_exhaustive(ground, max_size=max_size, premises=pool).keys()
+    assert steps == _tuple_rule_steps(keys, len(catalog.pool), catalog.max_size)
+    assert catalog.keys() == keys
+    return steps
+
+
+def test_connected_steps_follow_the_tuple_rule_on_three_items(g3):
+    steps = _check_connected_steps(g3, max_size=6)
+    assert len(steps) == 606 + 2_162  # every step is tested or rejected
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_connected_steps_follow_the_tuple_rule_on_random_pools(seed):
+    # the pools of acceptance criterion 6
+    g5 = GroundSet.numbered(5)
+    _check_connected_steps(g5, random_pool(g5, random.Random(f"pool:{seed}"), 12))
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(st.integers(0, 2**32), st.integers(2, 9))
+def test_connected_steps_follow_the_tuple_rule_on_four_items(seed, size):
+    g4 = GroundSet.numbered(4)
+    _check_connected_steps(g4, random_pool(g4, random.Random(seed), size))
+
+
 def _all_subsets_catalog(pool, max_size):
     """Every subset decided by the witness scan: the tree without pruning."""
     found = {}
@@ -363,6 +429,35 @@ def test_tree_equals_all_subsets_on_random_pools(seed):
     pool = random_pool(g5, random.Random(f"pool:{seed}"), 12)
     catalog = enumerate_ufg_exhaustive(g5, premises=pool)
     assert _certificates_by_key(catalog) == _all_subsets_catalog(pool, len(pool))
+
+
+def _first_plain_witness(S):
+    """The first order of the plain closure walk that is no member of S and
+    lies in no leave-one-out closure: the witness, found without the kernel."""
+    bits = [m.bits for m in S]
+    loo = list(zip(*_loo_and_or(bits, S[0].ground.full_bits)))
+    return next(q.bits for q in gamma_interval(S).posets()
+                if q.bits not in bits and _blocker(q.bits, loo) is None)
+
+
+@pytest.mark.parametrize(
+    "items, pool_seed, found", [(3, None, 281), (5, 0, 548)], ids=["3-items", "pool:0"]
+)
+def test_catalog_witnesses_are_the_first_plain_walk_witnesses(catalog3, items, pool_seed, found):
+    # a catalog certificate is walked by the witness scan on read, so the
+    # all-subsets comparison checks only its keys independently; here each
+    # witness is checked against the plain walk instead
+    if pool_seed is None:
+        catalog = catalog3
+    else:
+        ground = GroundSet.numbered(items)
+        pool = random_pool(ground, random.Random(f"pool:{pool_seed}"), 12)
+        catalog = enumerate_ufg_exhaustive(ground, premises=pool)
+    certificates = catalog.certificates()
+    assert len(certificates) == found
+    for family, cert in zip(catalog.families(), certificates):
+        assert cert.family == tuple(catalog.pool[i] for i in family)
+        assert cert.witness.bits == _first_plain_witness(cert.family)
 
 
 def test_tree_equals_distinguishing_decider_on_three_items(catalog3, pool3):
