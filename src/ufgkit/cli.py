@@ -174,6 +174,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_posets(args) -> int:
+    if args.list and (args.json or args.out):
+        raise UfgkitError("--list streams JSON lines to stdout; it takes no --json or --out")
     ground, _ = _load_inputs(args)
     stream = enumerate_all_posets(ground, _effective_cap(args, ground))
     if args.list:

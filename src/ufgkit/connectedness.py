@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import os
 import random
-from bisect import bisect
 from dataclasses import dataclass
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Sequence
 from itertools import combinations
 
 from .context import NLEQ, Attribute, gamma_interval, partition_distinguishing
@@ -291,15 +290,14 @@ class FalsificationReport:
     violation: ConnectednessViolation | None
 
 
-def _grown_families(
-    n: int, seed: int, trial: int, pool_size: int
-) -> Iterator[tuple[Poset, ...]]:
-    """Each family one growth trial reaches, one member past the one before."""
+def _run_trial(n: int, seed: int, trial: int, pool_size: int) -> int:
+    """How many families one growth trial reaches, each one member past
+    the one before, from a ufg pair of its seeded pool."""
     rng = random.Random(f"{seed}:{trial}")
     ground = GroundSet.numbered(n)
     pool = random_pool(ground, rng, pool_size)
     if len(pool) < 3:
-        return
+        return 0
     # a family is a sorted tuple of pool indices, so canonical as it grows,
     # and the trial's catalog decides it, one step from the family before
     # with that family's leave-one-out lists; a trial only counts, so it
@@ -310,33 +308,24 @@ def _grown_families(
     pairs = [(i, j) for i in indices for j in indices[i + 1:]]
     rng.shuffle(pairs)
     for i, j in pairs[:30]:
-        loo = catalog.step((i,), catalog.singleton, 1, j)
-        if loo is not None and (i, j) in catalog:
-            family = (i, j)
+        state = catalog.step((i,), catalog.singleton, j)
+        if state is not None and state[0] in catalog:
             break
     else:
-        return
+        return 0
+    family, loo = state
     while len(family) < limit:
         candidates = [k for k in indices if k not in family]
         rng.shuffle(candidates)
         for k in candidates:
-            pos = bisect(family, k)
-            child_loo = catalog.step(family, loo, pos, k)
-            if child_loo is None:
-                continue
-            child = family[:pos] + (k,) + family[pos:]
-            if child not in catalog:
-                continue
-            # the family it grew from, decided one step earlier, is a predecessor
-            yield tuple(pool[i] for i in child)
-            family, loo = child, child_loo
-            break
+            state = catalog.step(family, loo, k)
+            if state is not None and state[0] in catalog:
+                # the family it grew from, decided one step earlier, is a predecessor
+                family, loo = state
+                break
         else:
-            return
-
-
-def _run_trial(n: int, seed: int, trial: int, pool_size: int) -> int:
-    return sum(1 for _ in _grown_families(n, seed, trial, pool_size))
+            break
+    return len(family) - 2  # one counted family per member past the pair
 
 
 def falsification_search(

@@ -480,6 +480,11 @@ def falsification_from_obj(obj: Any, where: str = "report") -> FalsificationRepo
         ),
     })
     _require(rec["trials"] == rec["budget"], f"{where}.trials", "differs from the budget")
+    _require(rec["budget"] >= 1, f"{where}.budget", "is below 1")
+    _require(rec["pool_size"] >= 1, f"{where}.pool_size", "is below 1")
+    _require(rec["families_checked"] >= 0, f"{where}.families_checked", "is negative")
+    _require(rec["n_range"] and min(rec["n_range"]) >= 1, f"{where}.n_range",
+             "expected a nonempty list of sizes of at least 1")
     return FalsificationReport(**rec)
 
 

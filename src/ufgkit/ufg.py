@@ -217,9 +217,9 @@ class UfgCatalog:
     tuple of pool indices: canonical too, since the pool is, and ordered
     among families of its size as its canonical keys are.  ``step`` is the
     one step that decides a family, for both enumerators and for the
-    falsification trials: it grows a family by one pool index, carrying
-    the leave-one-out lists of the family beside it.  ``singleton`` is
-    those lists for a family of one order.
+    falsification trials: from a family's state, its key beside its
+    leave-one-out lists, and a pool index, it returns the child's state,
+    so no caller builds a key.  ``singleton`` is those lists for one order.
 
     The catalog works in the matrix layout of
     :func:`ufgkit.orders._bits_to_matrix`: each pool order is unpacked
@@ -257,12 +257,12 @@ class UfgCatalog:
         self,
         family: tuple[int, ...],
         loo: tuple[list[int], list[int]],
-        pos: int,
         k: int,
-    ) -> tuple[list[int], list[int]] | None:
-        """Decide the child ``family[:pos] + (k,) + family[pos:]``, adding
-        it when it is ufg, and return its leave-one-out ``(and, or)``
-        lists; None when the distinguishing prefilter turns it away.
+    ) -> tuple[tuple[int, ...], tuple[list[int], list[int]]] | None:
+        """Decide the child ``family`` plus pool index ``k``, adding it
+        when it is ufg, and return the child's state: its key, sorted,
+        beside its leave-one-out ``(and, or)`` lists.  None when the
+        distinguishing prefilter turns the child away.
 
         ``loo`` is the parent's pair of lists, ``A_i`` and ``O_i``, the
         AND and OR of every member but member i; ``b_i`` is member i's
@@ -278,14 +278,15 @@ class UfgCatalog:
         So the prefilter needs no pass over the child.  Member i keeps a
         distinguishing attribute when ``A_i & b_k & ~b_i or b_i & ~O_i &
         ~b_k``, and the new member when ``AND & ~b_k or b_k & ~OR``; the
-        test runs before any list is built, since most children fail it.
-        The child's closure ``[AND & b_k, OR | b_k]`` and its lists, as
-        the leave-one-out closures ``zip(ands, ors)``, go to the root
-        search :func:`_decides`, which does not filter again; the upper
-        bound is the search's ``allowed`` matrix as it stands.  A ufg
-        child is stored by its key alone, with no member tuple and no
-        certificate.  ``stats`` count both outcomes.  The step costs O(m)
-        for a parent of m members, before the search.
+        test runs before any list or key is built, since most children
+        fail it.  The child's closure ``[AND & b_k, OR | b_k]`` and its
+        lists, as the leave-one-out closures ``zip(ands, ors)``, go to
+        the root search :func:`_decides`, which does not filter again;
+        the upper bound is the search's ``allowed`` matrix as it stands.
+        A ufg child is stored by its key alone, with no member tuple and
+        no certificate, so ``child in catalog`` tells a caller whether it
+        is ufg.  ``stats`` count both outcomes.  The step costs O(m) for
+        a parent of m members, before the search.
         """
         matrices = self._matrices
         bk = matrices[k]
@@ -301,14 +302,16 @@ class UfgCatalog:
             if not (lo & bk & ~b or b & ~up & not_bk):
                 self.stats["filter_rejections"] += 1
                 return None
+        pos = bisect(family, k)
+        child = family[:pos] + (k,) + family[pos:]
         ands = [lo & bk for lo in ands]
         ors = [up | bk for up in ors]
         ands.insert(pos, whole_and)
         ors.insert(pos, whole_or)
         self.stats["families_tested"] += 1
         if _decides(self._table, whole_and & bk, whole_or | bk, zip(ands, ors)):
-            self._families[family[:pos] + (k,) + family[pos:]] = None
-        return ands, ors
+            self._families[child] = None
+        return child, (ands, ors)
 
     def __len__(self) -> int:
         return len(self._families)
@@ -399,15 +402,14 @@ def enumerate_ufg_exhaustive(
         )
     catalog = UfgCatalog(ground, pool, max_size)
     start = time.perf_counter()
-    # each family beside its leave-one-out lists; children go at the end
+    # each family beside its leave-one-out lists, as the step returns them
     stack = [((i,), catalog.singleton) for i in range(len(pool))] if max_size >= 2 else []
     while stack:
         family, loo = stack.pop()
-        pos = len(family)
         for k in range(family[-1] + 1, len(pool)):
-            child_loo = catalog.step(family, loo, pos, k)
-            if child_loo is not None and pos + 1 < max_size:
-                stack.append((family + (k,), child_loo))
+            child = catalog.step(family, loo, k)
+            if child is not None and len(family) + 1 < max_size:
+                stack.append(child)
     catalog.stats["elapsed_seconds"] = time.perf_counter() - start
     return catalog
 
@@ -438,7 +440,9 @@ def enumerate_ufg_connected(
     ``(family - f) + k``, in the level exactly when bit k is in
     ``ext[family - f]``.  An opened child
     gets the prefilter of the exhaustive tree and, when it passes, the
-    root search; the budget counts the children that pass.
+    root search; the budget counts the children that pass.  A level is
+    the list of the step's states for its ufg families, kept only while
+    another level follows: the last level's lists are dropped at once.
     Completeness rests on the connectedness property of ufg families,
     which this package verifies rather than assumes; run the exhaustive
     strategy next to it when the guarantee matters.
@@ -446,19 +450,19 @@ def enumerate_ufg_connected(
     pool, max_size = _resolve_pool(ground, premises, cap, max_size)
     catalog = UfgCatalog(ground, pool, max_size)
     start = time.perf_counter()
-    # the ufg families of one size, each to its leave-one-out lists; the
-    # first level holds every single order, so every pair is opened, and
-    # two distinct orders always pass the prefilter
-    level = {(i,): catalog.singleton for i in range(len(pool))}
+    # the ufg families of one size, each beside its leave-one-out lists;
+    # the first level holds every single order, so every pair is opened,
+    # and two distinct orders always pass the prefilter
+    level = [((i,), catalog.singleton) for i in range(len(pool))]
     everything = (1 << len(pool)) - 1
-    for _ in range(1, max_size):
+    for size in range(1, max_size):
         ext: dict[tuple[int, ...], int] = {}
-        for family in level:
+        for family, _ in level:
             for j, f in enumerate(family):
                 rest = family[:j] + family[j + 1:]
                 ext[rest] = ext.get(rest, 0) | 1 << f
-        grown: dict[tuple[int, ...], tuple[list[int], list[int]]] = {}
-        for family, loo in level.items():
+        grown = []  # filled only while another level follows
+        for family, loo in level:
             closed = 0
             for j, f in enumerate(family):
                 closed |= 1 << f | ext[family[:j] + family[j + 1:]] >> (f + 1) << (f + 1)
@@ -466,12 +470,9 @@ def enumerate_ufg_connected(
             while opened:
                 k = (opened & -opened).bit_length() - 1
                 opened &= opened - 1
-                pos = bisect(family, k)
-                child_loo = catalog.step(family, loo, pos, k)
-                if child_loo is not None:
-                    child = family[:pos] + (k,) + family[pos:]
-                    if child in catalog:
-                        grown[child] = child_loo
+                child = catalog.step(family, loo, k)
+                if child is not None and size + 1 < max_size and child[0] in catalog:
+                    grown.append(child)
                 if catalog.stats["families_tested"] > budget:
                     raise CombinatorialBudgetExceeded(
                         f"extension tests exceed the budget {budget}"

@@ -343,14 +343,18 @@ def test_usage_errors_exit_one(capsys):
         (("posets", "-n", "3"), {"UFGKIT_CAP": "abc"}),
         (("posets", "-n", "3"), {"UFGKIT_CAP": "0"}),
         (("closure", "--input", "x.json", "--cap-override-ack"), {}),
+        (("posets", "-n", "2", "--list", "--out", "f.json"), {}),  # --list streams lines
+        (("posets", "-n", "2", "--list", "--json"), {}),
     ],
 )
-def test_bad_input_exits_one_without_traceback(capsys, monkeypatch, argv, env):
+def test_bad_input_exits_one_without_traceback(capsys, monkeypatch, tmp_path, argv, env):
     for name, value in env.items():
         monkeypatch.setenv(name, value)
-    code, _, err = run(capsys, *argv)
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv)
     assert code == EXIT_ERROR
     assert "error:" in err and "Traceback" not in err
+    assert out == "" and list(tmp_path.iterdir()) == []  # nothing written
 
 
 def test_out_of_memory_exits_one_without_traceback(capsys, monkeypatch):

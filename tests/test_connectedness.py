@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -17,7 +18,6 @@ from ufgkit.errors import FamilyTooSmall, NotUfgInput
 from ufgkit.orders import GroundSet, Poset, empty_poset, make_poset
 from ufgkit.connectedness import (
     SCENARIO_CHECKS,
-    _grown_families,
     _run_trial,
     falsification_search,
     has_predecessor,
@@ -26,8 +26,9 @@ from ufgkit.connectedness import (
     run_corrigendum,
     verify_connectedness,
 )
-from ufgkit import jsonio
+from ufgkit import is_ufg, jsonio
 from ufgkit.oracles import is_ufg_by_distinguishing
+from ufgkit.ufg import default_max_family_size
 
 SRC = str(Path(ufgkit.connectedness.__file__).resolve().parent.parent)
 
@@ -210,15 +211,43 @@ def test_falsification_small_run_finds_nothing():
     assert report.families_checked > 0
 
 
-def test_every_counted_family_grew_from_a_ufg_parent():
+def _replayed_trial(n, seed, trial, pool_size=8):
+    """The families one falsification trial counts, replayed from its seed:
+    the same draws, in the same order, with every family decided by the
+    public ``is_ufg`` on its orders instead of the catalog step."""
+    rng = random.Random(f"{seed}:{trial}")
+    ground = GroundSet.numbered(n)
+    pool = random_pool(ground, rng, pool_size)
+    if len(pool) < 3:
+        return []
+    limit = min(len(pool), default_max_family_size(ground))
+
+    def first_ufg(families):
+        return next((f for f in families if is_ufg(pool[i] for i in f) is not None), None)
+
+    pairs = list(combinations(range(len(pool)), 2))
+    rng.shuffle(pairs)
+    family = first_ufg(pairs[:30])
+    grown = []
+    while family is not None and len(family) < limit:
+        candidates = [k for k in range(len(pool)) if k not in family]
+        rng.shuffle(candidates)
+        family = first_ufg(tuple(sorted(family + (k,))) for k in candidates)
+        if family is not None:
+            grown.append(tuple(pool[i] for i in family))
+    return grown
+
+
+def test_falsification_trials_match_an_independent_replay():
+    # each trial counts the families of its replay, and each of those grew
+    # from a ufg parent, the one counted before it or a pair for the first:
     # the invariant that lets a trial count a family without deciding its
-    # predecessors: the family it grew from is one, and was decided before.
-    # That family is the one counted before it, or a pair for the first.
+    # predecessors
     for seed in (0, 3, 9):
         counted = 0
         for t in range(24):
             n = (3, 4)[t % 2]
-            grown = list(_grown_families(n, seed, t, 8))
+            grown = _replayed_trial(n, seed, t)
             assert _run_trial(n, seed, t, 8) == len(grown)
             for k, family in enumerate(grown):
                 assert is_ufg_by_distinguishing(family) is not None

@@ -295,6 +295,20 @@ FORGERIES = {
     "falsification-trials-not-budget": ("falsification",
                                         lambda o: _set(o, ("trials",), 2),
                                         r"^report\.trials: differs from the budget"),
+    # reports falsification_search never writes: it runs at least one trial
+    # over at least one ground size of at least one item, on a nonempty pool
+    "falsification-no-sizes": ("falsification", lambda o: _set(o, ("n_range",), []),
+                               r"^report\.n_range: expected a nonempty list"),
+    "falsification-size-zero": ("falsification", lambda o: _set(o, ("n_range",), [4, 0]),
+                                r"^report\.n_range: expected a nonempty list"),
+    "falsification-no-trials": ("falsification",
+                                lambda o: o.update(budget=0, trials=0),
+                                r"^report\.budget: is below 1"),
+    "falsification-empty-pool": ("falsification", lambda o: _set(o, ("pool_size",), 0),
+                                 r"^report\.pool_size: is below 1"),
+    "falsification-negative-count": ("falsification",
+                                     lambda o: _set(o, ("families_checked",), -1),
+                                     r"^report\.families_checked: is negative"),
 }
 
 

@@ -6,7 +6,6 @@ search's decision against the witness scan on 3 to 5 items."""
 from __future__ import annotations
 
 import random
-from bisect import bisect
 from itertools import combinations
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -230,10 +229,10 @@ parents = st.lists(st.integers(0, len(ORDERS4) - 1), min_size=1, max_size=4, uni
 @example([0, 100, len(ORDERS4) - 1])  # both ends are taken: only inner positions
 @example([3, 40, 41, 150])
 def test_catalog_step_is_the_prefilter_of_the_child(indices):
-    # for every k outside the parent, at its insert position, the step's
-    # verdict and lists are the prefilter's on the child's bits, unpacked
-    # to the catalog's matrices, and the child is cataloged exactly when
-    # it is ufg
+    # for every k outside the parent, the step returns the sorted child
+    # beside the prefilter's lists on the child's bits, unpacked to the
+    # catalog's matrices, or None where the prefilter says None; and the
+    # child is cataloged exactly when it is ufg
     catalog = ufgkit.ufg.UfgCatalog(G4, ORDERS4, 6)  # every order on 4 items
 
     def matrices(lists):
@@ -247,12 +246,11 @@ def test_catalog_step_is_the_prefilter_of_the_child(indices):
         loo = catalog.singleton
     before = tuple(list(lists) for lists in loo)
     for k in range(len(ORDERS4)):
-        pos = bisect(family, k)
-        if pos and family[pos - 1] == k:
+        if k in family:
             continue
-        child = family[:pos] + (k,) + family[pos:]
+        child = tuple(sorted(family + (k,)))
         expected = matrices(_prefilter([ORDERS4[i].bits for i in child], G4.full_bits))
-        assert catalog.step(family, loo, pos, k) == expected
+        assert catalog.step(family, loo, k) == (None if expected is None else (child, expected))
         if expected is not None:
             assert catalog.get(child) == is_ufg(ORDERS4[i] for i in child)
     assert loo == before  # the step leaves the parent's lists as they were
@@ -350,7 +348,7 @@ def test_catalog_step_makes_no_leave_one_out_pass(corr, monkeypatch):
     monkeypatch.setattr(ufgkit.ufg, "_loo_and_or", counting(ufgkit.ufg._loo_and_or))
     pool = canonical_family([p1, p2, p3])
     catalog = ufgkit.ufg.UfgCatalog(p1.ground, pool, 3)
-    pair = catalog.step((0,), catalog.singleton, 1, 1)
-    assert catalog.step((0, 1), pair, 2, 2) is not None
+    pair = catalog.step((0,), catalog.singleton, 1)
+    assert catalog.step(*pair, 2) is not None
     assert (0, 1, 2) in catalog
     assert calls == []

@@ -337,7 +337,7 @@ def test_connected_decides_each_family_once(
 
 
 def _tuple_rule_steps(keys, size, max_size):
-    """The ``(family, pos, k)`` steps of the connected enumerator under the
+    """The ``(family, k)`` steps of the connected enumerator under the
     tuple parent rule: a child is stepped unless removing one of its
     members below k leaves a family of the level.  ``keys`` are the ufg
     families, the children that reach the next level."""
@@ -354,7 +354,7 @@ def _tuple_rule_steps(keys, size, max_size):
                 child = family[:pos] + (k,) + family[pos:]
                 if any(child[:j] + child[j + 1:] in members for j in range(pos)):
                     continue
-                steps.append((family, pos, k))
+                steps.append((family, k))
                 if child in keys:
                     grown.append(child)
         level = grown
@@ -367,9 +367,9 @@ def _check_connected_steps(ground, pool=None, max_size=None):
     steps = []
     step = UfgCatalog.step
 
-    def spy(self, family, loo, pos, k):
-        steps.append((family, pos, k))
-        return step(self, family, loo, pos, k)
+    def spy(self, family, loo, k):
+        steps.append((family, k))
+        return step(self, family, loo, k)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(UfgCatalog, "step", spy)
@@ -481,9 +481,9 @@ def _counted_tree(ground, pool, max_size, firsts=None):
     while stack:
         family, loo = stack.pop()
         for k in range(family[-1] + 1, len(pool)):
-            child_loo = catalog.step(family, loo, len(family), k)
-            if child_loo is not None and len(family) + 1 < max_size:
-                stack.append((family + (k,), child_loo))
+            child = catalog.step(family, loo, k)
+            if child is not None and len(family) + 1 < max_size:
+                stack.append(child)
     return catalog
 
 
