@@ -89,6 +89,8 @@ def _effective_cap(args, ground: GroundSet) -> int:
 def _load_inputs(args) -> tuple[GroundSet, list[Poset] | None]:
     if args.size is not None:
         return GroundSet.numbered(args.size), None
+    if args.cap_override_ack and args.command != "posets":  # a pool file: nothing to cap
+        raise UfgkitError("a family file is a pool, never capped: it takes no --cap-override-ack")
     return jsonio.load_family_file(args.input)
 
 
@@ -142,9 +144,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--max-size", type=_positive_int, default=None)
     sub.add_argument("--budget", type=_positive_int, default=DEFAULT_SUBSET_BUDGET)
     sub.add_argument("--strategy", choices=("exhaustive", "connected"),
-                     default="connected")
+                     help="enumerator to run (default connected)")
     sub.add_argument("--verify", action="store_true",
-                     help="run both strategies and compare")
+                     help="run both strategies and compare; takes no --strategy")
     sub.set_defaults(func=cmd_enumerate)
 
     sub = subs.add_parser("connectedness", help="verify the predecessor property")
@@ -257,6 +259,8 @@ def _run_enumeration(args, ground, members, strategy: str):
 
 
 def cmd_enumerate(args) -> int:
+    if args.verify and args.strategy:
+        raise UfgkitError("--verify runs both strategies; it takes no --strategy")
     ground, members = _load_inputs(args)  # once, also under --verify
     if args.verify:
         connected = _run_enumeration(args, ground, members, "connected")
@@ -273,15 +277,16 @@ def cmd_enumerate(args) -> int:
         print(f"catalogs differ: {len(missing)} missing from connected, "
               f"{len(extra)} unexpected", file=sys.stderr)
         return EXIT_VIOLATION
-    catalog = _run_enumeration(args, ground, members, args.strategy)
+    strategy = args.strategy or "connected"
+    catalog = _run_enumeration(args, ground, members, strategy)
     sizes = ", ".join(f"{s}:{c}" for s, c in sorted(catalog.count_by_size().items()))
     guarantee = (
         "exhaustive within max-size"
-        if args.strategy == "exhaustive"
+        if strategy == "exhaustive"
         else "relies on connectedness of ufg families; --verify cross-checks it"
     )
     lines = [
-        f"strategy: {args.strategy} (completeness: {guarantee})",
+        f"strategy: {strategy} (completeness: {guarantee})",
         f"pool: {len(catalog.pool)} orders",
         f"ufg sets: {len(catalog)}" + (f" (by size {sizes})" if sizes else ""),
     ]

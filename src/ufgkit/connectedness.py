@@ -300,7 +300,7 @@ def _run_trial(n: int, seed: int, trial: int, pool_size: int) -> int:
         return 0
     # a family is a sorted tuple of pool indices, so canonical as it grows,
     # and the trial's catalog decides it, one step from the family before
-    # with that family's leave-one-out lists; a trial only counts, so it
+    # with that family's leave-one-out closures; a trial only counts, so it
     # reads no certificate and the catalog walks none
     limit = min(len(pool), default_max_family_size(ground))
     catalog = UfgCatalog(ground, pool, limit)

@@ -107,23 +107,22 @@ class DistinguishingSet:
     restriction: Poset | None = None
 
 
-def _loo_and_or(bits_list: list[int], full: int) -> tuple[list[int], list[int]]:
-    """Per-index AND / OR over all *other* members, in a forward and a backward pass."""
-    others_and: list[int] = []
-    others_or: list[int] = []
+def _loo_and_or(bits_list: list[int], full: int) -> list[tuple[int, int]]:
+    """Leave-one-out closures as ``(and, or)`` pairs, pair i the AND and OR
+    of every member but member i, in a forward and a backward pass."""
+    loo = []
     acc_and, acc_or = full, 0
     for b in bits_list:
-        others_and.append(acc_and)
-        others_or.append(acc_or)
+        loo.append((acc_and, acc_or))
         acc_and &= b
         acc_or |= b
     acc_and, acc_or = full, 0
     for i in range(len(bits_list) - 1, -1, -1):
-        others_and[i] &= acc_and
-        others_or[i] |= acc_or
+        lo, up = loo[i]
+        loo[i] = (lo & acc_and, up | acc_or)
         acc_and &= bits_list[i]
         acc_or |= bits_list[i]
-    return others_and, others_or
+    return loo
 
 
 def _distinguishing_sets(
@@ -143,7 +142,7 @@ def _distinguishing_sets(
     bits_list = [m.bits for m in members]
     loo = _loo_and_or(bits_list, ground.full_bits)
     out = []
-    for m, b, others_and, others_or in zip(members, bits_list, *loo):
+    for m, b, (others_and, others_or) in zip(members, bits_list, loo):
         leq = others_and & ~b
         nleq = b & ~others_or
         if q is not None:

@@ -25,7 +25,7 @@ from .connectedness import (
 )
 from .errors import InvalidFormat, MixedGroundSets, NotUfgInput, UfgkitError
 from .orders import GroundSet, Poset, canonical_family, canonical_key, make_poset
-from .ufg import UfgCatalog, UfgCertificate
+from .ufg import UfgCatalog, UfgCertificate, is_ufg
 
 
 def dumps_canonical(data: Any) -> str:
@@ -323,6 +323,9 @@ def _validated(members: tuple[Poset, ...], witness: Poset, where: str) -> UfgCer
         cert.validate()
     except (AssertionError, UfgkitError) as exc:
         raise InvalidFormat(f"{where}: {exc}") from None
+    # every writer writes is_ufg's witness, the canonical-first one
+    _require(witness == is_ufg(members).witness, f"{where}.witness",
+             "is not the canonical-first witness")
     return cert
 
 

@@ -417,6 +417,12 @@ def _escape(m: int, allowed: int, subs: list[tuple[int, int]], table: _SizeTable
     outside ``up``, one of which every such q above t holds.  A branch
     closes t as the walk's include step does and dies on the walk's two
     tests: a cycle, or a pair outside ``allowed``.
+
+    ``subs`` is read as given, with no filter: a sub-interval that cannot
+    meet ``[m, allowed]`` holds no t, so the search passes over it.  Nor
+    would a filter drop one the package builds: each leave-one-out
+    closure of a family with closure ``[AND, OR]`` has ``AND <= A_i <=
+    O_i <= OR``, so ``A_i <= OR & O_i`` and ``AND <= O_i``.
     """
     col0, row_mask, by_cell = table.col0, table.row_mask, table.by_cell
     stack = [m]
@@ -442,21 +448,6 @@ def _escape(m: int, allowed: int, subs: list[tuple[int, int]], table: _SizeTable
     return None
 
 
-def _interval_setup(
-    table: _SizeTable, lower: int, upper: int, outside: Iterable[tuple[int, int]]
-) -> tuple[list[tuple[int, int]], int | None]:
-    """The start of a walk over [lower, upper] outside the sub-intervals
-    ``outside``, all packed matrices as by :func:`_bits_to_matrix`: the
-    sub-intervals that meet the interval, and the root's hint for the
-    walk of :func:`_interval_bits`.  The hint is 0 without sub-intervals;
-    otherwise it is the order :func:`_escape` finds from the root, or
-    None when the interval has no member.  ``lower`` is closed and its
-    own walk matrix ``m``; ``upper`` is the walk's ``allowed`` matrix as
-    it stands."""
-    subs = [(lo, up) for lo, up in outside if not (lo & ~(upper & up) or lower & ~up)]
-    return subs, (_escape(lower, upper, subs, table) if subs else 0)
-
-
 def _interval_bits(
     ground: GroundSet,
     lower_bits: int,
@@ -466,8 +457,8 @@ def _interval_bits(
     """Yield the bits of every poset in [lower, upper] outside every
     ``outside`` sub-interval, in canonical-key order.  The pair-bit
     arguments are unpacked once, the bounds to the matrices ``m`` and
-    ``allowed``, and :func:`_interval_setup` keeps the sub-intervals
-    that meet the interval and finds the root's hint.
+    ``allowed`` and the sub-intervals to the list ``subs``, which the
+    searches of :func:`_escape` read as given.
 
     Depth-first over the free pairs, the bits of ``allowed & ~m``, in
     matrix-bit order, which is pair-position order, exclude-branch first:
@@ -488,7 +479,7 @@ def _interval_bits(
     The bound is exact: with sub-intervals, every node the walk enters
     holds a member of its subtree as a *hint*, a poset between ``m`` and
     ``allowed`` outside every sub-interval, found by :func:`_escape`.
-    The root's comes from the set-up; excluding a pair the hint holds
+    The root's is searched first; excluding a pair the hint holds
     searches again; an include child keeps the hint when the hint holds
     its closure and searches when it is popped otherwise.  A failed
     search ends the branch, so a subtree without a member is never
@@ -497,8 +488,8 @@ def _interval_bits(
     """
     table = _size_table(len(ground.labels))
     m, allowed = _bits_to_matrix(ground, lower_bits), _bits_to_matrix(ground, upper_bits)
-    outside = [(_bits_to_matrix(ground, lo), _bits_to_matrix(ground, up)) for lo, up in outside]
-    subs, hint = _interval_setup(table, m, allowed, outside)
+    subs = [(_bits_to_matrix(ground, lo), _bits_to_matrix(ground, up)) for lo, up in outside]
+    hint = _escape(m, allowed, subs, table) if subs else 0  # the root's hint
     if hint is None:
         return
     col0, row_mask, by_cell = table.col0, table.row_mask, table.by_cell

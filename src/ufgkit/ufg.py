@@ -43,7 +43,7 @@ from .orders import (
     Poset,
     PosetInterval,
     _bits_to_matrix,
-    _interval_setup,
+    _escape,
     _size_table,
     _SizeTable,
     canonical_family,
@@ -73,16 +73,17 @@ def _blocker(qb: int, loo: list[tuple[int, int]]) -> int | None:
     return None
 
 
-def _prefilter(bits_list: list[int], full: int) -> tuple[list[int], list[int]] | None:
-    """The distinguishing prefilter: the family's leave-one-out ``(and, or)``
-    lists, or None when some member keeps no unrestricted distinguishing
-    attribute (a pair all other members have and it lacks, or one only it has).
+def _prefilter(bits_list: list[int], full: int) -> list[tuple[int, int]] | None:
+    """The distinguishing prefilter: the family's leave-one-out closures
+    as the ``(and, or)`` pairs of :func:`ufgkit.context._loo_and_or`, or
+    None when some member keeps no unrestricted distinguishing attribute
+    (a pair all other members have and it lacks, or one only it has).
 
     A member without one lies in the closure of the other members, which
     is then the whole closure: no order escapes it, so there is no witness.
     """
     loo = _loo_and_or(bits_list, full)
-    for b, lo, up in zip(bits_list, *loo):
+    for b, (lo, up) in zip(bits_list, loo):
         if not (lo & ~b or b & ~up):
             return None
     return loo
@@ -98,7 +99,7 @@ def _witness_interval(members: tuple[Poset, ...]) -> PosetInterval | None:
     if loo is None:
         return None
     witnesses = gamma_interval(members)  # a fresh interval: give it the sub-intervals
-    witnesses.outside = tuple(zip(*loo))
+    witnesses.outside = tuple(loo)
     return witnesses
 
 
@@ -159,7 +160,7 @@ def _is_ufg_sorted(members: tuple[Poset, ...]) -> UfgCertificate | None:
 
 
 def _decides(
-    table: _SizeTable, lower: int, upper: int, loo: Iterable[tuple[int, int]]
+    table: _SizeTable, lower: int, upper: int, loo: list[tuple[int, int]]
 ) -> bool:
     """Whether a family of two or more orders is union-free generic, from
     its closure ``[lower, upper]`` and its leave-one-out closures ``loo``
@@ -167,16 +168,15 @@ def _decides(
     :func:`ufgkit.orders._bits_to_matrix`; ``table`` is the item count's
     step table.
 
-    One :func:`ufgkit.orders._escape` search from the closure's root, the
-    one :func:`ufgkit.orders._interval_setup` runs, decides it exactly.
-    By that search's lemma it finds an order of ``[lower, upper]`` in no
-    leave-one-out closure exactly when one exists.  Such an order is a
-    witness: it is no member, since each member lies in the closure of
-    the family without any other member.  The walk of
-    :func:`_is_ufg_sorted` starts with the same search and adds only the
-    choice of the canonical-first witness.
+    One :func:`ufgkit.orders._escape` search from the closure's root, on
+    ``loo`` as given, decides it exactly: by that search's lemma it finds
+    an order of ``[lower, upper]`` in no leave-one-out closure exactly
+    when one exists.  Such an order is a witness: it is no member, since
+    each member lies in the closure of the family without any other
+    member.  The walk of :func:`_is_ufg_sorted` starts with the same
+    search and adds only the choice of the canonical-first witness.
     """
-    return _interval_setup(table, lower, upper, loo)[1] is not None
+    return _escape(lower, upper, loo, table) is not None
 
 
 def is_ufg(S: Iterable[Poset]) -> UfgCertificate | None:
@@ -218,16 +218,16 @@ class UfgCatalog:
     among families of its size as its canonical keys are.  ``step`` is the
     one step that decides a family, for both enumerators and for the
     falsification trials: from a family's state, its key beside its
-    leave-one-out lists, and a pool index, it returns the child's state,
-    so no caller builds a key.  ``singleton`` is those lists for one order.
+    leave-one-out closures, and a pool index, it returns the child's
+    state, so no caller builds a key.  ``singleton`` is that for one order.
 
     The catalog works in the matrix layout of
     :func:`ufgkit.orders._bits_to_matrix`: each pool order is unpacked
-    once, here, and the leave-one-out lists ``step`` takes and returns
-    are packed matrices, so the kernel unpacks nothing per decision.
-    The layout is a permutation of the pair bits, so AND, OR and subset
-    tests, and with them the prefilter, mean the same in it.
-    ``singleton`` holds the full relation and the empty one as matrices.
+    once, here, and the leave-one-out ``(and, or)`` pairs ``step`` takes
+    and returns are packed matrices, so the kernel unpacks nothing per
+    decision.  The layout is a permutation of the pair bits, so AND, OR
+    and subset tests, and with them the prefilter, mean the same in it.
+    ``singleton`` pairs the full relation with the empty one as matrices.
 
     ``step`` decides a family by the root search :func:`_decides` and
     stores only its key.  A family's certificate is walked by the witness
@@ -241,7 +241,7 @@ class UfgCatalog:
         self.max_size = max_size
         self._table = _size_table(ground.size)
         self._matrices = [_bits_to_matrix(ground, p.bits) for p in pool]
-        self.singleton = ([_bits_to_matrix(ground, ground.full_bits)], [0])
+        self.singleton = [(_bits_to_matrix(ground, ground.full_bits), 0)]
         # each family to its certificate, None until it is first read
         self._families: dict[tuple[int, ...], UfgCertificate | None] = {}
         self.stats: dict[str, object] = {
@@ -256,62 +256,59 @@ class UfgCatalog:
     def step(
         self,
         family: tuple[int, ...],
-        loo: tuple[list[int], list[int]],
+        loo: list[tuple[int, int]],
         k: int,
-    ) -> tuple[tuple[int, ...], tuple[list[int], list[int]]] | None:
+    ) -> tuple[tuple[int, ...], list[tuple[int, int]]] | None:
         """Decide the child ``family`` plus pool index ``k``, adding it
         when it is ufg, and return the child's state: its key, sorted,
-        beside its leave-one-out ``(and, or)`` lists.  None when the
-        distinguishing prefilter turns the child away.
+        beside its leave-one-out closures as ``(and, or)`` pairs.  None
+        when the distinguishing prefilter turns the child away.
 
-        ``loo`` is the parent's pair of lists, ``A_i`` and ``O_i``, the
-        AND and OR of every member but member i; ``b_i`` is member i's
-        matrix and ``b_k`` the new order's.  Lists and members are packed
-        matrices (see the class), on which every test below reads as on
-        pair bits.  Adding one order only meets
-        it into each AND and joins it into each OR:
+        ``loo`` is the parent's list, pair i ``(A_i, O_i)`` the AND and OR
+        of every member but member i; ``b_i`` is member i's matrix and
+        ``b_k`` the new order's.  Pairs and members are packed matrices
+        (see the class), on which every test below reads as on pair bits.
+        Adding one order only meets it into each AND and joins it into
+        each OR:
 
-        - member i keeps ``A_i & b_k`` and ``O_i | b_k``;
+        - member i keeps ``(A_i & b_k, O_i | b_k)``;
         - the new member gets the parent's whole AND and OR,
-          ``A_0 & b_0`` and ``O_0 | b_0``.
+          ``(A_0 & b_0, O_0 | b_0)``.
 
         So the prefilter needs no pass over the child.  Member i keeps a
         distinguishing attribute when ``A_i & b_k & ~b_i or b_i & ~O_i &
         ~b_k``, and the new member when ``AND & ~b_k or b_k & ~OR``; the
         test runs before any list or key is built, since most children
         fail it.  The child's closure ``[AND & b_k, OR | b_k]`` and its
-        lists, as the leave-one-out closures ``zip(ands, ors)``, go to
-        the root search :func:`_decides`, which does not filter again;
-        the upper bound is the search's ``allowed`` matrix as it stands.
-        A ufg child is stored by its key alone, with no member tuple and
-        no certificate, so ``child in catalog`` tells a caller whether it
-        is ufg.  ``stats`` count both outcomes.  The step costs O(m) for
-        a parent of m members, before the search.
+        list go to the root search :func:`_decides` unchanged; the upper
+        bound is the search's ``allowed`` matrix as it stands.  A ufg
+        child is stored by its key alone, with no member tuple and no
+        certificate, so ``child in catalog`` tells a caller whether it is
+        ufg.  ``stats`` count both outcomes.  The step costs O(m) for a
+        parent of m members, before the search.
         """
         matrices = self._matrices
         bk = matrices[k]
-        ands, ors = loo
+        lo0, up0 = loo[0]
         b0 = matrices[family[0]]
-        whole_and, whole_or = ands[0] & b0, ors[0] | b0
+        whole_and, whole_or = lo0 & b0, up0 | b0
         if not (whole_and & ~bk or bk & ~whole_or):
             self.stats["filter_rejections"] += 1
             return None
         not_bk = ~bk
-        for i, lo, up in zip(family, ands, ors):
+        for i, (lo, up) in zip(family, loo):
             b = matrices[i]
             if not (lo & bk & ~b or b & ~up & not_bk):
                 self.stats["filter_rejections"] += 1
                 return None
         pos = bisect(family, k)
         child = family[:pos] + (k,) + family[pos:]
-        ands = [lo & bk for lo in ands]
-        ors = [up | bk for up in ors]
-        ands.insert(pos, whole_and)
-        ors.insert(pos, whole_or)
+        loo = [(lo & bk, up | bk) for lo, up in loo]
+        loo.insert(pos, (whole_and, whole_or))
         self.stats["families_tested"] += 1
-        if _decides(self._table, whole_and & bk, whole_or | bk, zip(ands, ors)):
+        if _decides(self._table, whole_and & bk, whole_or | bk, loo):
             self._families[child] = None
-        return child, (ands, ors)
+        return child, loo
 
     def __len__(self) -> int:
         return len(self._families)
@@ -402,7 +399,7 @@ def enumerate_ufg_exhaustive(
         )
     catalog = UfgCatalog(ground, pool, max_size)
     start = time.perf_counter()
-    # each family beside its leave-one-out lists, as the step returns them
+    # each family beside its leave-one-out closures, as the step returns them
     stack = [((i,), catalog.singleton) for i in range(len(pool))] if max_size >= 2 else []
     while stack:
         family, loo = stack.pop()
@@ -442,7 +439,7 @@ def enumerate_ufg_connected(
     gets the prefilter of the exhaustive tree and, when it passes, the
     root search; the budget counts the children that pass.  A level is
     the list of the step's states for its ufg families, kept only while
-    another level follows: the last level's lists are dropped at once.
+    another level follows: the last level's closures are dropped at once.
     Completeness rests on the connectedness property of ufg families,
     which this package verifies rather than assumes; run the exhaustive
     strategy next to it when the guarantee matters.
@@ -450,7 +447,7 @@ def enumerate_ufg_connected(
     pool, max_size = _resolve_pool(ground, premises, cap, max_size)
     catalog = UfgCatalog(ground, pool, max_size)
     start = time.perf_counter()
-    # the ufg families of one size, each beside its leave-one-out lists;
+    # the ufg families of one size, each beside its leave-one-out closures;
     # the first level holds every single order, so every pair is opened,
     # and two distinct orders always pass the prefilter
     level = [((i,), catalog.singleton) for i in range(len(pool))]
@@ -522,7 +519,7 @@ def explain_not_ufg(S: Iterable[Poset]) -> dict:
     if reason != _NOT_UNION_FREE:
         return {"ufg": False, "reason": reason}
     bits_list = [m.bits for m in members]
-    loo = list(zip(*_loo_and_or(bits_list, members[0].ground.full_bits)))
+    loo = _loo_and_or(bits_list, members[0].ground.full_bits)
     blockers = []
     for q in gamma_interval(members).posets():
         if q.bits in bits_list:

@@ -345,13 +345,24 @@ def test_usage_errors_exit_one(capsys):
         (("closure", "--input", "x.json", "--cap-override-ack"), {}),
         (("posets", "-n", "2", "--list", "--out", "f.json"), {}),  # --list streams lines
         (("posets", "-n", "2", "--list", "--json"), {}),
+        # flags that would do nothing: a family file is the pool, never
+        # capped, and --verify runs both strategies
+        (("enumerate", "--input", "POOL", "--cap-override-ack"), {}),
+        (("connectedness", "--input", "POOL", "--cap-override-ack", "--out", "f.json"), {}),
+        (("enumerate", "-n", "2", "--verify", "--strategy", "exhaustive"), {}),
+        (("enumerate", "-n", "2", "--verify", "--strategy", "connected", "--out", "f.json"), {}),
     ],
 )
-def test_bad_input_exits_one_without_traceback(capsys, monkeypatch, tmp_path, argv, env):
+def test_bad_input_exits_one_without_traceback(
+    capsys, monkeypatch, tmp_path, tmp_path_factory, corr, argv, env
+):
     for name, value in env.items():
         monkeypatch.setenv(name, value)
+    # POOL names a valid family file, kept out of the working directory
+    pool = tmp_path_factory.mktemp("pool") / "family.json"
+    pool.write_text(jsonio.dumps_canonical(jsonio.family_to_obj(corr[1:4])))
     monkeypatch.chdir(tmp_path)
-    code, out, err = run(capsys, *argv)
+    code, out, err = run(capsys, *(str(pool) if a == "POOL" else a for a in argv))
     assert code == EXIT_ERROR
     assert "error:" in err and "Traceback" not in err
     assert out == "" and list(tmp_path.iterdir()) == []  # nothing written

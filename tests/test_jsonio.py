@@ -22,7 +22,15 @@ from ufgkit.connectedness import (
 )
 from ufgkit.errors import InvalidFormat
 from ufgkit.orders import GroundSet, canonical_family, empty_poset, enumerate_all_posets
-from ufgkit.ufg import UfgCatalog, enumerate_ufg_exhaustive, explain_not_ufg, is_ufg
+from ufgkit.context import gamma_interval
+from ufgkit.ufg import (
+    UfgCatalog,
+    UfgCertificate,
+    enumerate_ufg_exhaustive,
+    explain_not_ufg,
+    is_ufg,
+    is_witness,
+)
 
 
 # --- the writer --------------------------------------------------------------
@@ -257,6 +265,19 @@ def _certificate(obj):
     return obj["violations"][0]["certificate"]
 
 
+def _second_witness(members):
+    """A valid witness of the family that is not its canonical-first one."""
+    first, second = [q for q in gamma_interval(members).posets() if is_witness(members, q)][:2]
+    assert first == is_ufg(members).witness
+    return second
+
+
+def _predecessor_with_a_later_witness(obj):
+    entry = obj["predecessors"][0]
+    predecessor = tuple(jsonio.poset_from_obj(m) for m in entry["predecessor"])
+    entry["witness"] = jsonio.poset_to_obj(_second_witness(predecessor))
+
+
 def _family_without_a_predecessor_member(obj):
     # one order of the predecessor gives way to an order outside the family
     entry, cert = obj["predecessors"][0], _certificate(obj)
@@ -275,6 +296,9 @@ FORGERIES = {
         "connectedness",
         lambda o: _set(o, ("predecessors", 0, "witness"), _certificate(o)["witness"]),
         r"^report\.predecessors\[0\]: witness fails re-validation"),
+    "predecessor-with-a-later-witness": (
+        "connectedness", _predecessor_with_a_later_witness,
+        r"^report\.predecessors\[0\]\.witness: is not the canonical-first witness$"),
     "predecessor-not-inside-the-family": (
         "connectedness", _family_without_a_predecessor_member,
         r"^report\.predecessors\[0\]\.predecessor: is not the family without one"),
@@ -437,6 +461,7 @@ def certificate_payloads(capsys, tmp_path, corr):
     family = tmp_path / "ufg.json"
     family.write_text(jsonio.dumps_canonical(jsonio.family_to_obj([p1, p2, p3])))
     catalog = _cli_json(capsys, ["enumerate", "-n", "2"])
+    catalog3 = _cli_json(capsys, ["enumerate", "-n", "3", "--max-size", "2"])
     verdict = _cli_json(capsys, ["check-ufg", "--input", family])
     cert = verdict["certificate"]
     violation = {
@@ -446,6 +471,7 @@ def certificate_payloads(capsys, tmp_path, corr):
     }
     return {
         "catalog": (catalog, jsonio.catalog_from_obj, ("ufg_sets", 0), "catalog.ufg_sets[0]"),
+        "catalog3": (catalog3, jsonio.catalog_from_obj, ("ufg_sets", 0), "catalog.ufg_sets[0]"),
         "verdict": (verdict, jsonio.verdict_payload_from_obj, ("certificate",),
                     "payload.certificate"),
         "violation": (violation, jsonio.violation_from_obj, ("certificate",),
@@ -469,15 +495,28 @@ def _members_reversed(cert):
     cert["members"].reverse()
 
 
-@pytest.mark.parametrize("kind", ["catalog", "verdict", "violation"])
+def _witness_not_canonical_first(cert):
+    # a valid certificate, with the distinguishing texts its witness derives,
+    # but not the one is_ufg writes
+    members = tuple(jsonio.poset_from_obj(m) for m in cert["members"])
+    cert.update(jsonio.certificate_to_obj(UfgCertificate(members, _second_witness(members))))
+
+
+TAMPERS = [
+    (_witness_is_first_member, "", "witness fails re-validation"),
+    (_distinguishing_emptied, ".distinguishing", "does not match the members and the witness"),
+    (_distinguishing_edited, ".distinguishing", "does not match the members and the witness"),
+    (_members_reversed, "", "family is not in canonical order"),
+]
+
+
 @pytest.mark.parametrize(
-    "tamper, spot, message",
-    [
-        (_witness_is_first_member, "", "witness fails re-validation"),
-        (_distinguishing_emptied, ".distinguishing", "does not match the members and the witness"),
-        (_distinguishing_edited, ".distinguishing", "does not match the members and the witness"),
-        (_members_reversed, "", "family is not in canonical order"),
-    ],
+    "tamper, spot, message, kind",
+    [(*t, kind) for t in TAMPERS for kind in ("catalog", "verdict", "violation")]
+    # the one family of ``enumerate -n 2`` has one witness; the first of a
+    # 3-item catalog, and the corrigendum family, have two
+    + [(_witness_not_canonical_first, ".witness", "is not the canonical-first witness", kind)
+       for kind in ("catalog3", "verdict", "violation")],
 )
 def test_parsers_revalidate_certificates(certificate_payloads, kind, tamper, spot, message):
     obj, parse, path, where = certificate_payloads[kind]

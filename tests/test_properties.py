@@ -153,13 +153,13 @@ def _orders(n, *bits):
 
 
 def _root_decision(members):
-    # the decider takes packed matrices: unpack the closure and the lists
+    # the decider takes packed matrices: unpack the closure and the pairs
     ground = members[0].ground
     bits = [m.bits for m in members]
-    ands, ors = ufgkit.context._loo_and_or(bits, ground.full_bits)
-    lower = _bits_to_matrix(ground, ands[0] & bits[0])
-    upper = _bits_to_matrix(ground, ors[0] | bits[0])
-    loo = [(_bits_to_matrix(ground, lo), _bits_to_matrix(ground, up)) for lo, up in zip(ands, ors)]
+    loo = ufgkit.context._loo_and_or(bits, ground.full_bits)
+    lower = _bits_to_matrix(ground, loo[0][0] & bits[0])
+    upper = _bits_to_matrix(ground, loo[0][1] | bits[0])
+    loo = [(_bits_to_matrix(ground, lo), _bits_to_matrix(ground, up)) for lo, up in loo]
     return _decides(_size_table(ground.size), lower, upper, loo)
 
 
@@ -201,6 +201,31 @@ def test_root_search_decides_as_the_witness_scan_on_whole_spaces():
         assert unwitnessed == expected
 
 
+@seeded
+@given(st.lists(orders, max_size=5))
+@example([])
+@example([ORDERS4[5]])
+@example([ORDERS4[3], ORDERS4[3]])  # a duplicate lies in the closure of the others
+def test_leave_one_out_closures_are_their_definition(family):
+    # pair i is the AND and OR of every member but member i, computed
+    # naively; one member leaves the closure of nothing, (full, 0); and the
+    # prefilter returns the same pairs unless a member lies in its own pair
+    bits = [m.bits for m in family]
+    expected = []
+    for i in range(len(bits)):
+        lo, up = G4.full_bits, 0
+        for b in bits[:i] + bits[i + 1:]:
+            lo &= b
+            up |= b
+        expected.append((lo, up))
+    loo = ufgkit.context._loo_and_or(bits, G4.full_bits)
+    assert loo == expected
+    if len(bits) == 1:
+        assert loo == [(G4.full_bits, 0)]
+    covered = any(not (lo & ~b or b & ~up) for b, (lo, up) in zip(bits, expected))
+    assert _prefilter(bits, G4.full_bits) == (None if covered else expected)
+
+
 def _prefilter_passes(members):
     return _prefilter([m.bits for m in members], G4.full_bits) is not None
 
@@ -230,21 +255,21 @@ parents = st.lists(st.integers(0, len(ORDERS4) - 1), min_size=1, max_size=4, uni
 @example([3, 40, 41, 150])
 def test_catalog_step_is_the_prefilter_of_the_child(indices):
     # for every k outside the parent, the step returns the sorted child
-    # beside the prefilter's lists on the child's bits, unpacked to the
+    # beside the prefilter's pairs on the child's bits, unpacked to the
     # catalog's matrices, or None where the prefilter says None; and the
     # child is cataloged exactly when it is ufg
     catalog = ufgkit.ufg.UfgCatalog(G4, ORDERS4, 6)  # every order on 4 items
 
-    def matrices(lists):
-        return None if lists is None else tuple(
-            [_bits_to_matrix(G4, b) for b in part] for part in lists)
+    def matrices(loo):
+        return None if loo is None else [
+            (_bits_to_matrix(G4, lo), _bits_to_matrix(G4, up)) for lo, up in loo]
 
     family = tuple(sorted(indices))
     loo = matrices(ufgkit.context._loo_and_or([ORDERS4[i].bits for i in family], G4.full_bits))
     if len(family) == 1:
         assert catalog.singleton == loo
         loo = catalog.singleton
-    before = tuple(list(lists) for lists in loo)
+    before = list(loo)
     for k in range(len(ORDERS4)):
         if k in family:
             continue
@@ -253,7 +278,7 @@ def test_catalog_step_is_the_prefilter_of_the_child(indices):
         assert catalog.step(family, loo, k) == (None if expected is None else (child, expected))
         if expected is not None:
             assert catalog.get(child) == is_ufg(ORDERS4[i] for i in child)
-    assert loo == before  # the step leaves the parent's lists as they were
+    assert loo == before  # the step leaves the parent's pairs as they were
 
 
 def _naive_distinguishing(x, members, q):
@@ -331,7 +356,7 @@ def test_is_ufg_makes_one_leave_one_out_pass(corr, monkeypatch):
 
 
 def test_catalog_step_makes_no_leave_one_out_pass(corr, monkeypatch):
-    # a child decided through the step takes its lists from its parent's:
+    # a child decided through the step takes its pairs from its parent's:
     # no prefilter and no leave-one-out pass, and the kernel does not
     # filter it again
     _, p1, p2, p3, _ = corr

@@ -435,7 +435,7 @@ def _first_plain_witness(S):
     """The first order of the plain closure walk that is no member of S and
     lies in no leave-one-out closure: the witness, found without the kernel."""
     bits = [m.bits for m in S]
-    loo = list(zip(*_loo_and_or(bits, S[0].ground.full_bits)))
+    loo = _loo_and_or(bits, S[0].ground.full_bits)
     return next(q.bits for q in gamma_interval(S).posets()
                 if q.bits not in bits and _blocker(q.bits, loo) is None)
 
@@ -673,7 +673,7 @@ def test_pruned_kernel_matches_filtered_plain_walk():
     assert len(deep) == 149
     empty = 0
     for S in [S for size in range(2, 5) for S in combinations(pool, size)] + deep:
-        loo = list(zip(*_loo_and_or([m.bits for m in S], g5.full_bits)))
+        loo = _loo_and_or([m.bits for m in S], g5.full_bits)
         plain = [q.bits for q in gamma_interval(S).posets() if _blocker(q.bits, loo) is None]
         witnesses = _witness_interval(S)  # None: prefiltered, no witnesses
         assert ([] if witnesses is None else [q.bits for q in witnesses.posets()]) == plain
