@@ -17,12 +17,11 @@ from collections.abc import Iterable, Sequence
 from itertools import combinations
 
 from .context import NLEQ, Attribute, gamma_interval, partition_distinguishing
-from .errors import FamilyTooSmall, NotUfgInput, UfgkitError
+from .errors import EmptyFamily, FamilyTooSmall, NotUfgInput, UfgkitError
 from .orders import (
     GroundSet,
     Poset,
-    _close_matrix,
-    _matrix_to_bits,
+    _bits_key,
     _size_table,
     canonical_family,
     make_poset,
@@ -252,13 +251,10 @@ def run_corrigendum() -> CorrigendumScenario:
 RANDOM_POSET_TRIES = 200  # draws before random_poset settles for the empty order
 
 
-def random_poset(ground: GroundSet, rng: random.Random) -> Poset:
-    """Random order via rejection: random strict pairs, transitively closed,
-    kept when the closure stays asymmetric.  Not uniform over all orders;
-    good enough for stress trials."""
-    n = len(ground.labels)
-    table = _size_table(n)
-    cells, diagonal = table.cells, table.diagonal  # cells in pair-position order
+def _draw(ground: GroundSet, rng: random.Random) -> tuple[bytes, int]:
+    """One :func:`random_poset` order as (canonical key, pair bits)."""
+    table = _size_table(len(ground.labels))
+    cells, closed = table.cells, table.closed  # cells in pair-position order
     density = rng.uniform(0.1, 0.5)
     draw = rng.random
     for _ in range(RANDOM_POSET_TRIES):
@@ -266,15 +262,35 @@ def random_poset(ground: GroundSet, rng: random.Random) -> Poset:
         for cell in cells:  # one draw per pair
             if draw() < density:
                 m |= cell
-        m = _close_matrix(m, n)
-        # a cycle in the closure makes its items reach themselves
-        if not m & diagonal:
-            return Poset(ground, _matrix_to_bits(ground, m), check=False)
-    return Poset(ground, 0, check=False)
+        order = closed.get(m)
+        if order is None:
+            order = table.closed_order(ground, m)
+        if order:  # () when the closure has a cycle
+            return order
+    return _bits_key(0, ground.pair_count), 0
+
+
+def random_poset(ground: GroundSet, rng: random.Random) -> Poset:
+    """Random order via rejection: random strict pairs, transitively closed,
+    kept when the closure stays asymmetric.  Not uniform over all orders;
+    good enough for stress trials.  A drawn relation, as a matrix, keys
+    the size table's ``closed`` memo of its closed order, (canonical key,
+    pair bits) or ``()`` on a cycle, up to ``CLOSED_CAP`` per item count;
+    threads share it, as a value depends on its key alone, dict get and
+    set are atomic under the GIL and stores are locked against the cap."""
+    return Poset(ground, _draw(ground, rng)[1], check=False)
 
 
 def random_pool(ground: GroundSet, rng: random.Random, size: int) -> tuple[Poset, ...]:
-    return canonical_family(random_poset(ground, rng) for _ in range(size))
+    """``canonical_family`` of ``size`` :func:`random_poset` draws, from
+    the same RNG calls, each distinct order built once."""
+    by_key = dict(_draw(ground, rng) for _ in range(size))
+    if not by_key:
+        raise EmptyFamily("the family has no members")
+    pool = [object.__new__(Poset) for _ in by_key]  # valid orders: no __init__ chain
+    for p, key in zip(pool, sorted(by_key)):
+        p.ground, p.bits = ground, by_key[key]
+    return tuple(pool)
 
 
 @dataclass

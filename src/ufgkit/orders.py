@@ -10,6 +10,7 @@ makes subset tests, intersections and unions single integer operations.
 from __future__ import annotations
 
 import os
+import threading
 from collections.abc import Iterable, Iterator
 from functools import cache
 
@@ -29,6 +30,7 @@ from .errors import (
 
 DEFAULT_GROUND_CAP = 6
 CAP_ENV_VAR = "UFGKIT_CAP"
+CLOSED_CAP = 4096  # closures memoised per item count: every relation on 4 items
 
 
 def resolve_cap(override: int | None = None) -> int:
@@ -117,13 +119,23 @@ class _SizeTable:
     The walk steps hold O(n**4) bits in all, so they are filled on first
     use, one matrix cell at a time, by :meth:`step`, and ``cells`` whole
     on first read.  A walk on a wide ground builds only the rows of the
-    pairs it meets."""
+    pairs it meets.
 
-    __slots__ = ("n", "by_cell", "col0", "row_mask", "shifts", "diagonal", "_cells")
+    ``closed`` memoises ``random_poset``: a drawn relation, as a matrix,
+    maps to its closed order as (canonical key, pair bits), or to ``()``
+    on a cycle.  :meth:`closed_order` fills it up to ``CLOSED_CAP``
+    entries; a miss on a full memo is not stored.  Threads share it: a
+    value depends on its key alone, dict get and set are atomic under
+    the GIL, and a lock makes the size check and the store one step."""
+
+    __slots__ = ("n", "by_cell", "col0", "row_mask", "shifts", "diagonal", "_cells",
+                 "closed", "_store")
 
     def __init__(self, n: int):
         self.n = n
         self.by_cell = [None] * (n * n)  # per matrix bit, see step()
+        self.closed = {}  # drawn matrix -> closed order, see closed_order()
+        self._store = threading.Lock()
         self._cells = None
         self.col0 = ((1 << n * n) - 1) // ((1 << n) - 1)  # bit x*n for every row x
         self.row_mask = (1 << n) - 1
@@ -156,6 +168,18 @@ class _SizeTable:
             n = self.n
             self._cells = tuple(1 << i * n + j for i in range(n) for j in range(n) if i != j)
         return self._cells
+
+    def closed_order(self, ground: GroundSet, m: int) -> tuple:
+        """``closed[m]``, computed, and stored while the memo has room."""
+        c = _close_matrix(m, self.n)
+        order = ()  # a cycle in the closure makes its items reach themselves
+        if not c & self.diagonal:
+            bits = _matrix_to_bits(ground, c)
+            order = (_bits_key(bits, ground.pair_count), bits)
+        with self._store:
+            if len(self.closed) < CLOSED_CAP:
+                self.closed[m] = order
+        return order
 
 
 _size_table = cache(_SizeTable)  # one table per item count
@@ -314,9 +338,13 @@ def transitive_closure(rel: BinaryRelation) -> BinaryRelation:
 def canonical_key(rel: BinaryRelation) -> bytes:
     """Injective byte encoding: pair bits in row-major order, MSB first.
     Reads no size table, so keying a family on a wide ground stays cheap."""
-    total = rel.ground.pair_count
+    return _bits_key(rel.bits, rel.ground.pair_count)
+
+
+def _bits_key(bits: int, total: int) -> bytes:
+    """:func:`canonical_key` of the pair bits of a relation on ``total`` pairs."""
     # pair k becomes bit k from the top: one reversal of the bit string
-    acc = int(format(rel.bits, f"0{total}b")[::-1], 2) << (-total) % 8
+    acc = int(format(bits, f"0{total}b")[::-1], 2) << (-total) % 8
     return acc.to_bytes((total + 7) // 8 or 1, "big")
 
 

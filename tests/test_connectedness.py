@@ -7,15 +7,26 @@ import os
 import random
 import subprocess
 import sys
+import threading
+import time
 from itertools import combinations
 from pathlib import Path
 
 import pytest
 
 import ufgkit.connectedness
+import ufgkit.orders
 import ufgkit.ufg
-from ufgkit.errors import FamilyTooSmall, NotUfgInput
-from ufgkit.orders import GroundSet, Poset, empty_poset, make_poset
+from ufgkit.errors import EmptyFamily, FamilyTooSmall, NotUfgInput
+from ufgkit.orders import (
+    CLOSED_CAP,
+    GroundSet,
+    Poset,
+    _size_table,
+    canonical_family,
+    empty_poset,
+    make_poset,
+)
 from ufgkit.connectedness import (
     SCENARIO_CHECKS,
     _run_trial,
@@ -148,6 +159,121 @@ def test_random_pool_is_canonical():
     g = GroundSet.numbered(4)
     pool = random_pool(g, random.Random(71), 10)
     assert len({p.bits for p in pool}) == len(pool)
+
+
+def _unmemoised_pool(monkeypatch, ground, seed, size):
+    """The pool the way it was first built, with the closure memo bypassed:
+    ``canonical_family`` of ``size`` draws, each closed afresh.  Returns
+    the pool and the RNG's next ``random()``."""
+    rng = random.Random(seed)
+    with monkeypatch.context() as m:
+        m.setattr(ufgkit.orders, "CLOSED_CAP", 0)  # a full memo: nothing is stored
+        _size_table(ground.size).closed.clear()
+        pool = canonical_family(random_poset(ground, rng) for _ in range(size))
+        assert not _size_table(ground.size).closed
+    return pool, rng.random()
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("size", [1, 8, 12])
+def test_random_pool_is_the_canonical_family_of_its_draws(monkeypatch, n, size):
+    g = GroundSet.numbered(n)
+    for seed in (f"pool:{n}:{size}", 0, 71):
+        want, after = _unmemoised_pool(monkeypatch, g, seed, size)
+        for _ in ("cold", "warm"):  # from a cleared memo, then from the one it filled
+            rng = random.Random(seed)
+            pool = random_pool(g, rng, size)
+            assert [(p.ground, p.bits) for p in pool] == [(p.ground, p.bits) for p in want]
+            assert all(type(p) is Poset for p in pool)
+            assert rng.random() == after  # the same RNG calls, in the same order
+        assert 0 < len(_size_table(n).closed) <= CLOSED_CAP
+
+
+def test_random_pool_settles_for_the_empty_order_as_its_draws_do(monkeypatch):
+    # one try per order on 6 items: a cyclic closure often ends the draw
+    g = GroundSet.numbered(6)
+    monkeypatch.setattr(ufgkit.connectedness, "RANDOM_POSET_TRIES", 1)
+    want, after = _unmemoised_pool(monkeypatch, g, "empty:6", 12)
+    assert want[0].bits == 0  # the fallback was reached
+    rng = random.Random("empty:6")
+    pool = random_pool(g, rng, 12)
+    assert [p.bits for p in pool] == [p.bits for p in want]
+    assert rng.random() == after
+
+
+def test_random_pool_of_no_draws_is_an_empty_family():
+    rng = random.Random(3)
+    with pytest.raises(EmptyFamily):
+        random_pool(GroundSet.numbered(4), rng, 0)
+    assert rng.random() == random.Random(3).random()  # nothing was drawn
+
+
+def test_closure_memo_stops_at_its_cap():
+    # 6 items have 2**30 relations: draws past the cap are closed, not stored
+    assert CLOSED_CAP == 2 ** (4 * 3)  # every relation on 4 items
+    table = _size_table(6)
+    table.closed.clear()
+    g = GroundSet.numbered(6)
+    rng = random.Random("cap:6")
+    for _ in range(400):  # about 25 tries each
+        random_poset(g, rng)
+    assert len(table.closed) == CLOSED_CAP
+    for m, order in list(table.closed.items())[::97]:
+        assert order == table.closed_order(g, m)  # a miss on a full memo
+    assert len(table.closed) == CLOSED_CAP
+    test_random_poset_draws_are_pinned()  # the full memo draws the same orders
+
+
+class _YieldingMemo(dict):
+    """A memo that lets other threads run after reporting a size near the
+    cap, so a size check and a store that are not one step interleave."""
+
+    def __len__(self):
+        size = super().__len__()
+        if CLOSED_CAP - 8 <= size < CLOSED_CAP:
+            time.sleep(0)
+        return size
+
+
+def test_closure_memo_stays_bounded_under_contending_threads():
+    # more threads than cores, switching often, all storing near the cap
+    g = GroundSet.numbered(6)
+    table = _size_table(6)
+    table.closed = _YieldingMemo()
+    draws = {}
+
+    def run(t):
+        rng = random.Random(f"contend:{t}")
+        draws[t] = [random_poset(g, rng).bits for _ in range(200)]
+
+    count = min((os.cpu_count() or 1) + 2, 16)
+    workers = [threading.Thread(target=run, args=(t,)) for t in range(count)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+        memo, table.closed = table.closed, dict(table.closed)
+    assert not any(w.is_alive() for w in workers) and len(draws) == count
+    assert dict.__len__(memo) == CLOSED_CAP
+    for t, bits in draws.items():
+        rng = random.Random(f"contend:{t}")
+        assert bits == [random_poset(g, rng).bits for _ in range(200)]
+
+
+def test_closure_memo_shared_by_threads_changes_no_report():
+    reports = []
+    for threads in (1, 2):
+        for n in (5, 6):
+            _size_table(n).closed.clear()
+        reports.append(falsification_search([5, 6], 400, 11, threads=threads))
+        # both item counts fill past the cap, and neither memo overruns it
+        assert [len(_size_table(n).closed) for n in (5, 6)] == [CLOSED_CAP] * 2
+    assert reports[0] == reports[1]
 
 
 def test_falsification_rejects_zero_budget():
