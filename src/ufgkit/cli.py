@@ -94,6 +94,15 @@ def _load_inputs(args) -> tuple[GroundSet, list[Poset] | None]:
     return jsonio.load_family_file(args.input)
 
 
+def _load_pool(args) -> tuple[GroundSet, list[Poset]]:
+    """The ground and the pool a command walks: every order on ``-n N``
+    items, enumerated once under the size cap, or the family file's orders."""
+    ground, members = _load_inputs(args)
+    if members is None:
+        members = list(enumerate_all_posets(ground, _effective_cap(args, ground)))
+    return ground, members
+
+
 _INPUT_HELP = "family file: {\"elements\": [...], \"posets\": [...]}"
 
 
@@ -252,19 +261,18 @@ def cmd_check_ufg(args) -> int:
     return EXIT_OK
 
 
-def _run_enumeration(args, ground, members, strategy: str):
+def _run_enumeration(args, ground, pool, strategy: str):
     runner = enumerate_ufg_exhaustive if strategy == "exhaustive" else enumerate_ufg_connected
-    return runner(ground, max_size=args.max_size, premises=members,
-                  budget=args.budget, cap=_effective_cap(args, ground))
+    return runner(ground, max_size=args.max_size, premises=pool, budget=args.budget)
 
 
 def cmd_enumerate(args) -> int:
     if args.verify and args.strategy:
         raise UfgkitError("--verify runs both strategies; it takes no --strategy")
-    ground, members = _load_inputs(args)  # once, also under --verify
+    ground, pool = _load_pool(args)  # once, also under --verify
     if args.verify:
-        connected = _run_enumeration(args, ground, members, "connected")
-        exhaustive = _run_enumeration(args, ground, members, "exhaustive")
+        connected = _run_enumeration(args, ground, pool, "connected")
+        exhaustive = _run_enumeration(args, ground, pool, "exhaustive")
         if connected.same_families(exhaustive):
             lines = [
                 "catalogs identical",
@@ -278,7 +286,7 @@ def cmd_enumerate(args) -> int:
               f"{len(extra)} unexpected", file=sys.stderr)
         return EXIT_VIOLATION
     strategy = args.strategy or "connected"
-    catalog = _run_enumeration(args, ground, members, strategy)
+    catalog = _run_enumeration(args, ground, pool, strategy)
     sizes = ", ".join(f"{s}:{c}" for s, c in sorted(catalog.count_by_size().items()))
     guarantee = (
         "exhaustive within max-size"
@@ -295,13 +303,9 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_connectedness(args) -> int:
-    ground, members = _load_inputs(args)
+    ground, pool = _load_pool(args)
     report = verify_connectedness(
-        ground,
-        max_size=args.max_size,
-        premises=members,
-        budget=args.budget,
-        cap=_effective_cap(args, ground),
+        ground, max_size=args.max_size, premises=pool, budget=args.budget
     )
     lines = [
         f"families checked (size >= 3): {report.checked}",
@@ -348,10 +352,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_ERROR
     try:
         return args.func(args)
-    except UfgkitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except OSError as exc:
+    except (UfgkitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     except MemoryError:

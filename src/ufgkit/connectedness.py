@@ -95,9 +95,9 @@ def verify_connectedness(
     max_size: int | None = None,
     premises: Iterable[Poset] | None = None,
     budget: int = DEFAULT_SUBSET_BUDGET,
-    cap: int | None = None,
 ) -> ConnectednessReport:
-    """Exhaustively enumerate ufg families and check each of size >= 3.
+    """Exhaustively enumerate ufg families of the pool of
+    :func:`ufgkit.ufg.enumerate_ufg_exhaustive` and check each of size >= 3.
 
     Every leave-one-out subfamily of a cataloged family lies in the pool
     and within ``max_size``, so it is ufg exactly when the catalog holds
@@ -107,7 +107,7 @@ def verify_connectedness(
     the predecessors and violations the report writes.
     """
     catalog = enumerate_ufg_exhaustive(
-        ground, max_size=max_size, premises=premises, budget=budget, cap=cap
+        ground, max_size=max_size, premises=premises, budget=budget
     )
     violations: list[ConnectednessViolation] = []
     predecessors: list[dict] = []
@@ -178,70 +178,36 @@ class CorrigendumScenario:
         return all(c.passed for c in self.checks)
 
 
-def _check_posets_valid(ground, p1, p2, p3, q):
+def run_corrigendum() -> CorrigendumScenario:
+    """Replay the counterexample scenario and record every assertion, in
+    the corrigendum's order."""
+    ground, p1, p2, p3, q = corrigendum_inputs()
+    family = (p1, p2, p3)
     try:
         for p in (p1, p2, p3, q):
             Poset(ground, p.bits)  # re-validate transitivity and asymmetry
     except UfgkitError:
-        return False, "some literal fails poset validation"
-    return True, "p1, p2, p3 and q validate as strict partial orders"
-
-
-def _check_family_ufg(ground, p1, p2, p3, q):
-    family = (p1, p2, p3)
-    ok = is_ufg(family) is not None and is_witness(family, q)
-    return ok, (
-        "the three-order family is union-free generic and q is one of its witnesses"
-    )
-
-
-def _check_q_inside(ground, p1, p2, p3, q):
-    ok = gamma_interval((p1, p2, p3)).contains(q)
-    return ok, "q lies between the intersection and the union of the family"
-
-
-def _check_q_outside_subsets(ground, p1, p2, p3, q):
-    family = (p1, p2, p3)
+        valid = False, "some literal fails poset validation"
+    else:
+        valid = True, "p1, p2, p3 and q validate as strict partial orders"
     subsets = [T for size in (1, 2) for T in combinations(family, size)]
-    ok = all(not gamma_interval(T).contains(q) for T in subsets)
-    return ok, (
-        f"q avoids the closures of all {len(subsets)} proper nonempty subfamilies"
-    )
-
-
-def _check_removal_blocked(ground, p1, p2, p3, q):
-    _, d_nleq = partition_distinguishing((p1, p2, p3), q)
     ab = Attribute(NLEQ, ground.index("a"), ground.index("b"))
-    ok = ab in d_nleq and not gamma_interval((p2, p3)).contains(q)
-    return ok, (
-        "the pair (a,b) is a distinguishing non-pair of p1, yet dropping p1 "
-        "loses (a,b) and (a1,c1) from the union, so q leaves the closure"
-    )
-
-
-def _check_predecessor(ground, p1, p2, p3, q):
-    ok = has_predecessor((p1, p2, p3)) is not None
-    return ok, (
-        "some two-member subfamily is union-free generic, so connectedness holds here"
-    )
-
-
-SCENARIO_CHECKS = {
-    "posets-valid": _check_posets_valid,
-    "family-is-ufg-with-witness-q": _check_family_ufg,
-    "q-inside-closure": _check_q_inside,
-    "q-outside-proper-subsets": _check_q_outside_subsets,
-    "removal-of-p1-impossible": _check_removal_blocked,
-    "predecessor-exists": _check_predecessor,
-}
-
-def run_corrigendum() -> CorrigendumScenario:
-    """Replay the counterexample scenario and record every assertion."""
-    ground, p1, p2, p3, q = corrigendum_inputs()
-    checks = [
-        ScenarioCheck(name, *check(ground, p1, p2, p3, q))
-        for name, check in SCENARIO_CHECKS.items()
-    ]
+    checks = [ScenarioCheck(*check) for check in (
+        ("posets-valid", *valid),
+        ("family-is-ufg-with-witness-q", is_ufg(family) is not None and is_witness(family, q),
+         "the three-order family is union-free generic and q is one of its witnesses"),
+        ("q-inside-closure", gamma_interval(family).contains(q),
+         "q lies between the intersection and the union of the family"),
+        ("q-outside-proper-subsets", not any(gamma_interval(T).contains(q) for T in subsets),
+         f"q avoids the closures of all {len(subsets)} proper nonempty subfamilies"),
+        ("removal-of-p1-impossible",
+         ab in partition_distinguishing(family, q)[1]
+         and not gamma_interval((p2, p3)).contains(q),
+         "the pair (a,b) is a distinguishing non-pair of p1, yet dropping p1 "
+         "loses (a,b) and (a1,c1) from the union, so q leaves the closure"),
+        ("predecessor-exists", has_predecessor(family) is not None,
+         "some two-member subfamily is union-free generic, so connectedness holds here"),
+    )]
     return CorrigendumScenario(ground, p1, p2, p3, q, checks)
 
 

@@ -410,10 +410,11 @@ def violation_from_obj(obj: Any, where: str = "violation") -> ConnectednessViola
 
 def _predecessor_from_obj(obj: Any, where: str) -> dict:
     """An entry whose witness certifies its predecessor, the family
-    without exactly one of its members; the family is ufg, and the
-    predecessor is its first ufg leave-one-out subfamily in the order of
-    :func:`ufgkit.connectedness.has_predecessor`, the one the writer
-    lists.  That costs one decision per member removed before it."""
+    without exactly one of its members; the family is ufg and in
+    canonical order, and the predecessor is its first ufg leave-one-out
+    subfamily in the order of :func:`ufgkit.connectedness.has_predecessor`,
+    the one the writer lists.  That costs one decision per member removed
+    before it."""
     rec = _record(obj, where, {
         "family": _posets,
         "predecessor": _posets,
@@ -429,6 +430,7 @@ def _predecessor_from_obj(obj: Any, where: str) -> dict:
         raise InvalidFormat(f"{where}.family: is not union-free generic") from None
     except UfgkitError as exc:
         raise InvalidFormat(f"{where}.family: {exc}") from None
+    _require(canonical_family(family) == family, f"{where}.family", "is not in canonical order")
     _require(first == predecessor, f"{where}.predecessor",
              "is not the first ufg subfamily, removing members in canonical order")
     return rec

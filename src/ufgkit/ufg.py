@@ -353,12 +353,12 @@ class UfgCatalog:
 def _resolve_pool(
     ground: GroundSet,
     premises: Iterable[Poset] | None,
-    cap: int | None,
     max_size: int | None,
 ) -> tuple[tuple[Poset, ...], int]:
-    """The canonical pool and the largest family size worth walking in it."""
+    """The canonical pool and the largest family size worth walking in it:
+    the premises, or every order on the ground under the size cap."""
     if premises is None:
-        pool = tuple(enumerate_all_posets(ground, cap))
+        pool = tuple(enumerate_all_posets(ground))
     else:
         pool = canonical_family(premises)
         if pool[0].ground != ground:
@@ -373,10 +373,11 @@ def enumerate_ufg_exhaustive(
     max_size: int | None = None,
     premises: Iterable[Poset] | None = None,
     budget: int = DEFAULT_SUBSET_BUDGET,
-    cap: int | None = None,
 ) -> UfgCatalog:
     """Every ufg family of at most ``max_size`` pool orders, found by
     walking subsets of the pool as a set-enumeration tree (Rymon 1992).
+    The pool is ``premises``, or every order on the ground under the size
+    cap; a caller that lifts the cap passes the orders it enumerated.
 
     A family is a sorted tuple of pool indices and is extended only by
     pool orders after its last member, so each subset is reached at most
@@ -391,7 +392,7 @@ def enumerate_ufg_exhaustive(
     ``bench/make_references.py`` check the tree against deciding every
     subset.
     """
-    pool, max_size = _resolve_pool(ground, premises, cap, max_size)
+    pool, max_size = _resolve_pool(ground, premises, max_size)
     planned = sum(comb(len(pool), k) for k in range(2, max_size + 1))
     if planned > budget:
         raise CombinatorialBudgetExceeded(
@@ -416,9 +417,9 @@ def enumerate_ufg_connected(
     max_size: int | None = None,
     premises: Iterable[Poset] | None = None,
     budget: int = DEFAULT_SUBSET_BUDGET,
-    cap: int | None = None,
 ) -> UfgCatalog:
-    """Grow ufg families one pool order at a time, starting from every pair.
+    """Grow ufg families one pool order at a time, starting from every pair;
+    the pool is that of :func:`enumerate_ufg_exhaustive`.
 
     A family is a sorted tuple of pool indices, as in the catalog.  Each
     ufg family of size m is extended by every pool order it lacks, and
@@ -444,7 +445,7 @@ def enumerate_ufg_connected(
     which this package verifies rather than assumes; run the exhaustive
     strategy next to it when the guarantee matters.
     """
-    pool, max_size = _resolve_pool(ground, premises, cap, max_size)
+    pool, max_size = _resolve_pool(ground, premises, max_size)
     catalog = UfgCatalog(ground, pool, max_size)
     start = time.perf_counter()
     # the ufg families of one size, each beside its leave-one-out closures;

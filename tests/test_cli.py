@@ -70,6 +70,27 @@ def test_cap_override_lifts_the_cap_to_a_loaded_ground(capsys, monkeypatch, tmp_
     assert code == EXIT_OK and out.strip() == "19"
 
 
+@pytest.mark.parametrize("command", ["enumerate", "connectedness"])
+def test_the_cli_builds_the_pool_under_the_cap(capsys, monkeypatch, command):
+    code, want, _ = run(capsys, command, "-n", "3")
+    assert code == EXIT_OK
+    monkeypatch.setenv("UFGKIT_CAP", "2")
+    assert run(capsys, command, "-n", "3") == (EXIT_ERROR, "", (
+        "error: ground set of size 3 exceeds the cap 2; "
+        "raise it explicitly (env UFGKIT_CAP or the override flag)\n"
+    ))
+    assert run(capsys, command, "-n", "3", "--cap-override-ack") == (EXIT_OK, want, "")
+
+
+def test_enumerate_verify_walks_the_order_space_once(capsys, monkeypatch):
+    walks = []
+    order_bits = orders._order_bits
+    monkeypatch.setattr(orders, "_order_bits", lambda n: walks.append(n) or order_bits(n))
+    code, out, _ = run(capsys, "enumerate", "--verify", "-n", "3")
+    assert code == EXIT_OK and "catalogs identical" in out
+    assert walks == [3]
+
+
 # --- closure -----------------------------------------------------------------
 
 
@@ -366,6 +387,21 @@ def test_bad_input_exits_one_without_traceback(
     assert code == EXIT_ERROR
     assert "error:" in err and "Traceback" not in err
     assert out == "" and list(tmp_path.iterdir()) == []  # nothing written
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("check-ufg", "--input", "MISSING/family.json"),
+        ("posets", "-n", "2", "--out", "MISSING/f.json"),
+    ],
+    ids=["input", "out"],
+)
+def test_a_missing_path_exits_one_with_the_os_error(capsys, tmp_path, argv):
+    missing = str(tmp_path / "missing")
+    code, out, err = run(capsys, *(a.replace("MISSING", missing) for a in argv))
+    assert code == EXIT_ERROR and out == ""
+    assert err.startswith("error: [Errno 2] ") and err.count("\n") == 1
 
 
 def test_out_of_memory_exits_one_without_traceback(capsys, monkeypatch):

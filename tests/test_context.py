@@ -14,6 +14,7 @@ from ufgkit.errors import (
     MemberNotInFamily,
     MixedGroundSets,
     ObjectNotInContext,
+    ReflexivePairRejected,
 )
 from ufgkit.orders import (
     GroundSet,
@@ -70,6 +71,15 @@ def test_incidence_range_check(corr):
 
 def test_attribute_count(g3):
     assert len(all_attributes(g3)) == 2 * 3 * 2
+
+
+def test_attribute_rejects_bad_kinds_and_pairs():
+    with pytest.raises(ValueError):
+        Attribute("x", 0, 1)
+    with pytest.raises(ReflexivePairRejected):
+        Attribute(LEQ, 1, 1)
+    with pytest.raises(IndexOutOfRange):
+        Attribute(LEQ, -1, 0)
 
 
 # --- derivations ----------------------------------------------------------------
@@ -292,12 +302,16 @@ def test_restricted_sets_shrink(corr, pool3):
         )
 
 
-def test_distinguishing_preconditions(corr):
+def test_distinguishing_preconditions(corr, g2):
     ground, p1, p2, _, q = corr
     with pytest.raises(FamilyTooSmall):
         distinguishing(p1, [p1])
+    with pytest.raises(FamilyTooSmall):
+        partition_distinguishing([p1], None)
     with pytest.raises(MemberNotInFamily):
         distinguishing(q, [p1, p2])
+    with pytest.raises(MixedGroundSets):  # a restriction order on another ground
+        partition_distinguishing([p1, p2], empty_poset(g2))
 
 
 def test_partition_counterexample(corr):

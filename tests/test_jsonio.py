@@ -384,6 +384,13 @@ def _predecessor_not_first(obj):
     entry["witness"] = jsonio.poset_to_obj(is_ufg(later).witness)
 
 
+def _family_out_of_order(obj):
+    # the last entry's first member moved to second place: the family
+    # still decides and keeps its predecessor, but no writer lists it so
+    family = obj["predecessors"][-1]["family"]
+    family[0], family[1] = family[1], family[0]
+
+
 # forgeries of the real ``connectedness -n 3 --json`` output whose entries
 # each re-validate and whose counts match the lists
 CONNECTEDNESS_FORGERIES = {
@@ -401,6 +408,8 @@ CONNECTEDNESS_FORGERIES = {
                        r"^report\.predecessors\[0\]\.family: is not union-free generic"),
     "predecessor-not-first": (_predecessor_not_first,
                               r"^report\.predecessors\[0\]\.predecessor: is not the first ufg"),
+    "family-out-of-order": (_family_out_of_order,
+                            r"^report\.predecessors\[139\]\.family: is not in canonical order"),
 }
 
 

@@ -187,6 +187,7 @@ def test_reversed_forty_item_chains_witness_is_empty_order():
 def test_duplicates_collapse_to_singleton(corr):
     _, p1, _, _, _ = corr
     assert is_ufg([p1, p1]) is None
+    assert is_ufg([]) is None  # fewer than two orders: None without error
 
 
 def test_incomparable_pairs_are_ufg(pool3):
@@ -598,6 +599,12 @@ def test_filter_rejects_duplicate_rows(corr):
 def test_filter_keeps_the_real_extension(corr):
     _, p1, p2, p3, _ = corr
     assert candidate_filter([p1, p2], p3)
+
+
+def test_filter_requires_same_ground(corr, g2):
+    _, p1, p2, _, _ = corr
+    with pytest.raises(MixedGroundSets):
+        candidate_filter([p1, p2], empty_poset(g2))
 
 
 def test_filter_canonicalises_once_and_opens_no_closure(corr, monkeypatch):
