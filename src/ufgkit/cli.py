@@ -31,7 +31,6 @@ from .orders import (
     Poset,
     canonical_family,
     enumerate_all_posets,
-    resolve_cap,
 )
 from .ufg import (
     DEFAULT_SUBSET_BUDGET,
@@ -80,12 +79,6 @@ def _emit(args, human_lines, payload) -> None:
         print(line)
 
 
-def _effective_cap(args, ground: GroundSet) -> int:
-    """The size cap, lifted to the ground being enumerated when acknowledged."""
-    cap = resolve_cap()
-    return max(cap, ground.size) if args.cap_override_ack else cap
-
-
 def _load_inputs(args) -> tuple[GroundSet, list[Poset] | None]:
     if args.size is not None:
         return GroundSet.numbered(args.size), None
@@ -99,7 +92,8 @@ def _load_pool(args) -> tuple[GroundSet, list[Poset]]:
     items, enumerated once under the size cap, or the family file's orders."""
     ground, members = _load_inputs(args)
     if members is None:
-        members = list(enumerate_all_posets(ground, _effective_cap(args, ground)))
+        cap = ground.size if args.cap_override_ack else None
+        members = list(enumerate_all_posets(ground, cap))
     return ground, members
 
 
@@ -174,7 +168,6 @@ def build_parser() -> argparse.ArgumentParser:
                      metavar="N[,N...]", help="comma-separated ground sizes (default 4)")
     sub.add_argument("--budget", type=_positive_int, default=1000, help="trial count")
     sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--pool-size", type=_positive_int, default=8)
     _add_output_flags(sub)
     sub.add_argument("--threads", type=_positive_int, default=1,
                      help="worker count, at most the budget and the core count; "
@@ -188,7 +181,7 @@ def cmd_posets(args) -> int:
     if args.list and (args.json or args.out):
         raise UfgkitError("--list streams JSON lines to stdout; it takes no --json or --out")
     ground, _ = _load_inputs(args)
-    stream = enumerate_all_posets(ground, _effective_cap(args, ground))
+    stream = enumerate_all_posets(ground, ground.size if args.cap_override_ack else None)
     if args.list:
         sys.stdout.writelines(jsonio.poset_lines(ground, stream))
         return EXIT_OK
@@ -330,9 +323,7 @@ def cmd_corrigendum(args) -> int:
 
 
 def cmd_falsify(args) -> int:
-    report = falsification_search(
-        args.sizes, args.budget, args.seed, pool_size=args.pool_size, threads=args.threads
-    )
+    report = falsification_search(args.sizes, args.budget, args.seed, threads=args.threads)
     lines = [
         f"falsify: seed={report.seed} budget={report.budget} "
         f"n={list(report.n_range)} pool-size={report.pool_size}",

@@ -259,6 +259,9 @@ def random_pool(ground: GroundSet, rng: random.Random, size: int) -> tuple[Poset
     return tuple(pool)
 
 
+POOL_SIZE = 8  # orders each falsification trial draws
+
+
 @dataclass
 class FalsificationReport:
     """Deterministic record of a stress run against connectedness."""
@@ -272,12 +275,12 @@ class FalsificationReport:
     violation: ConnectednessViolation | None
 
 
-def _run_trial(n: int, seed: int, trial: int, pool_size: int) -> int:
+def _run_trial(n: int, seed: int, trial: int) -> int:
     """How many families one growth trial reaches, each one member past
     the one before, from a ufg pair of its seeded pool."""
     rng = random.Random(f"{seed}:{trial}")
     ground = GroundSet.numbered(n)
-    pool = random_pool(ground, rng, pool_size)
+    pool = random_pool(ground, rng, POOL_SIZE)
     if len(pool) < 3:
         return 0
     # a family is a sorted tuple of pool indices, so canonical as it grows,
@@ -311,13 +314,10 @@ def _run_trial(n: int, seed: int, trial: int, pool_size: int) -> int:
 
 
 def falsification_search(
-    n_range: Sequence[int],
-    budget: int,
-    seed: int,
-    pool_size: int = 8,
-    threads: int = 1,
+    n_range: Sequence[int], budget: int, seed: int, threads: int = 1
 ) -> FalsificationReport:
-    """Run seeded random growth trials and count the families they reach.
+    """Run seeded random growth trials, each on a pool of :data:`POOL_SIZE`
+    draws, and count the families they reach.
 
     A trial keeps only ufg children, so the parent of each family it
     counts is a ufg predecessor and ``violation`` stays None.  It only
@@ -331,14 +331,12 @@ def falsification_search(
         raise ValueError("the trial budget must be at least 1")
     if not n_range:
         raise ValueError("n_range must name at least one ground size")
-    if pool_size < 1:
-        raise ValueError("the pool size must be at least 1")
     if threads < 1:
         raise ValueError("the thread count must be at least 1")
     sizes = tuple(n_range)
 
     def trial(t: int) -> int:
-        return _run_trial(sizes[t % len(sizes)], seed, t, pool_size)
+        return _run_trial(sizes[t % len(sizes)], seed, t)
 
     # the pool starts a thread for each trial submitted while none is idle:
     # workers beyond the trials would idle, beyond the cores only contend
@@ -355,7 +353,7 @@ def falsification_search(
         n_range=sizes,
         budget=budget,
         seed=seed,
-        pool_size=pool_size,
+        pool_size=POOL_SIZE,
         trials=budget,
         families_checked=sum(counts),
         violation=None,

@@ -16,6 +16,7 @@ from json.encoder import encode_basestring_ascii
 from typing import Any
 
 from .connectedness import (
+    POOL_SIZE,
     ConnectednessReport,
     CorrigendumScenario,
     FalsificationReport,
@@ -25,7 +26,7 @@ from .connectedness import (
 )
 from .errors import InvalidFormat, MixedGroundSets, NotUfgInput, UfgkitError
 from .orders import GroundSet, Poset, canonical_family, canonical_key, make_poset
-from .ufg import UfgCatalog, UfgCertificate, is_ufg
+from .ufg import NOT_UFG_REASONS, UfgCatalog, UfgCertificate, is_ufg
 
 
 def dumps_canonical(data: Any) -> str:
@@ -110,10 +111,8 @@ def _parse_elements(obj: Any, where: str) -> GroundSet:
 
 
 def poset_from_obj(obj: Any, where: str = "poset") -> Poset:
-    _require(isinstance(obj, dict), where, "expected an object")
-    ground = _parse_elements(obj.get("elements"), f"{where}.elements")
-    pairs = _parse_relations(obj.get("relations"), f"{where}.relations")
-    return make_poset(ground, pairs)
+    rec = _record(obj, where, {"elements": _parse_elements, "relations": _parse_relations})
+    return make_poset(rec["elements"], rec["relations"])
 
 
 def family_to_obj(members) -> dict:
@@ -297,7 +296,11 @@ def _scalar(kind: type, name: str):
 
 _int = _scalar(int, "an integer")
 _bool = _scalar(bool, "a boolean")
-_str = _scalar(str, "a string")
+
+
+def _reason(value: Any, where: str) -> str:
+    _require(value in NOT_UFG_REASONS, where, "is not a reason ufgkit gives")
+    return value
 
 
 def _list(item):
@@ -387,13 +390,22 @@ def catalog_from_obj(obj: Any, where: str = "catalog") -> UfgCatalog:
 
 
 def _analysis_from_obj(obj: Any, where: str) -> dict:
+    """A not-ufg analysis, with blockers exactly when it is not union-free."""
     blocker = _record_of({"candidate": poset_from_obj, "covered_without": poset_from_obj})
-    return _record(
-        obj, where, {"ufg": _bool, "reason": _str, "blockers": _list(blocker)}, ("blockers",)
+    rec = _record(
+        obj, where, {"ufg": _bool, "reason": _reason, "blockers": _list(blocker)}, ("blockers",)
     )
+    _require(not rec["ufg"], f"{where}.ufg", "expected false")
+    _require(("blockers" in rec) == (rec["reason"] == NOT_UFG_REASONS[-1]), where,
+             "needs blockers exactly when its reason is the not-union-free one")
+    return rec
 
 
 def violation_from_obj(obj: Any, where: str = "violation") -> ConnectednessViolation:
+    """A violation of its certificate's family, whose trail removes each
+    member in turn, in family order.  Its analyses are checked for shape
+    only, not re-derived: no real violation is known, so every trail this
+    parser has read is hand-built."""
     rec = _record(obj, where, {
         "family": _posets,
         "certificate": certificate_from_obj,
@@ -403,9 +415,14 @@ def violation_from_obj(obj: Any, where: str = "violation") -> ConnectednessViola
             "analysis": _analysis_from_obj,
         })),
     })
-    _require(rec["family"] == rec["certificate"].family, f"{where}.family",
+    family, trail = rec["family"], rec["leave_one_out"]
+    _require(family == rec["certificate"].family, f"{where}.family",
              "differs from the members of its certificate")
-    return ConnectednessViolation(rec["family"], rec["certificate"], rec["leave_one_out"])
+    _require(len(trail) == len(family), f"{where}.leave_one_out", "needs one entry per member")
+    for j, entry in enumerate(trail):
+        _require(entry["removed"] == family[j] and entry["members"] == family[:j] + family[j + 1:],
+                 f"{where}.leave_one_out[{j}]", f"does not remove member {j} of the family")
+    return ConnectednessViolation(family, rec["certificate"], trail)
 
 
 def _predecessor_from_obj(obj: Any, where: str) -> dict:
@@ -486,7 +503,7 @@ def falsification_from_obj(obj: Any, where: str = "report") -> FalsificationRepo
     })
     _require(rec["trials"] == rec["budget"], f"{where}.trials", "differs from the budget")
     _require(rec["budget"] >= 1, f"{where}.budget", "is below 1")
-    _require(rec["pool_size"] >= 1, f"{where}.pool_size", "is below 1")
+    _require(rec["pool_size"] == POOL_SIZE, f"{where}.pool_size", f"is not {POOL_SIZE}")
     _require(rec["families_checked"] >= 0, f"{where}.families_checked", "is negative")
     _require(rec["n_range"] and min(rec["n_range"]) >= 1, f"{where}.n_range",
              "expected a nonempty list of sizes of at least 1")
@@ -531,4 +548,4 @@ def verdict_payload_from_obj(obj: Any, where: str = "payload") -> dict:
     if isinstance(obj, dict) and obj.get("ufg") is True:
         rec = _record(obj, where, {"ufg": _bool, "certificate": certificate_from_obj})
         return {"ufg": True, "certificate": certificate_to_obj(rec["certificate"])}
-    return _record(obj, where, {"ufg": _bool, "reason": _str})
+    return _record(obj, where, {"ufg": _bool, "reason": _reason})

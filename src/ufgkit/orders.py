@@ -9,7 +9,6 @@ makes subset tests, intersections and unions single integer operations.
 
 from __future__ import annotations
 
-import os
 import threading
 from collections.abc import Iterable, Iterator
 from functools import cache
@@ -24,25 +23,11 @@ from .errors import (
     NotAntisymmetric,
     NotTransitive,
     ReflexivePairRejected,
-    UfgkitError,
     UnknownLabel,
 )
 
 DEFAULT_GROUND_CAP = 6
-CAP_ENV_VAR = "UFGKIT_CAP"
 CLOSED_CAP = 4096  # closures memoised per item count: every relation on 4 items
-
-
-def resolve_cap(override: int | None = None) -> int:
-    """Effective ground-set size cap for full-space enumeration."""
-    if override is not None:
-        return override
-    env = os.environ.get(CAP_ENV_VAR)
-    if not env:
-        return DEFAULT_GROUND_CAP
-    if not env.isdecimal() or int(env) < 1:
-        raise UfgkitError(f"{CAP_ENV_VAR} must be a positive integer, not {env!r}")
-    return int(env)
 
 
 class GroundSet:
@@ -693,11 +678,12 @@ def _order_bits(n: int) -> Iterator[int]:
 
 
 def enumerate_all_posets(ground: GroundSet, cap: int | None = None) -> Iterator[Poset]:
-    """Stream every partial order on the ground set, canonically ordered."""
-    limit = resolve_cap(cap)
+    """Stream every partial order on the ground set, canonically ordered,
+    refusing a ground larger than ``cap`` (:data:`DEFAULT_GROUND_CAP` if None)."""
+    limit = DEFAULT_GROUND_CAP if cap is None else cap
     if ground.size > limit:
         raise GroundSetTooLarge(
             f"ground set of size {ground.size} exceeds the cap {limit}; "
-            f"raise it explicitly (env {CAP_ENV_VAR} or the override flag)"
+            "raise it explicitly with the override flag"
         )
     return PosetInterval(empty_poset(ground), complete_relation(ground)).posets()

@@ -480,10 +480,14 @@ def enumerate_ufg_connected(
     return catalog
 
 
-_NOT_UNION_FREE = (
+# every reason :func:`_not_ufg_reason` gives
+NOT_UFG_REASONS = (
+    "a single order is closed already: the closure adds nothing",
+    "not generic: the closure holds no order beyond the family",
     "not union-free: every closure order outside the family already "
-    "lies in a leave-one-out closure"
+    "lies in a leave-one-out closure",
 )
+_SINGLE_ORDER, _NOT_GENERIC, _NOT_UNION_FREE = NOT_UFG_REASONS
 
 
 def _not_ufg_reason(members: tuple[Poset, ...]) -> str:
@@ -497,11 +501,11 @@ def _not_ufg_reason(members: tuple[Poset, ...]) -> str:
     exists: this looks for none.
     """
     if len(members) < 2:
-        return "a single order is closed already: the closure adds nothing"
+        return _SINGLE_ORDER
     bits = {m.bits for m in members}
     beyond = next((q for q in gamma_interval(members).posets() if q.bits not in bits), None)
     if beyond is None:
-        return "not generic: the closure holds no order beyond the family"
+        return _NOT_GENERIC
     return _NOT_UNION_FREE
 
 

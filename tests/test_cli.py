@@ -51,7 +51,7 @@ def test_posets_cap_error(capsys):
 
 
 def test_cap_override_flow(capsys, monkeypatch):
-    monkeypatch.setenv("UFGKIT_CAP", "2")
+    monkeypatch.setattr(orders, "DEFAULT_GROUND_CAP", 2)
     code, _, err = run(capsys, "posets", "-n", "3")
     assert code == EXIT_ERROR
     code, out, _ = run(capsys, "posets", "-n", "3", "--cap-override-ack")
@@ -63,7 +63,7 @@ def test_cap_override_lifts_the_cap_to_a_loaded_ground(capsys, monkeypatch, tmp_
     path.write_text(json.dumps(
         {"elements": ["a", "b", "c"], "posets": [[["a", "b"]], [["b", "c"]]]}
     ))
-    monkeypatch.setenv("UFGKIT_CAP", "2")
+    monkeypatch.setattr(orders, "DEFAULT_GROUND_CAP", 2)
     code, _, err = run(capsys, "posets", "--input", str(path))
     assert code == EXIT_ERROR and "cap" in err
     code, out, _ = run(capsys, "posets", "--input", str(path), "--cap-override-ack")
@@ -74,10 +74,10 @@ def test_cap_override_lifts_the_cap_to_a_loaded_ground(capsys, monkeypatch, tmp_
 def test_the_cli_builds_the_pool_under_the_cap(capsys, monkeypatch, command):
     code, want, _ = run(capsys, command, "-n", "3")
     assert code == EXIT_OK
-    monkeypatch.setenv("UFGKIT_CAP", "2")
+    monkeypatch.setattr(orders, "DEFAULT_GROUND_CAP", 2)
     assert run(capsys, command, "-n", "3") == (EXIT_ERROR, "", (
         "error: ground set of size 3 exceeds the cap 2; "
-        "raise it explicitly (env UFGKIT_CAP or the override flag)\n"
+        "raise it explicitly with the override flag\n"
     ))
     assert run(capsys, command, "-n", "3", "--cap-override-ack") == (EXIT_OK, want, "")
 
@@ -348,37 +348,32 @@ def test_usage_errors_exit_one(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv, env",
+    "argv",
     [
-        (("enumerate", "-n", "0"), {}),
-        (("enumerate", "-n", "3", "--max-size", "-5"), {}),
-        (("enumerate", "-n", "3", "--budget", "0"), {}),
-        (("enumerate", "-n", "2", "--threads", "2"), {}),  # a falsify flag only
-        (("connectedness", "-n", "-1"), {}),
-        (("connectedness", "-n", "3", "--max-size", "0"), {}),
-        (("falsify", "--budget", "0"), {}),
-        (("falsify", "--pool-size", "-2"), {}),
-        (("falsify", "--threads", "0"), {}),
-        (("falsify", "-n", "4,0"), {}),
-        (("falsify", "-n", ""), {}),
-        (("posets", "-n", "3"), {"UFGKIT_CAP": "abc"}),
-        (("posets", "-n", "3"), {"UFGKIT_CAP": "0"}),
-        (("closure", "--input", "x.json", "--cap-override-ack"), {}),
-        (("posets", "-n", "2", "--list", "--out", "f.json"), {}),  # --list streams lines
-        (("posets", "-n", "2", "--list", "--json"), {}),
+        ("enumerate", "-n", "0"),
+        ("enumerate", "-n", "3", "--max-size", "-5"),
+        ("enumerate", "-n", "3", "--budget", "0"),
+        ("enumerate", "-n", "2", "--threads", "2"),  # a falsify flag only
+        ("connectedness", "-n", "-1"),
+        ("connectedness", "-n", "3", "--max-size", "0"),
+        ("falsify", "--budget", "0"),
+        ("falsify", "--pool-size", "8"),  # the pool size is fixed
+        ("falsify", "--threads", "0"),
+        ("falsify", "-n", "4,0"),
+        ("falsify", "-n", ""),
+        ("closure", "--input", "x.json", "--cap-override-ack"),
+        ("posets", "-n", "2", "--list", "--out", "f.json"),  # --list streams lines
+        ("posets", "-n", "2", "--list", "--json"),
         # flags that would do nothing: a family file is the pool, never
         # capped, and --verify runs both strategies
-        (("enumerate", "--input", "POOL", "--cap-override-ack"), {}),
-        (("connectedness", "--input", "POOL", "--cap-override-ack", "--out", "f.json"), {}),
-        (("enumerate", "-n", "2", "--verify", "--strategy", "exhaustive"), {}),
-        (("enumerate", "-n", "2", "--verify", "--strategy", "connected", "--out", "f.json"), {}),
+        ("enumerate", "--input", "POOL", "--cap-override-ack"),
+        ("connectedness", "--input", "POOL", "--cap-override-ack", "--out", "f.json"),
+        ("enumerate", "-n", "2", "--verify", "--strategy", "exhaustive"),
+        ("enumerate", "-n", "2", "--verify", "--strategy", "connected", "--out", "f.json"),
     ],
 )
-def test_bad_input_exits_one_without_traceback(
-    capsys, monkeypatch, tmp_path, tmp_path_factory, corr, argv, env
-):
-    for name, value in env.items():
-        monkeypatch.setenv(name, value)
+def test_bad_input_exits_one_without_traceback(capsys, monkeypatch, tmp_path, tmp_path_factory,
+                                               corr, argv):
     # POOL names a valid family file, kept out of the working directory
     pool = tmp_path_factory.mktemp("pool") / "family.json"
     pool.write_text(jsonio.dumps_canonical(jsonio.family_to_obj(corr[1:4])))

@@ -28,6 +28,7 @@ from ufgkit.orders import (
     make_poset,
 )
 from ufgkit.connectedness import (
+    POOL_SIZE,
     _run_trial,
     falsification_search,
     has_predecessor,
@@ -289,15 +290,10 @@ def test_falsification_rejects_zero_budget():
         falsification_search([], 5, seed=1)
 
 
-@pytest.mark.parametrize("kwargs, message", [
-    ({"pool_size": 0}, "pool size"),
-    ({"pool_size": -2}, "pool size"),
-    ({"threads": 0}, "thread count"),
-    ({"threads": -1}, "thread count"),
-])
-def test_falsification_rejects_an_empty_pool_or_no_threads(kwargs, message):
-    with pytest.raises(ValueError, match=message):
-        falsification_search([3], 5, seed=1, **kwargs)
+@pytest.mark.parametrize("threads", [0, -1])
+def test_falsification_rejects_no_threads(threads):
+    with pytest.raises(ValueError, match="thread count"):
+        falsification_search([3], 5, seed=1, threads=threads)
 
 
 @pytest.mark.parametrize("cores, workers", [(8, [4]), (2, [2]), (1, []), (None, [])])
@@ -343,13 +339,13 @@ def test_falsification_small_run_finds_nothing():
     assert report.families_checked > 0
 
 
-def _replayed_trial(n, seed, trial, pool_size=8):
+def _replayed_trial(n, seed, trial):
     """The families one falsification trial counts, replayed from its seed:
     the same draws, in the same order, with every family decided by the
     public ``is_ufg`` on its orders instead of the catalog step."""
     rng = random.Random(f"{seed}:{trial}")
     ground = GroundSet.numbered(n)
-    pool = random_pool(ground, rng, pool_size)
+    pool = random_pool(ground, rng, POOL_SIZE)
     if len(pool) < 3:
         return []
     limit = min(len(pool), default_max_family_size(ground))
@@ -380,7 +376,7 @@ def test_falsification_trials_match_an_independent_replay():
         for t in range(24):
             n = (3, 4)[t % 2]
             grown = _replayed_trial(n, seed, t)
-            assert _run_trial(n, seed, t, 8) == len(grown)
+            assert _run_trial(n, seed, t) == len(grown)
             for k, family in enumerate(grown):
                 assert is_ufg_by_distinguishing(family) is not None
                 assert has_predecessor(family) is not None

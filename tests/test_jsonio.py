@@ -24,6 +24,7 @@ from ufgkit.errors import InvalidFormat
 from ufgkit.orders import GroundSet, canonical_family, empty_poset, enumerate_all_posets
 from ufgkit.context import gamma_interval
 from ufgkit.ufg import (
+    NOT_UFG_REASONS,
     UfgCatalog,
     UfgCertificate,
     enumerate_ufg_exhaustive,
@@ -211,24 +212,48 @@ def _key_paths(obj, path=()):
 OPTIONAL = {"blockers", ("closure", "members"), ("closure", "oracle_checked")}
 
 
-def test_dropping_any_key_the_serializer_writes_is_rejected(capsys, tmp_path, corr, reports):
+def _payload_cases(capsys, tmp_path, corr, reports):
+    """Every kind of payload with its parser: the reports and the CLI's own."""
     cases = {kind: (obj, parse) for kind, (obj, parse, _) in reports.items()}
     cases.update(_cli_payloads(capsys, tmp_path, corr))
+    return cases
+
+
+def _at(obj, path):
+    for step in path:
+        obj = obj[step]
+    return obj
+
+
+def test_dropping_any_key_the_serializer_writes_is_rejected(capsys, tmp_path, corr, reports):
     dropped = 0
-    for kind, (obj, parse) in cases.items():
+    for kind, (obj, parse) in _payload_cases(capsys, tmp_path, corr, reports).items():
         parse(copy.deepcopy(obj))  # intact, it parses
         for path, key in _key_paths(obj):
             if key in OPTIONAL or (not path and (kind, key) in OPTIONAL):
                 continue
             broken = copy.deepcopy(obj)
-            holder = broken
-            for step in path:
-                holder = holder[step]
-            del holder[key]
+            del _at(broken, path)[key]
             with pytest.raises(InvalidFormat):
                 parse(broken)
             dropped += 1
     assert dropped > 400
+
+
+def test_adding_a_key_to_any_object_the_serializer_writes_is_rejected(
+    capsys, tmp_path, corr, reports
+):
+    # the orders nested in a report too: a member, witness or blocker with
+    # a key of its own would load, and writing it back would drop the key
+    added = 0
+    for obj, parse in _payload_cases(capsys, tmp_path, corr, reports).values():
+        for path in dict.fromkeys(path for path, _ in _key_paths(obj)):
+            broken = copy.deepcopy(obj)
+            _at(broken, path)["note"] = 0
+            with pytest.raises(InvalidFormat):
+                parse(broken)
+            added += 1
+    assert added > 200
 
 
 def _set(obj, spot, value):
@@ -320,7 +345,7 @@ FORGERIES = {
                                         lambda o: _set(o, ("trials",), 2),
                                         r"^report\.trials: differs from the budget"),
     # reports falsification_search never writes: it runs at least one trial
-    # over at least one ground size of at least one item, on a nonempty pool
+    # over at least one ground size of at least one item, on POOL_SIZE draws
     "falsification-no-sizes": ("falsification", lambda o: _set(o, ("n_range",), []),
                                r"^report\.n_range: expected a nonempty list"),
     "falsification-size-zero": ("falsification", lambda o: _set(o, ("n_range",), [4, 0]),
@@ -328,11 +353,40 @@ FORGERIES = {
     "falsification-no-trials": ("falsification",
                                 lambda o: o.update(budget=0, trials=0),
                                 r"^report\.budget: is below 1"),
-    "falsification-empty-pool": ("falsification", lambda o: _set(o, ("pool_size",), 0),
-                                 r"^report\.pool_size: is below 1"),
+    "falsification-other-pool-size": ("falsification", lambda o: _set(o, ("pool_size",), 9),
+                                      r"^report\.pool_size: is not 8$"),
     "falsification-negative-count": ("falsification",
                                      lambda o: _set(o, ("families_checked",), -1),
                                      r"^report\.families_checked: is negative"),
+    # a trail removes each member of the family once, in family order, and
+    # each analysis is one explain_not_ufg could write
+    "trail-of-one-non-member": (
+        "violation", lambda o: _set(o, ("leave_one_out",), [
+            dict(o["leave_one_out"][0], removed=o["certificate"]["witness"])]),
+        r"^violation\.leave_one_out: needs one entry per member$"),
+    "trail-removes-a-non-member": (
+        "violation", lambda o: _set(o, ("leave_one_out", 0, "removed"),
+                                    o["certificate"]["witness"]),
+        r"^violation\.leave_one_out\[0\]: does not remove member 0 of the family$"),
+    "trail-out-of-order": (
+        "violation", lambda o: o["leave_one_out"].reverse(),
+        r"^violation\.leave_one_out\[0\]: does not remove member 0 of the family$"),
+    "trail-keeps-the-removed-member": (
+        "violation", lambda o: _set(o, ("leave_one_out", 1, "members"), o["family"]),
+        r"^violation\.leave_one_out\[1\]: does not remove member 1 of the family$"),
+    "analysis-reason-made-up": (
+        "violation", lambda o: _set(o, ("leave_one_out", 0, "analysis", "reason"), "made up"),
+        r"^violation\.leave_one_out\[0\]\.analysis\.reason: is not a reason ufgkit gives$"),
+    "analysis-says-ufg": (
+        "violation", lambda o: _set(o, ("leave_one_out", 0, "analysis", "ufg"), True),
+        r"^violation\.leave_one_out\[0\]\.analysis\.ufg: expected false$"),
+    "analysis-not-union-free-without-blockers": (
+        "violation", lambda o: o["leave_one_out"][2]["analysis"].pop("blockers"),
+        r"^violation\.leave_one_out\[2\]\.analysis: needs blockers exactly when"),
+    "analysis-not-generic-with-blockers": (
+        "violation", lambda o: _set(o, ("leave_one_out", 1, "analysis", "blockers"),
+                                    o["leave_one_out"][2]["analysis"]["blockers"]),
+        r"^violation\.leave_one_out\[1\]\.analysis: needs blockers exactly when"),
 }
 
 
@@ -425,6 +479,14 @@ def test_forged_connectedness_output_is_rejected(capsys, name):
         jsonio.connectedness_from_obj(obj)
 
 
+def test_a_negative_verdict_gives_a_reason_the_decider_gives():
+    for reason in NOT_UFG_REASONS:
+        payload = {"ufg": False, "reason": reason}
+        assert jsonio.verdict_payload_from_obj(payload) == payload
+    with pytest.raises(InvalidFormat, match=r"^payload\.reason: is not a reason ufgkit gives$"):
+        jsonio.verdict_payload_from_obj({"ufg": False, "reason": "made up"})
+
+
 def test_empty_and_truncated_reports_are_rejected():
     with pytest.raises(InvalidFormat):
         jsonio.falsification_from_obj({})
@@ -473,11 +535,16 @@ def certificate_payloads(capsys, tmp_path, corr):
     catalog3 = _cli_json(capsys, ["enumerate", "-n", "3", "--max-size", "2"])
     verdict = _cli_json(capsys, ["check-ufg", "--input", family])
     cert = verdict["certificate"]
-    violation = {
-        "family": copy.deepcopy(cert["members"]),
-        "certificate": copy.deepcopy(cert),
-        "leave_one_out": [],
-    }
+    members = cert["members"]
+    violation = copy.deepcopy({
+        "family": members,
+        "certificate": cert,
+        "leave_one_out": [
+            {"removed": m, "members": members[:j] + members[j + 1:],
+             "analysis": {"ufg": False, "reason": NOT_UFG_REASONS[1]}}
+            for j, m in enumerate(members)
+        ],
+    })
     return {
         "catalog": (catalog, jsonio.catalog_from_obj, ("ufg_sets", 0), "catalog.ufg_sets[0]"),
         "catalog3": (catalog3, jsonio.catalog_from_obj, ("ufg_sets", 0), "catalog.ufg_sets[0]"),

@@ -18,7 +18,6 @@ from ufgkit.errors import (
     NotAntisymmetric,
     NotTransitive,
     ReflexivePairRejected,
-    UfgkitError,
     UnknownLabel,
 )
 from ufgkit.orders import (
@@ -38,7 +37,6 @@ from ufgkit.orders import (
     empty_poset,
     enumerate_all_posets,
     make_poset,
-    resolve_cap,
     transitive_closure,
 )
 from ufgkit.context import gamma_interval
@@ -490,21 +488,16 @@ def test_enumeration_cap(monkeypatch):
     g = GroundSet.numbered(7)
     with pytest.raises(GroundSetTooLarge):
         enumerate_all_posets(g)
-    monkeypatch.setenv("UFGKIT_CAP", "3")
+    # the default cap is read at call time
+    monkeypatch.setattr("ufgkit.orders.DEFAULT_GROUND_CAP", 3)
     with pytest.raises(GroundSetTooLarge):
         enumerate_all_posets(GroundSet.numbered(4))
-    monkeypatch.setenv("UFGKIT_CAP", "4")
+    assert sum(1 for _ in enumerate_all_posets(GroundSet.numbered(4), cap=4)) == 219
+    # an explicit cap beats the default, both ways
+    monkeypatch.setattr("ufgkit.orders.DEFAULT_GROUND_CAP", 4)
     assert sum(1 for _ in enumerate_all_posets(GroundSet.numbered(4))) == 219
-    # explicit override beats the environment
     with pytest.raises(GroundSetTooLarge):
         enumerate_all_posets(GroundSet.numbered(4), cap=2)
-
-
-@pytest.mark.parametrize("value", ["abc", "0", "-3"])
-def test_cap_env_must_be_a_positive_integer(monkeypatch, value):
-    monkeypatch.setenv("UFGKIT_CAP", value)
-    with pytest.raises(UfgkitError, match="UFGKIT_CAP"):
-        resolve_cap()
 
 
 def test_zero_items_rejected_before_enumeration():
