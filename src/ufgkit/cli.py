@@ -30,6 +30,7 @@ from .orders import (
     GroundSet,
     Poset,
     canonical_family,
+    check_cap,
     enumerate_all_posets,
 )
 from .ufg import (
@@ -81,6 +82,8 @@ def _emit(args, human_lines, payload) -> None:
 
 def _load_inputs(args) -> tuple[GroundSet, list[Poset] | None]:
     if args.size is not None:
+        if not args.cap_override_ack:  # before the ground: N items take N*(N-1) bits
+            check_cap(args.size)
         return GroundSet.numbered(args.size), None
     if args.cap_override_ack and args.command != "posets":  # a pool file: nothing to cap
         raise UfgkitError("a family file is a pool, never capped: it takes no --cap-override-ack")

@@ -239,11 +239,8 @@ def _draw(ground: GroundSet, rng: random.Random) -> tuple[bytes, int]:
 def random_poset(ground: GroundSet, rng: random.Random) -> Poset:
     """Random order via rejection: random strict pairs, transitively closed,
     kept when the closure stays asymmetric.  Not uniform over all orders;
-    good enough for stress trials.  A drawn relation, as a matrix, keys
-    the size table's ``closed`` memo of its closed order, (canonical key,
-    pair bits) or ``()`` on a cycle, up to ``CLOSED_CAP`` per item count;
-    threads share it, as a value depends on its key alone, dict get and
-    set are atomic under the GIL and stores are locked against the cap."""
+    good enough for stress trials.  Each draw is closed through the size
+    table's ``closed`` memo, see :class:`ufgkit.orders._SizeTable`."""
     return Poset(ground, _draw(ground, rng)[1], check=False)
 
 

@@ -24,8 +24,8 @@ from .connectedness import (
     has_predecessor,
     run_corrigendum,
 )
-from .errors import InvalidFormat, MixedGroundSets, NotUfgInput, UfgkitError
-from .orders import GroundSet, Poset, canonical_family, canonical_key, make_poset
+from .errors import InvalidFormat, NotUfgInput, UfgkitError
+from .orders import BinaryRelation, GroundSet, Poset, canonical_family, canonical_key, make_poset
 from .ufg import NOT_UFG_REASONS, UfgCatalog, UfgCertificate, is_ufg
 
 
@@ -104,15 +104,23 @@ def _parse_relations(obj: Any, where: str) -> list[tuple[str, str]]:
     return pairs
 
 
+def _built(make, where: str, *args):
+    """``make(*args)``, a check it fails re-raised as ``InvalidFormat`` at ``where``."""
+    try:
+        return make(*args)
+    except (AssertionError, UfgkitError) as exc:
+        raise InvalidFormat(f"{where}: {exc}") from None
+
+
 def _parse_elements(obj: Any, where: str) -> GroundSet:
     _require(isinstance(obj, list) and obj, where, "expected a nonempty list of labels")
     _require(all(isinstance(x, str) for x in obj), where, "labels must be strings")
-    return GroundSet(obj)
+    return _built(GroundSet, where, obj)
 
 
 def poset_from_obj(obj: Any, where: str = "poset") -> Poset:
     rec = _record(obj, where, {"elements": _parse_elements, "relations": _parse_relations})
-    return make_poset(rec["elements"], rec["relations"])
+    return _built(make_poset, where, rec["elements"], rec["relations"])
 
 
 def family_to_obj(members) -> dict:
@@ -125,15 +133,11 @@ def family_to_obj(members) -> dict:
 
 
 def family_from_obj(obj: Any, where: str = "family") -> tuple[GroundSet, list[Poset]]:
-    _require(isinstance(obj, dict), where, "expected an object")
-    ground = _parse_elements(obj.get("elements"), f"{where}.elements")
-    raw = obj.get("posets")
-    _require(isinstance(raw, list) and raw, f"{where}.posets", "expected a nonempty list")
-    members = []
-    for idx, rels in enumerate(raw):
-        pairs = _parse_relations(rels, f"{where}.posets[{idx}]")
-        members.append(make_poset(ground, pairs))
-    return ground, members
+    rec = _record(obj, where, {"elements": _parse_elements, "posets": _list(_parse_relations)})
+    ground, raw = rec["elements"], rec["posets"]
+    _require(raw, f"{where}.posets", "expected a nonempty list")
+    return ground, [_built(make_poset, f"{where}.posets[{i}]", ground, pairs)
+                    for i, pairs in enumerate(raw)]
 
 
 def load_family_file(path: str) -> tuple[GroundSet, list[Poset]]:
@@ -322,10 +326,7 @@ def _raw(value: Any, where: str) -> Any:
 
 def _validated(members: tuple[Poset, ...], witness: Poset, where: str) -> UfgCertificate:
     cert = UfgCertificate(members, witness)
-    try:
-        cert.validate()
-    except (AssertionError, UfgkitError) as exc:
-        raise InvalidFormat(f"{where}: {exc}") from None
+    _built(cert.validate, where)
     # every writer writes is_ufg's witness, the canonical-first one
     _require(witness == is_ufg(members).witness, f"{where}.witness",
              "is not the canonical-first witness")
@@ -357,10 +358,8 @@ def catalog_from_obj(obj: Any, where: str = "catalog") -> UfgCatalog:
     })
     certs = rec["ufg_sets"]
     # the pool is every order some family holds, each family indexed through it
-    try:
-        pool = canonical_family(m for c in certs for m in c.family) if certs else ()
-    except MixedGroundSets as exc:
-        raise InvalidFormat(f"{where}.ufg_sets: {exc}") from None
+    members = (m for c in certs for m in c.family)
+    pool = _built(canonical_family, f"{where}.ufg_sets", members) if certs else ()
     _require(
         not pool or pool[0].ground == rec["ground"],
         f"{where}.ground",
@@ -533,9 +532,8 @@ def closure_payload_from_obj(obj: Any, where: str = "payload") -> dict:
     }, ("members", "oracle_checked"))
     ground = rec["elements"]
     out: dict[str, Any] = {"elements": list(ground.labels)}
-    for bound in ("lower", "upper"):
-        for a, b in rec[bound]:  # labels must exist; make_poset is too strict for upper
-            ground.index(a), ground.index(b)
+    for bound in ("lower", "upper"):  # known labels; make_poset is too strict for upper
+        _built(BinaryRelation.from_labels, f"{where}.{bound}", ground, rec[bound])
         out[bound] = [[a, b] for a, b in rec[bound]]
     if "members" in rec:
         out["members"] = [poset_to_obj(m) for m in rec["members"]]

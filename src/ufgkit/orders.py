@@ -9,7 +9,6 @@ makes subset tests, intersections and unions single integer operations.
 
 from __future__ import annotations
 
-import threading
 from collections.abc import Iterable, Iterator
 from functools import cache
 
@@ -27,7 +26,7 @@ from .errors import (
 )
 
 DEFAULT_GROUND_CAP = 6
-CLOSED_CAP = 4096  # closures memoised per item count: every relation on 4 items
+CLOSED_ITEMS = 4  # closures memoised up to this item count: 2**12 relations on 4 items
 
 
 class GroundSet:
@@ -108,19 +107,18 @@ class _SizeTable:
 
     ``closed`` memoises ``random_poset``: a drawn relation, as a matrix,
     maps to its closed order as (canonical key, pair bits), or to ``()``
-    on a cycle.  :meth:`closed_order` fills it up to ``CLOSED_CAP``
-    entries; a miss on a full memo is not stored.  Threads share it: a
-    value depends on its key alone, dict get and set are atomic under
-    the GIL, and a lock makes the size check and the store one step."""
+    on a cycle.  :meth:`closed_order` stores only on at most ``CLOSED_ITEMS``
+    items, where the memo holds all 2**(n*(n-1)) relations; past that,
+    draws rarely repeat and nothing is stored.  Threads share it with no
+    lock: a value depends on its key alone, and a dict get or set is one
+    step under the GIL."""
 
-    __slots__ = ("n", "by_cell", "col0", "row_mask", "shifts", "diagonal", "_cells",
-                 "closed", "_store")
+    __slots__ = ("n", "by_cell", "col0", "row_mask", "shifts", "diagonal", "_cells", "closed")
 
     def __init__(self, n: int):
         self.n = n
         self.by_cell = [None] * (n * n)  # per matrix bit, see step()
         self.closed = {}  # drawn matrix -> closed order, see closed_order()
-        self._store = threading.Lock()
         self._cells = None
         self.col0 = ((1 << n * n) - 1) // ((1 << n) - 1)  # bit x*n for every row x
         self.row_mask = (1 << n) - 1
@@ -155,15 +153,14 @@ class _SizeTable:
         return self._cells
 
     def closed_order(self, ground: GroundSet, m: int) -> tuple:
-        """``closed[m]``, computed, and stored while the memo has room."""
+        """``closed[m]``, computed, and stored on at most ``CLOSED_ITEMS`` items."""
         c = _close_matrix(m, self.n)
         order = ()  # a cycle in the closure makes its items reach themselves
         if not c & self.diagonal:
             bits = _matrix_to_bits(ground, c)
             order = (_bits_key(bits, ground.pair_count), bits)
-        with self._store:
-            if len(self.closed) < CLOSED_CAP:
-                self.closed[m] = order
+        if self.n <= CLOSED_ITEMS:
+            self.closed[m] = order
         return order
 
 
@@ -677,13 +674,16 @@ def _order_bits(n: int) -> Iterator[int]:
             stack.pop()
 
 
+def check_cap(size: int, cap: int | None = None) -> None:
+    """Refuse an item count above ``cap`` (:data:`DEFAULT_GROUND_CAP` if None)."""
+    limit = DEFAULT_GROUND_CAP if cap is None else cap
+    if size > limit:
+        raise GroundSetTooLarge(f"ground set of size {size} exceeds the cap {limit}; "
+                                "raise it explicitly with the override flag")
+
+
 def enumerate_all_posets(ground: GroundSet, cap: int | None = None) -> Iterator[Poset]:
     """Stream every partial order on the ground set, canonically ordered,
-    refusing a ground larger than ``cap`` (:data:`DEFAULT_GROUND_CAP` if None)."""
-    limit = DEFAULT_GROUND_CAP if cap is None else cap
-    if ground.size > limit:
-        raise GroundSetTooLarge(
-            f"ground set of size {ground.size} exceeds the cap {limit}; "
-            "raise it explicitly with the override flag"
-        )
+    refusing a ground larger than ``cap`` as :func:`check_cap` does."""
+    check_cap(ground.size, cap)
     return PosetInterval(empty_poset(ground), complete_relation(ground)).posets()

@@ -3,6 +3,11 @@
 from __future__ import annotations
 
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -48,6 +53,23 @@ def test_posets_cap_error(capsys):
     code, _, err = run(capsys, "posets", "-n", "9")
     assert code == EXIT_ERROR
     assert "cap" in err
+
+
+@pytest.mark.parametrize("command", ["posets", "enumerate", "connectedness"])
+def test_an_over_cap_size_is_refused_before_its_ground_is_built(command):
+    # a ground of 100,000 items holds a number of 10**10 bits: built first,
+    # it would exhaust a 1 GB address space before the cap was checked
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    done = subprocess.run([sys.executable, "-m", "ufgkit.cli", command, "-n", "100000"],
+                          capture_output=True, text=True, preexec_fn=limit, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert (done.returncode, done.stdout, done.stderr) == (EXIT_ERROR, "", (
+        "error: ground set of size 100000 exceeds the cap 6; "
+        "raise it explicitly with the override flag\n"
+    ))
 
 
 def test_cap_override_flow(capsys, monkeypatch):
@@ -422,6 +444,25 @@ def test_malformed_family_file_exits_one_without_traceback(capsys, tmp_path, con
         code, _, err = run(capsys, command, "--input", str(path))
         assert code == EXIT_ERROR, command
         assert "error:" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "family, message",
+    [
+        ({"elements": ["a", "b"], "posets": [[["a", "b"]], []], "note": 1},
+         ": unexpected key 'note'"),
+        ({"elements": ["a", "a"], "posets": [[]]}, ".elements: label 'a' appears twice"),
+        ({"elements": ["a", "b"], "posets": [[], [["a", "a"]]]},
+         ".posets[1]: pair (a,a) is reflexive"),
+    ],
+    ids=["extra-key", "duplicate-label", "reflexive-pair"],
+)
+def test_a_family_file_error_names_the_file_and_the_entry(capsys, tmp_path, family, message):
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps(family))
+    for command in ("check-ufg", "closure", "enumerate"):
+        assert run(capsys, command, "--input", str(path)) == (
+            EXIT_ERROR, "", f"error: {path}{message}\n")
 
 
 # --- machine output round-trips -----------------------------------------------------

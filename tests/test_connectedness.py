@@ -8,7 +8,6 @@ import random
 import subprocess
 import sys
 import threading
-import time
 from itertools import combinations
 from pathlib import Path
 
@@ -19,7 +18,7 @@ import ufgkit.orders
 import ufgkit.ufg
 from ufgkit.errors import EmptyFamily, FamilyTooSmall, NotUfgInput
 from ufgkit.orders import (
-    CLOSED_CAP,
+    CLOSED_ITEMS,
     GroundSet,
     Poset,
     _size_table,
@@ -174,7 +173,7 @@ def _unmemoised_pool(monkeypatch, ground, seed, size):
     the pool and the RNG's next ``random()``."""
     rng = random.Random(seed)
     with monkeypatch.context() as m:
-        m.setattr(ufgkit.orders, "CLOSED_CAP", 0)  # a full memo: nothing is stored
+        m.setattr(ufgkit.orders, "CLOSED_ITEMS", 0)  # no ground is memoised
         _size_table(ground.size).closed.clear()
         pool = canonical_family(random_poset(ground, rng) for _ in range(size))
         assert not _size_table(ground.size).closed
@@ -193,7 +192,8 @@ def test_random_pool_is_the_canonical_family_of_its_draws(monkeypatch, n, size):
             assert [(p.ground, p.bits) for p in pool] == [(p.ground, p.bits) for p in want]
             assert all(type(p) is Poset for p in pool)
             assert rng.random() == after  # the same RNG calls, in the same order
-        assert 0 < len(_size_table(n).closed) <= CLOSED_CAP
+        stored = len(_size_table(n).closed)
+        assert (0 < stored <= 2 ** (n * (n - 1))) if n <= CLOSED_ITEMS else stored == 0
 
 
 def test_random_pool_settles_for_the_empty_order_as_its_draws_do(monkeypatch):
@@ -215,46 +215,52 @@ def test_random_pool_of_no_draws_is_an_empty_family():
     assert rng.random() == random.Random(3).random()  # nothing was drawn
 
 
-def test_closure_memo_stops_at_its_cap():
-    # 6 items have 2**30 relations: draws past the cap are closed, not stored
-    assert CLOSED_CAP == 2 ** (4 * 3)  # every relation on 4 items
+def _assert_memo_holds_fresh_closures(n):
+    g, table = GroundSet.numbered(n), _size_table(n)
+    assert len(table.closed) <= 2 ** (n * (n - 1))  # at most every relation on n items
+    for m, order in list(table.closed.items()):
+        assert order == table.closed_order(g, m)  # closed afresh
+
+
+def test_closure_memo_stores_only_up_to_its_item_bound():
+    # 6 items have 2**30 relations, whose draws rarely repeat: none is stored
+    assert CLOSED_ITEMS == 4
     table = _size_table(6)
     table.closed.clear()
     g = GroundSet.numbered(6)
     rng = random.Random("cap:6")
     for _ in range(400):  # about 25 tries each
         random_poset(g, rng)
-    assert len(table.closed) == CLOSED_CAP
-    for m, order in list(table.closed.items())[::97]:
-        assert order == table.closed_order(g, m)  # a miss on a full memo
-    assert len(table.closed) == CLOSED_CAP
-    test_random_poset_draws_are_pinned()  # the full memo draws the same orders
+    assert not table.closed
+    # 4 items have 2**12 relations, which the memo holds whole
+    _size_table(4).closed.clear()
+    g = GroundSet.numbered(4)
+    rng = random.Random("cap:4")
+    for _ in range(2000):
+        random_poset(g, rng)
+    assert _size_table(4).closed
+    _assert_memo_holds_fresh_closures(4)
+    test_random_poset_draws_are_pinned()  # the filled memo draws the same orders
 
 
-class _YieldingMemo(dict):
-    """A memo that lets other threads run after reporting a size near the
-    cap, so a size check and a store that are not one step interleave."""
+def test_threads_sharing_a_cleared_memo_draw_what_one_thread_draws():
+    # more threads than cores, switching often, all missing on a cleared memo:
+    # racing stores of one relation write the same value, so no lock is needed
+    g, table = GroundSet.numbered(4), _size_table(4)
 
-    def __len__(self):
-        size = super().__len__()
-        if CLOSED_CAP - 8 <= size < CLOSED_CAP:
-            time.sleep(0)
-        return size
-
-
-def test_closure_memo_stays_bounded_under_contending_threads():
-    # more threads than cores, switching often, all storing near the cap
-    g = GroundSet.numbered(6)
-    table = _size_table(6)
-    table.closed = _YieldingMemo()
-    draws = {}
-
-    def run(t):
-        rng = random.Random(f"contend:{t}")
-        draws[t] = [random_poset(g, rng).bits for _ in range(200)]
+    def draws(t):
+        rng = random.Random(f"share:{t}")
+        return [random_poset(g, rng).bits for _ in range(300)]
 
     count = min((os.cpu_count() or 1) + 2, 16)
-    workers = [threading.Thread(target=run, args=(t,)) for t in range(count)]
+    alone = {}
+    for t in range(count):
+        table.closed.clear()
+        alone[t] = draws(t)
+    table.closed.clear()
+    shared = {}
+    workers = [threading.Thread(target=lambda t=t: shared.update({t: draws(t)}))
+               for t in range(count)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -264,23 +270,22 @@ def test_closure_memo_stays_bounded_under_contending_threads():
             w.join(timeout=60)
     finally:
         sys.setswitchinterval(interval)
-        memo, table.closed = table.closed, dict(table.closed)
-    assert not any(w.is_alive() for w in workers) and len(draws) == count
-    assert dict.__len__(memo) == CLOSED_CAP
-    for t, bits in draws.items():
-        rng = random.Random(f"contend:{t}")
-        assert bits == [random_poset(g, rng).bits for _ in range(200)]
+    assert not any(w.is_alive() for w in workers)
+    assert shared == alone
+    _assert_memo_holds_fresh_closures(4)
 
 
 def test_closure_memo_shared_by_threads_changes_no_report():
-    reports = []
-    for threads in (1, 2):
-        for n in (5, 6):
-            _size_table(n).closed.clear()
-        reports.append(falsification_search([5, 6], 400, 11, threads=threads))
-        # both item counts fill past the cap, and neither memo overruns it
-        assert [len(_size_table(n).closed) for n in (5, 6)] == [CLOSED_CAP] * 2
-    assert reports[0] == reports[1]
+    for sizes in ([3, 4], [5, 6]):
+        reports = []
+        for threads in (1, 2):
+            for n in sizes:
+                _size_table(n).closed.clear()
+            reports.append(falsification_search(sizes, 400, 11, threads=threads))
+            for n in sizes:  # 3 and 4 items fill their memos, 5 and 6 store nothing
+                assert bool(_size_table(n).closed) == (n <= CLOSED_ITEMS)
+                _assert_memo_holds_fresh_closures(n)
+        assert reports[0] == reports[1]
 
 
 def test_falsification_rejects_zero_budget():

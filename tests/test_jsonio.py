@@ -640,3 +640,27 @@ def test_catalog_with_a_repeated_family_is_invalid_format(capsys):
     catalog["ufg_sets"].insert(1, copy.deepcopy(catalog["ufg_sets"][0]))
     with pytest.raises(InvalidFormat, match=r"^catalog\.ufg_sets\[1\]: repeats an earlier family"):
         jsonio.catalog_from_obj(catalog)
+
+
+@pytest.mark.parametrize(
+    "relations, message",
+    [
+        ([["x1", "x2"], ["x2", "x3"]], "(x1,x2) and (x2,x3) are present but (x1,x3) is missing"),
+        ([["x1", "x1"]], "pair (x1,x1) is reflexive"),
+    ],
+    ids=["not-transitive", "reflexive"],
+)
+def test_a_nested_relation_that_is_no_order_is_invalid_format_at_its_path(
+        capsys, relations, message):
+    catalog = _cli_json(capsys, ["enumerate", "-n", "3", "--max-size", "3"])
+    catalog["ufg_sets"][5]["members"][0]["relations"] = relations
+    with pytest.raises(InvalidFormat) as exc:
+        jsonio.catalog_from_obj(catalog)
+    assert str(exc.value) == f"catalog.ufg_sets[5].members[0]: {message}"
+
+
+def test_a_closure_bound_on_an_unknown_label_is_invalid_format_at_its_path():
+    payload = {"elements": ["a", "b"], "lower": [], "upper": [["a", "z"]]}
+    with pytest.raises(InvalidFormat) as exc:
+        jsonio.closure_payload_from_obj(payload)
+    assert str(exc.value) == "payload.upper: label 'z' is not in the ground set"
