@@ -109,13 +109,17 @@ def _add_output_flags(sub) -> None:
     sub.add_argument("--out", metavar="FILE", help="write machine JSON to a file")
 
 
+def _add_cap_flag(sub) -> None:
+    sub.add_argument("--cap-override-ack", action="store_true",
+                     help="acknowledge ground sets beyond the size cap")
+
+
 def _add_io_flags(sub) -> None:
     grp = sub.add_mutually_exclusive_group(required=True)
     grp.add_argument("-n", "--size", type=_positive_int, metavar="N",
                      help="ground set of N items labelled x1..xN")
     grp.add_argument("--input", metavar="FILE.json", help=_INPUT_HELP)
-    sub.add_argument("--cap-override-ack", action="store_true",
-                     help="acknowledge enumeration beyond the size cap")
+    _add_cap_flag(sub)
     _add_output_flags(sub)
 
 
@@ -171,6 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
                      metavar="N[,N...]", help="comma-separated ground sizes (default 4)")
     sub.add_argument("--budget", type=_positive_int, default=1000, help="trial count")
     sub.add_argument("--seed", type=int, default=0)
+    _add_cap_flag(sub)
     _add_output_flags(sub)
     sub.add_argument("--threads", type=_positive_int, default=1,
                      help="worker count, at most the budget and the core count; "
@@ -326,6 +331,9 @@ def cmd_corrigendum(args) -> int:
 
 
 def cmd_falsify(args) -> int:
+    if not args.cap_override_ack:  # before the first trial builds a ground
+        for n in args.sizes:
+            check_cap(n)
     report = falsification_search(args.sizes, args.budget, args.seed, threads=args.threads)
     lines = [
         f"falsify: seed={report.seed} budget={report.budget} "

@@ -283,7 +283,7 @@ def _run_trial(n: int, seed: int, trial: int) -> int:
     # a family is a sorted tuple of pool indices, so canonical as it grows,
     # and the trial's catalog decides it, one step from the family before
     # with that family's leave-one-out closures; a trial only counts, so it
-    # reads no certificate and the catalog walks none
+    # keeps no family and the catalog stays empty
     limit = min(len(pool), default_max_family_size(ground))
     catalog = UfgCatalog(ground, pool, limit)
     indices = list(range(len(pool)))
@@ -291,19 +291,19 @@ def _run_trial(n: int, seed: int, trial: int) -> int:
     rng.shuffle(pairs)
     for i, j in pairs[:30]:
         state = catalog.step((i,), catalog.singleton, j)
-        if state is not None and state[0] in catalog:
+        if state is not None and state[2]:
             break
     else:
         return 0
-    family, loo = state
+    family, loo, _ = state
     while len(family) < limit:
         candidates = [k for k in indices if k not in family]
         rng.shuffle(candidates)
         for k in candidates:
             state = catalog.step(family, loo, k)
-            if state is not None and state[0] in catalog:
+            if state is not None and state[2]:
                 # the family it grew from, decided one step earlier, is a predecessor
-                family, loo = state
+                family, loo, _ = state
                 break
         else:
             break

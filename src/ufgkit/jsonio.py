@@ -25,7 +25,8 @@ from .connectedness import (
     run_corrigendum,
 )
 from .errors import InvalidFormat, NotUfgInput, UfgkitError
-from .orders import BinaryRelation, GroundSet, Poset, canonical_family, canonical_key, make_poset
+from .orders import (BinaryRelation, GroundSet, Poset, PosetInterval, canonical_family,
+                     canonical_key, make_poset)
 from .ufg import NOT_UFG_REASONS, UfgCatalog, UfgCertificate, is_ufg
 
 
@@ -108,7 +109,7 @@ def _built(make, where: str, *args):
     """``make(*args)``, a check it fails re-raised as ``InvalidFormat`` at ``where``."""
     try:
         return make(*args)
-    except (AssertionError, UfgkitError) as exc:
+    except (AssertionError, UfgkitError, ValueError) as exc:
         raise InvalidFormat(f"{where}: {exc}") from None
 
 
@@ -519,6 +520,7 @@ def scenario_from_obj(obj: Any, where: str = "scenario") -> CorrigendumScenario:
 
 def count_payload_from_obj(obj: Any, where: str = "payload") -> dict:
     rec = _record(obj, where, {"elements": _parse_elements, "count": _int})
+    _require(rec["count"] >= 1, f"{where}.count", "is below 1")
     return {"elements": list(rec["elements"].labels), "count": rec["count"]}
 
 
@@ -531,14 +533,20 @@ def closure_payload_from_obj(obj: Any, where: str = "payload") -> dict:
         "oracle_checked": _bool,
     }, ("members", "oracle_checked"))
     ground = rec["elements"]
-    out: dict[str, Any] = {"elements": list(ground.labels)}
-    for bound in ("lower", "upper"):  # known labels; make_poset is too strict for upper
-        _built(BinaryRelation.from_labels, f"{where}.{bound}", ground, rec[bound])
-        out[bound] = [[a, b] for a, b in rec[bound]]
-    if "members" in rec:
+    # lower is the members' meet, an order; their union may hold a cycle
+    lower = _built(make_poset, f"{where}.lower", ground, rec["lower"])
+    upper = _built(BinaryRelation.from_labels, f"{where}.upper", ground, rec["upper"])
+    # refuses a lower bound outside upper; walks only as far as members are read
+    walk = _built(PosetInterval, f"{where}.lower", lower, upper).posets()
+    _require(rec.get("oracle_checked", True), f"{where}.oracle_checked", "is not true")
+    out = dict(rec, elements=list(ground.labels))
+    for bound in ("lower", "upper"):
+        out[bound] = [list(pair) for pair in rec[bound]]
+    if "members" in rec:  # written in the walk's order, so each is the walk's next
+        for i, m in enumerate(rec["members"]):
+            _require(m == next(walk, None), f"{where}.members[{i}]",
+                     "is not the next order of [lower, upper] in canonical order")
         out["members"] = [poset_to_obj(m) for m in rec["members"]]
-    if "oracle_checked" in rec:
-        out["oracle_checked"] = rec["oracle_checked"]
     return out
 
 

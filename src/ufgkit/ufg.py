@@ -230,9 +230,10 @@ class UfgCatalog:
     ``singleton`` pairs the full relation with the empty one as matrices.
 
     ``step`` decides a family by the root search :func:`_decides` and
-    stores only its key.  A family's certificate is walked by the witness
-    scan :func:`_is_ufg_sorted` when ``get`` or ``certificates`` first
-    reads it, and kept; ``in`` and the key methods walk nothing.
+    keeps nothing but ``stats``; callers ``add`` the families they keep.
+    One added without a certificate has it walked by the witness scan
+    :func:`_is_ufg_sorted` when ``get`` or ``certificates`` first reads
+    it, and kept; ``in`` and the key methods walk nothing.
     """
 
     def __init__(self, ground: GroundSet, pool: tuple[Poset, ...], max_size: int):
@@ -250,7 +251,8 @@ class UfgCatalog:
             "elapsed_seconds": 0.0,
         }
 
-    def add(self, family: tuple[int, ...], cert: UfgCertificate) -> None:
+    def add(self, family: tuple[int, ...], cert: UfgCertificate | None = None) -> None:
+        """Keep a ufg family; a None ``cert`` is walked on first read."""
         self._families[family] = cert
 
     def step(
@@ -258,11 +260,11 @@ class UfgCatalog:
         family: tuple[int, ...],
         loo: list[tuple[int, int]],
         k: int,
-    ) -> tuple[tuple[int, ...], list[tuple[int, int]]] | None:
-        """Decide the child ``family`` plus pool index ``k``, adding it
-        when it is ufg, and return the child's state: its key, sorted,
-        beside its leave-one-out closures as ``(and, or)`` pairs.  None
-        when the distinguishing prefilter turns the child away.
+    ) -> tuple[tuple[int, ...], list[tuple[int, int]], bool] | None:
+        """Decide the child ``family`` plus pool index ``k`` and return
+        its state and verdict: its key, sorted, its leave-one-out closures
+        as ``(and, or)`` pairs, and whether it is ufg.  None when the
+        distinguishing prefilter turns the child away.
 
         ``loo`` is the parent's list, pair i ``(A_i, O_i)`` the AND and OR
         of every member but member i; ``b_i`` is member i's matrix and
@@ -281,11 +283,9 @@ class UfgCatalog:
         test runs before any list or key is built, since most children
         fail it.  The child's closure ``[AND & b_k, OR | b_k]`` and its
         list go to the root search :func:`_decides` unchanged; the upper
-        bound is the search's ``allowed`` matrix as it stands.  A ufg
-        child is stored by its key alone, with no member tuple and no
-        certificate, so ``child in catalog`` tells a caller whether it is
-        ufg.  ``stats`` count both outcomes.  The step costs O(m) for a
-        parent of m members, before the search.
+        bound is the search's ``allowed`` matrix as it stands.  The step
+        stores nothing: ``stats`` count both outcomes.  It costs O(m) for
+        a parent of m members, before the search.
         """
         matrices = self._matrices
         bk = matrices[k]
@@ -306,9 +306,7 @@ class UfgCatalog:
         loo = [(lo & bk, up | bk) for lo, up in loo]
         loo.insert(pos, (whole_and, whole_or))
         self.stats["families_tested"] += 1
-        if _decides(self._table, whole_and & bk, whole_or | bk, loo):
-            self._families[child] = None
-        return child, loo
+        return child, loo, _decides(self._table, whole_and & bk, whole_or | bk, loo)
 
     def __len__(self) -> int:
         return len(self._families)
@@ -405,9 +403,12 @@ def enumerate_ufg_exhaustive(
     while stack:
         family, loo = stack.pop()
         for k in range(family[-1] + 1, len(pool)):
-            child = catalog.step(family, loo, k)
-            if child is not None and len(family) + 1 < max_size:
-                stack.append(child)
+            state = catalog.step(family, loo, k)
+            if state is not None:
+                if state[2]:
+                    catalog.add(state[0])
+                if len(family) + 1 < max_size:
+                    stack.append(state[:2])
     catalog.stats["elapsed_seconds"] = time.perf_counter() - start
     return catalog
 
@@ -468,9 +469,11 @@ def enumerate_ufg_connected(
             while opened:
                 k = (opened & -opened).bit_length() - 1
                 opened &= opened - 1
-                child = catalog.step(family, loo, k)
-                if child is not None and size + 1 < max_size and child[0] in catalog:
-                    grown.append(child)
+                state = catalog.step(family, loo, k)
+                if state is not None and state[2]:
+                    catalog.add(state[0])
+                    if size + 1 < max_size:
+                        grown.append(state[:2])
                 if catalog.stats["families_tested"] > budget:
                     raise CombinatorialBudgetExceeded(
                         f"extension tests exceed the budget {budget}"

@@ -55,21 +55,42 @@ def test_posets_cap_error(capsys):
     assert "cap" in err
 
 
-@pytest.mark.parametrize("command", ["posets", "enumerate", "connectedness"])
-def test_an_over_cap_size_is_refused_before_its_ground_is_built(command):
-    # a ground of 100,000 items holds a number of 10**10 bits: built first,
-    # it would exhaust a 1 GB address space before the cap was checked
+def _run_under_one_gigabyte(*argv):
+    """The CLI in a child process whose address space is limited to 1 GB."""
     def limit():
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
     src = str(Path(cli.__file__).resolve().parent.parent)
-    done = subprocess.run([sys.executable, "-m", "ufgkit.cli", command, "-n", "100000"],
+    done = subprocess.run([sys.executable, "-m", "ufgkit.cli", *argv],
                           capture_output=True, text=True, preexec_fn=limit, timeout=120,
                           env=dict(os.environ, PYTHONPATH=src))
-    assert (done.returncode, done.stdout, done.stderr) == (EXIT_ERROR, "", (
+    return done.returncode, done.stdout, done.stderr
+
+
+@pytest.mark.parametrize("command", ["posets", "enumerate", "connectedness"])
+def test_an_over_cap_size_is_refused_before_its_ground_is_built(command):
+    # a ground of 100,000 items holds a number of 10**10 bits: built first,
+    # it would exhaust a 1 GB address space before the cap was checked
+    assert _run_under_one_gigabyte(command, "-n", "100000") == (EXIT_ERROR, "", (
         "error: ground set of size 100000 exceeds the cap 6; "
         "raise it explicitly with the override flag\n"
     ))
+
+
+@pytest.mark.parametrize("sizes, over", [("100000", 100000), ("4,7", 7)])
+def test_falsify_refuses_an_over_cap_size_before_any_trial(sizes, over):
+    # every size is checked before the first trial builds a ground: 4,7
+    # runs no trial on 4 items first, and 100,000 items never reach the
+    # memory a ground of that size would take
+    assert _run_under_one_gigabyte("falsify", "-n", sizes, "--budget", "1") == (
+        EXIT_ERROR, "", f"error: ground set of size {over} exceeds the cap 6; "
+        "raise it explicitly with the override flag\n")
+
+
+def test_falsify_takes_the_cap_acknowledgement(capsys):
+    code, out, err = run(capsys, "falsify", "-n", "7", "--budget", "2", "--cap-override-ack")
+    assert (code, err) == (EXIT_OK, "")
+    assert "trials: 2" in out
 
 
 def test_cap_override_flow(capsys, monkeypatch):

@@ -418,6 +418,23 @@ def test_falsification_decides_through_the_one_decider(monkeypatch):
     assert sum(verdicts) >= report.families_checked
 
 
+def test_falsification_trials_keep_no_family(monkeypatch):
+    # a trial reads the step's verdict and keeps nothing: every catalog
+    # the trials make ends empty, though its steps found ufg families
+    catalogs = []
+    init = ufgkit.ufg.UfgCatalog.__init__
+
+    def spy(self, *args):
+        init(self, *args)
+        catalogs.append(self)
+
+    monkeypatch.setattr(ufgkit.ufg.UfgCatalog, "__init__", spy)
+    report = falsification_search([3, 4], 24, 0)
+    assert report.families_checked == 29
+    assert catalogs and sum(c.stats["families_tested"] for c in catalogs) > 0
+    assert [len(c) for c in catalogs] == [0] * len(catalogs)
+
+
 @pytest.mark.parametrize("sizes, budget, seed, digest", [
     ([3], 60, 2, "baadbf1af651931061290d44309536bb1aa220623e084fca5a7ef65238dad898"),
     ([3, 4], 40, 9, "d46708f1e97c5ffa2cf80dca097a47ba7af04cab9a620cd099aa2fd27ef2aa89"),

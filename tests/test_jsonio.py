@@ -664,3 +664,39 @@ def test_a_closure_bound_on_an_unknown_label_is_invalid_format_at_its_path():
     with pytest.raises(InvalidFormat) as exc:
         jsonio.closure_payload_from_obj(payload)
     assert str(exc.value) == "payload.upper: label 'z' is not in the ground set"
+
+
+NOT_NEXT = "is not the next order of [lower, upper] in canonical order"
+
+
+def _member_on_two_items(obj):
+    obj["members"][0] = {"elements": ["a", "b"], "relations": []}
+
+
+def _members_swapped(obj):
+    members = obj["members"]
+    members[0], members[1] = members[1], members[0]
+
+
+@pytest.mark.parametrize("kind, tamper, message", [
+    ("closure", lambda obj: obj.update(lower=[["b", "a"]]),
+     "lower: interval lower bound is not contained in the upper bound"),
+    ("closure", lambda obj: obj.update(lower=[["a", "b"], ["b", "a"]]),
+     "lower: both (a,b) and (b,a) are present"),
+    ("closure", lambda obj: obj["members"][0]["relations"].append(["b", "a"]),
+     f"members[0]: {NOT_NEXT}"),
+    ("closure", _member_on_two_items, f"members[0]: {NOT_NEXT}"),
+    ("closure", _members_swapped, f"members[0]: {NOT_NEXT}"),
+    ("closure", lambda obj: obj.update(oracle_checked=False), "oracle_checked: is not true"),
+    ("count", lambda obj: obj.update(count=-1), "count: is below 1"),
+], ids=["lower-outside-upper", "lower-with-a-cycle", "member-outside", "member-on-another-ground",
+        "members-out-of-order", "oracle-not-checked", "negative-count"])
+def test_closure_and_count_payloads_no_writer_writes_are_rejected(
+        capsys, tmp_path, corr, kind, tamper, message):
+    # closure --materialize --oracle and posets -n 3 as written, then forged
+    obj, parse = _cli_payloads(capsys, tmp_path, corr)[kind]
+    parse(copy.deepcopy(obj))
+    tamper(obj)
+    with pytest.raises(InvalidFormat) as exc:
+        parse(obj)
+    assert str(exc.value) == f"payload.{message}"

@@ -474,17 +474,21 @@ def test_tree_equals_distinguishing_decider_on_three_items(catalog3, pool3):
 
 
 def _counted_tree(ground, pool, max_size, firsts=None):
-    """The exhaustive tree's walk on a fresh catalog; ``firsts`` limits it
-    to the families whose first pool index it names."""
+    """The exhaustive tree's walk on a fresh catalog, which adds each ufg
+    verdict; ``firsts`` limits it to the families whose first pool index
+    it names."""
     catalog = UfgCatalog(ground, pool, max_size)
     firsts = range(len(pool)) if firsts is None else firsts
     stack = [((i,), catalog.singleton) for i in firsts]
     while stack:
         family, loo = stack.pop()
         for k in range(family[-1] + 1, len(pool)):
-            child = catalog.step(family, loo, k)
-            if child is not None and len(family) + 1 < max_size:
-                stack.append(child)
+            state = catalog.step(family, loo, k)
+            if state is not None:
+                if state[2]:
+                    catalog.add(state[0])
+                if len(family) + 1 < max_size:
+                    stack.append(state[:2])
     return catalog
 
 
@@ -527,7 +531,7 @@ def test_four_item_slice_is_pinned():
 
 
 def test_a_certificate_is_walked_once_on_first_read(monkeypatch, pool3, g3):
-    # the step stores keys only; the first get walks the witness scan, a
+    # the tree adds keys only; the first get walks the witness scan, a
     # second one returns the same object, and a family not held gets None
     walked = []
     scan = ufg._is_ufg_sorted
@@ -546,6 +550,19 @@ def test_a_certificate_is_walked_once_on_first_read(monkeypatch, pool3, g3):
     cert.validate()
     assert catalog.get((0,)) is None  # a single order is never ufg
     assert len(walked) == 1
+
+
+def test_a_ufg_step_stores_nothing(corr):
+    # the step returns its verdict and keeps no family, not even a ufg one:
+    # a caller that keeps families adds them
+    _, p1, p2, p3, _ = corr
+    catalog = UfgCatalog(p1.ground, canonical_family([p1, p2, p3]), 3)
+    pair = catalog.step((0,), catalog.singleton, 1)
+    child, _, verdict = catalog.step(*pair[:2], 2)
+    assert child == (0, 1, 2) and verdict
+    assert len(catalog) == 0
+    assert child not in catalog
+    assert catalog.stats["families_tested"] == 2
 
 
 @pytest.mark.parametrize("n", range(3, 8))
