@@ -575,6 +575,15 @@ def _order_bits(n: int) -> Iterator[int]:
     present), and the rows come in row-major order, as the key reads
     them.
 
+    Narrowing.  Let A' be row i + 1's A taken in P_i.  In P_{i+1} = P_i +
+    U, row i + 1's A is A' & U if U holds i + 1, and A' if not.  Proof:
+    P_{i+1} is closed, so x reaches i + 1 exactly when row x holds it,
+    and only row i differs from P_i: the items that reach i + 1 gain i
+    when U holds i + 1, which asks that j lie in U and not be i, as U
+    lacks i, and stay the same otherwise.  So each node computes A' once,
+    by a loop over the items that reach i + 1, and a child narrows it
+    with one AND; :func:`rows` takes the set A, not the item.
+
     The state is the matrix ``m`` of P_i, packed as by
     :func:`_bits_to_matrix`, and its transpose ``mt`` (bit ``j*n + x``
     says x reaches j), grown a row at a time through a table of at most
@@ -611,7 +620,7 @@ def _order_bits(n: int) -> Iterator[int]:
             return [0]
         small = b.bit_count() <= _MEMO_ITEMS
         if small:  # the set and the order on it: rows and columns in b
-            key = m & spread(b) * row_mask & b * col0 | b << high
+            key = m & (spread8[b] if b < 256 else spread(b)) * row_mask & b * col0 | b << high
             got = memo.get(key)
             if got is not None:
                 return got
@@ -638,37 +647,44 @@ def _order_bits(n: int) -> Iterator[int]:
             stack.append((b & ~take, u | take))
             stack.append((b & ~(low | mt >> j * n), u))
 
-    def rows(i: int, m: int, mt: int) -> Iterable[int]:
-        """Every valid row of item i, given P_i as ``m`` and ``mt``."""
-        a = row_mask ^ 1 << i
-        above = (mt >> i * n) & row_mask  # the items that reach i
+    def rows(a: int, m: int, mt: int) -> Iterable[int]:
+        """Every valid row with the set A ``a``, given P_i as ``m`` and ``mt``."""
+        return upsets(a, m, mt) if a.bit_count() <= _LIST_ITEMS else lazy_upsets(a, m, mt)
+
+    def candidates(j: int, m: int, mt: int) -> int:
+        """Row j's set A, taken in the order ``m``, ``mt``."""
+        a = row_mask ^ 1 << j
+        above = (mt >> j * n) & row_mask  # the items that reach j
         while above:  # a reaching x has no bit x, so ``a`` drops x too
             low = above & -above
             a &= m >> (low.bit_length() - 1) * n
             above ^= low
-        if not a:
-            return (0,)
-        return upsets(a, m, mt) if a.bit_count() <= _LIST_ITEMS else lazy_upsets(a, m, mt)
+        return a
 
     last = n - 1
     if not last:
         yield 0
         return
     top = last * last  # where the last row's leaf bits start; none shift
-    # per open row: its item, P_i, the leaf bits so far and its rows left
-    stack = [(0, 0, 0, 0, iter(rows(0, 0, 0)))]
+    # per open row: its item, P_i, the leaf bits so far, its rows left, next row's A'
+    stack = [(0, 0, 0, 0, iter(rows(row_mask ^ 1, 0, 0)), row_mask ^ 2)]
     while stack:
-        i, m, mt, bits, left = stack[-1]
+        i, m, mt, bits, left, nxt = stack[-1]
         below = (1 << i) - 1  # items left of the diagonal keep their bit
         at = i * (n - 1)
         for u in left:
             bits_u = bits | ((u & below) | (u >> 1 & ~below)) << at
+            a = nxt & u if u >> i + 1 & 1 else nxt  # the narrowing lemma
+            if not a and i + 1 == last:  # a leaf with an empty last row
+                yield bits_u
+                continue
             m_u = m | u << i * n
             mt_u = mt | (spread8[u] if u < 256 else spread(u)) << i
             if i + 1 < last:
-                stack.append((i + 1, m_u, mt_u, bits_u, iter(rows(i + 1, m_u, mt_u))))
+                stack.append((i + 1, m_u, mt_u, bits_u, iter(rows(a, m_u, mt_u)),
+                              candidates(i + 2, m_u, mt_u)))
                 break
-            for v in rows(last, m_u, mt_u):  # the leaves
+            for v in rows(a, m_u, mt_u):  # the leaves
                 yield bits_u | v << top
         else:
             stack.pop()

@@ -442,6 +442,16 @@ def test_row_walk_is_the_pair_walk_on_the_whole_space():
         assert list(_order_bits(n)) == list(_interval_bits(g, 0, g.full_bits))
 
 
+@pytest.mark.parametrize("n", [7, 8, 9, 12])
+def test_row_walk_is_the_pair_walk_on_the_first_orders_of_wider_grounds(n):
+    # deep rows narrowed from their parents, rows of more than _LIST_ITEMS
+    # candidates split lazily, and from 9 items rows u >= 256 spread past
+    # the byte table
+    g = GroundSet.numbered(n)
+    assert list(islice(_order_bits(n), 30000)) == list(
+        islice(_interval_bits(g, 0, g.full_bits), 30000))
+
+
 def test_a_closure_of_the_whole_space_streams_through_either_walk():
     # a chain and its reverse: their AND is empty and their OR complete
     g = GroundSet.numbered(4)
