@@ -21,8 +21,7 @@ from .errors import EmptyFamily, FamilyTooSmall, NotUfgInput, UfgkitError
 from .orders import (
     GroundSet,
     Poset,
-    _bits_key,
-    _size_table,
+    _draw,
     canonical_family,
     make_poset,
 )
@@ -214,33 +213,11 @@ def run_corrigendum() -> CorrigendumScenario:
 # --- seeded falsification beyond the exhaustive range -----------------------
 
 
-RANDOM_POSET_TRIES = 200  # draws before random_poset settles for the empty order
-
-
-def _draw(ground: GroundSet, rng: random.Random) -> tuple[bytes, int]:
-    """One :func:`random_poset` order as (canonical key, pair bits)."""
-    table = _size_table(len(ground.labels))
-    cells, closed = table.cells, table.closed  # cells in pair-position order
-    density = rng.uniform(0.1, 0.5)
-    draw = rng.random
-    for _ in range(RANDOM_POSET_TRIES):
-        m = 0
-        for cell in cells:  # one draw per pair
-            if draw() < density:
-                m |= cell
-        order = closed.get(m)
-        if order is None:
-            order = table.closed_order(ground, m)
-        if order:  # () when the closure has a cycle
-            return order
-    return _bits_key(0, ground.pair_count), 0
-
-
 def random_poset(ground: GroundSet, rng: random.Random) -> Poset:
     """Random order via rejection: random strict pairs, transitively closed,
     kept when the closure stays asymmetric.  Not uniform over all orders;
-    good enough for stress trials.  Each draw is closed through the size
-    table's ``closed`` memo, see :class:`ufgkit.orders._SizeTable`."""
+    good enough for stress trials.  Drawn by :func:`ufgkit.orders._draw`,
+    which owns the retry bound and the closure memo."""
     return Poset(ground, _draw(ground, rng)[1], check=False)
 
 

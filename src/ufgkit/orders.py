@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
 from functools import cache
+from random import Random
 
 from .errors import (
     DuplicateLabel,
@@ -103,22 +104,14 @@ class _SizeTable:
     The walk steps hold O(n**4) bits in all, so they are filled on first
     use, one matrix cell at a time, by :meth:`step`, and ``cells`` whole
     on first read.  A walk on a wide ground builds only the rows of the
-    pairs it meets.
-
-    ``closed`` memoises ``random_poset``: a drawn relation, as a matrix,
-    maps to its closed order as (canonical key, pair bits), or to ``()``
-    on a cycle.  :meth:`closed_order` stores only on at most ``CLOSED_ITEMS``
-    items, where the memo holds all 2**(n*(n-1)) relations; past that,
-    draws rarely repeat and nothing is stored.  Threads share it with no
-    lock: a value depends on its key alone, and a dict get or set is one
-    step under the GIL."""
+    pairs it meets.  ``closed`` is :func:`_draw`'s closure memo."""
 
     __slots__ = ("n", "by_cell", "col0", "row_mask", "shifts", "diagonal", "_cells", "closed")
 
     def __init__(self, n: int):
         self.n = n
         self.by_cell = [None] * (n * n)  # per matrix bit, see step()
-        self.closed = {}  # drawn matrix -> closed order, see closed_order()
+        self.closed = {}  # drawn matrix -> closed order, see _draw()
         self._cells = None
         self.col0 = ((1 << n * n) - 1) // ((1 << n) - 1)  # bit x*n for every row x
         self.row_mask = (1 << n) - 1
@@ -152,19 +145,46 @@ class _SizeTable:
             self._cells = tuple(1 << i * n + j for i in range(n) for j in range(n) if i != j)
         return self._cells
 
-    def closed_order(self, ground: GroundSet, m: int) -> tuple:
-        """``closed[m]``, computed, and stored on at most ``CLOSED_ITEMS`` items."""
-        c = _close_matrix(m, self.n)
-        order = ()  # a cycle in the closure makes its items reach themselves
-        if not c & self.diagonal:
-            bits = _matrix_to_bits(ground, c)
-            order = (_bits_key(bits, ground.pair_count), bits)
-        if self.n <= CLOSED_ITEMS:
-            self.closed[m] = order
-        return order
-
 
 _size_table = cache(_SizeTable)  # one table per item count
+
+RANDOM_POSET_TRIES = 200  # draws before random_poset settles for the empty order
+
+
+def _draw(ground: GroundSet, rng: Random) -> tuple[bytes, int]:
+    """One ``random_poset`` order as (canonical key, pair bits): random
+    strict pairs at a drawn density, closed, and kept when the closure
+    has no cycle; after ``RANDOM_POSET_TRIES`` cyclic draws, the empty
+    order.
+
+    The size table's ``closed`` memo maps a drawn relation, as a matrix,
+    to its closed order, or to ``()`` on a cycle.  It stores only on at
+    most ``CLOSED_ITEMS`` items, where it holds all 2**(n*(n-1))
+    relations; past that, draws rarely repeat and nothing is stored.
+    Threads share it with no lock: a value depends on its key alone, and
+    a dict get or set is one step under the GIL."""
+    n = len(ground.labels)
+    table = _size_table(n)
+    cells, closed = table.cells, table.closed  # cells in pair-position order
+    density = rng.uniform(0.1, 0.5)
+    draw = rng.random
+    for _ in range(RANDOM_POSET_TRIES):
+        m = 0
+        for cell in cells:  # one draw per pair
+            if draw() < density:
+                m |= cell
+        order = closed.get(m)
+        if order is None:
+            c = _close_matrix(m, n)
+            order = ()  # a cycle in the closure makes its items reach themselves
+            if not c & table.diagonal:
+                bits = _matrix_to_bits(ground, c)
+                order = (_bits_key(bits, ground.pair_count), bits)
+            if n <= CLOSED_ITEMS:
+                closed[m] = order
+        if order:
+            return order
+    return _bits_key(0, ground.pair_count), 0
 
 
 def _bits_to_matrix(ground: GroundSet, bits: int) -> int:
@@ -393,17 +413,6 @@ class PosetInterval:
             q = new(Poset)
             q.ground, q.bits = ground, bits
             yield q
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, PosetInterval)
-            and self.lower == other.lower
-            and self.upper == other.upper
-            and self.outside == other.outside
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.lower, self.upper, self.outside))
 
     def __repr__(self) -> str:
         tail = f", outside={self.outside!r}" if self.outside else ""

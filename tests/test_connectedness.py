@@ -13,18 +13,23 @@ from pathlib import Path
 
 import pytest
 
+import ufgkit.cli
 import ufgkit.connectedness
 import ufgkit.orders
 import ufgkit.ufg
-from ufgkit.errors import EmptyFamily, FamilyTooSmall, NotUfgInput
+from ufgkit.errors import EmptyFamily, FamilyTooSmall, NotAntisymmetric, NotUfgInput
 from ufgkit.orders import (
     CLOSED_ITEMS,
+    BinaryRelation,
     GroundSet,
     Poset,
+    _matrix_to_bits,
     _size_table,
     canonical_family,
+    canonical_key,
     empty_poset,
     make_poset,
+    transitive_closure,
 )
 from ufgkit.connectedness import (
     POOL_SIZE,
@@ -38,7 +43,7 @@ from ufgkit.connectedness import (
 )
 from ufgkit import is_ufg, jsonio
 from ufgkit.oracles import is_ufg_by_distinguishing
-from ufgkit.ufg import default_max_family_size
+from ufgkit.ufg import NOT_UFG_REASONS, default_max_family_size
 
 SRC = str(Path(ufgkit.connectedness.__file__).resolve().parent.parent)
 
@@ -123,6 +128,42 @@ def test_connectedness_two_items(g2):
     assert report.checked == 0 and not report.violations
 
 
+def test_a_triple_with_no_ufg_pair_is_reported_with_its_trail(g3, monkeypatch, capsys):
+    # the path a counterexample to connectedness would take: the catalog
+    # loses the three pairs of its first ufg triple, so that triple has no
+    # predecessor; the pairs really are ufg, so their analysis is canned
+    enumerate_exhaustive = ufgkit.connectedness.enumerate_ufg_exhaustive
+    dropped = []
+
+    def without_the_first_triples_pairs(*args, **kwargs):
+        catalog = enumerate_exhaustive(*args, **kwargs)
+        triple = next(f for f in catalog.families() if len(f) == 3)
+        for j in range(3):
+            del catalog._families[triple[:j] + triple[j + 1:]]
+        dropped.append(tuple(catalog.pool[i] for i in triple))
+        return catalog
+
+    canned = {"ufg": False, "reason": NOT_UFG_REASONS[1]}  # not generic: no blockers
+    monkeypatch.setattr(ufgkit.connectedness, "enumerate_ufg_exhaustive",
+                        without_the_first_triples_pairs)
+    monkeypatch.setattr(ufgkit.connectedness, "explain_not_ufg", lambda rest: dict(canned))
+    report = verify_connectedness(g3)
+    assert [v.family for v in report.violations] == dropped
+    assert (report.checked, report.connected) == (140, 139)
+    assert report.checked == report.connected + len(report.violations)
+    (v,) = report.violations
+    assert v.certificate.family == v.family
+    for j, entry in enumerate(v.leave_one_out):  # entry j removes member j
+        assert entry["removed"] == v.family[j]
+        assert entry["members"] == v.family[:j] + v.family[j + 1:]
+        assert entry["analysis"] == canned
+    obj = jsonio.violation_to_obj(v)
+    again = jsonio.violation_to_obj(jsonio.violation_from_obj(obj))
+    assert jsonio.dumps_canonical(again) == jsonio.dumps_canonical(obj)
+    assert ufgkit.cli.main(["connectedness", "-n", "3"]) == ufgkit.cli.EXIT_VIOLATION
+    assert "violations: 1\n" in capsys.readouterr().out
+
+
 def test_corrigendum_scenario_passes():
     scenario = run_corrigendum()
     assert [c.name for c in scenario.checks] == [
@@ -199,7 +240,7 @@ def test_random_pool_is_the_canonical_family_of_its_draws(monkeypatch, n, size):
 def test_random_pool_settles_for_the_empty_order_as_its_draws_do(monkeypatch):
     # one try per order on 6 items: a cyclic closure often ends the draw
     g = GroundSet.numbered(6)
-    monkeypatch.setattr(ufgkit.connectedness, "RANDOM_POSET_TRIES", 1)
+    monkeypatch.setattr(ufgkit.orders, "RANDOM_POSET_TRIES", 1)
     want, after = _unmemoised_pool(monkeypatch, g, "empty:6", 12)
     assert want[0].bits == 0  # the fallback was reached
     rng = random.Random("empty:6")
@@ -215,11 +256,21 @@ def test_random_pool_of_no_draws_is_an_empty_family():
     assert rng.random() == random.Random(3).random()  # nothing was drawn
 
 
+def _fresh_closure(g, m):
+    """The memo entry of drawn matrix m, by another route: close the
+    relation, validate it as a poset, key it; () on a cycle."""
+    try:
+        p = Poset(g, transitive_closure(BinaryRelation(g, _matrix_to_bits(g, m))).bits)
+    except NotAntisymmetric:
+        return ()
+    return canonical_key(p), p.bits
+
+
 def _assert_memo_holds_fresh_closures(n):
     g, table = GroundSet.numbered(n), _size_table(n)
     assert len(table.closed) <= 2 ** (n * (n - 1))  # at most every relation on n items
     for m, order in list(table.closed.items()):
-        assert order == table.closed_order(g, m)  # closed afresh
+        assert order == _fresh_closure(g, m)  # closed afresh, by another route
 
 
 def test_closure_memo_stores_only_up_to_its_item_bound():
