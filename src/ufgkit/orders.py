@@ -435,7 +435,12 @@ def _escape(m: int, allowed: int, subs: list[tuple[int, int]], table: _SizeTable
     sub-interval t still lies in and branches on its pairs of ``allowed``
     outside ``up``, one of which every such q above t holds.  A branch
     closes t as the walk's include step does and dies on the walk's two
-    tests: a cycle, or a pair outside ``allowed``.
+    tests: a cycle, or a pair outside ``allowed``.  The stack holds each
+    node with its branches not yet taken, the highest taken first, so a
+    branch is closed only when the search takes it; a search that closed
+    every branch of a node at once, pushed the live ones and popped the
+    last would enter the same nodes in the same order and return the
+    same t.
 
     ``subs`` is read as given, with no filter: a sub-interval that cannot
     meet ``[m, allowed]`` holds no t, so the search passes over it.  Nor
@@ -444,27 +449,32 @@ def _escape(m: int, allowed: int, subs: list[tuple[int, int]], table: _SizeTable
     O_i <= OR``, so ``A_i <= OR & O_i`` and ``AND <= O_i``.
     """
     col0, row_mask, by_cell = table.col0, table.row_mask, table.by_cell
-    stack = [m]
-    while stack:
-        t = stack.pop()
+    stack = []  # (node, its branches not yet taken), deepest last
+    t = m
+    while True:  # enter t
         for lo, up in subs:
             if not (lo & ~t or t & ~up):
                 break
         else:
             return t
         branch = allowed & ~(t | up)
-        while branch:
-            low = branch & -branch
-            branch ^= low
-            c = low.bit_length() - 1
+        while True:  # take the highest branch left, backing up as needed
+            while not branch:
+                if not stack:
+                    return None
+                t, branch = stack.pop()
+            c = branch.bit_length() - 1
+            branch ^= 1 << c
             _, _, back, i, i_row, j_shift, j_col = by_cell[c] or table.step(c)
             if t & back:
                 continue  # j reaches i: a cycle
             grown = t | (((t >> i) & col0) | i_row) * (
                 ((t >> j_shift) & row_mask) | j_col)
             if not grown & ~allowed:
-                stack.append(grown)
-    return None
+                break
+        if branch:
+            stack.append((t, branch))
+        t = grown
 
 
 def _interval_bits(

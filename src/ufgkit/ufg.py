@@ -431,17 +431,18 @@ def enumerate_ufg_connected(
     opened once, with no record of the families seen.
 
     The parent test costs one mask per family.  At each level, ``ext``
-    maps each family without one member to the mask of the pool indices
-    whose addition gives back a family of the level.  A family opens the
-    k outside ``closed``, in ascending order: its members, and for each
+    maps each family without one member, keyed by its mask of pool
+    indices (bit f for index f), to the mask of the pool indices whose
+    addition gives back a family of the level.  A family opens the k
+    outside ``closed``, in ascending order: its members, and for each
     member f the bits above f of ``ext[family - f]``.  That is the rule,
     since for a member f < k the earlier subfamily ``child - f`` is
     ``(family - f) + k``, in the level exactly when bit k is in
-    ``ext[family - f]``.  An opened child
-    gets the prefilter of the exhaustive tree and, when it passes, the
-    root search; the budget counts the children that pass.  A level is
-    the list of the step's states for its ufg families, kept only while
-    another level follows: the last level's closures are dropped at once.
+    ``ext[family - f]``.  An opened child gets the prefilter of the
+    exhaustive tree and, when it passes, the root search; the budget
+    counts the children that pass.  A level is the list of the step's
+    states for its ufg families, kept only while another level follows:
+    the last level's closures are dropped at once.
     Completeness rests on the connectedness property of ufg families,
     which this package verifies rather than assumes; run the exhaustive
     strategy next to it when the guarantee matters.
@@ -455,16 +456,17 @@ def enumerate_ufg_connected(
     level = [((i,), catalog.singleton) for i in range(len(pool))]
     everything = (1 << len(pool)) - 1
     for size in range(1, max_size):
-        ext: dict[tuple[int, ...], int] = {}
-        for family, _ in level:
-            for j, f in enumerate(family):
-                rest = family[:j] + family[j + 1:]
+        masks = [sum(1 << f for f in family) for family, _ in level]
+        ext: dict[int, int] = {}
+        for (family, _), mask in zip(level, masks):
+            for f in family:
+                rest = mask ^ 1 << f
                 ext[rest] = ext.get(rest, 0) | 1 << f
         grown = []  # filled only while another level follows
-        for family, loo in level:
-            closed = 0
-            for j, f in enumerate(family):
-                closed |= 1 << f | ext[family[:j] + family[j + 1:]] >> (f + 1) << (f + 1)
+        for (family, loo), mask in zip(level, masks):
+            closed = mask
+            for f in family:
+                closed |= ext[mask ^ 1 << f] >> (f + 1) << (f + 1)
             opened = everything & ~closed
             while opened:
                 k = (opened & -opened).bit_length() - 1

@@ -1,7 +1,9 @@
 """Independent brute-force references the tests check the package against.
 
 Everything here works on raw pair sets and ignores the package's packed
-representation and DFS machinery on purpose.
+representation and DFS machinery on purpose, except :func:`eager_escape`,
+the eager form of ``ufgkit.orders._escape`` that the lazy search must
+return the same order as.
 """
 
 from __future__ import annotations
@@ -69,3 +71,32 @@ def poset_from_index_pairs(ground: GroundSet, pairs) -> Poset:
     return make_poset(
         ground, [(ground.label(i), ground.label(j)) for i, j in pairs]
     )
+
+
+def eager_escape(m: int, allowed: int, subs: list[tuple[int, int]], table) -> int | None:
+    """``ufgkit.orders._escape`` with every branch of a node closed and
+    pushed before the first is entered, popping the highest live child
+    first: the reference for the order the lazy search returns.  Takes
+    the same packed matrices and size table."""
+    col0, row_mask, by_cell = table.col0, table.row_mask, table.by_cell
+    stack = [m]
+    while stack:
+        t = stack.pop()
+        for lo, up in subs:
+            if not (lo & ~t or t & ~up):
+                break
+        else:
+            return t
+        branch = allowed & ~(t | up)
+        while branch:
+            low = branch & -branch
+            branch ^= low
+            c = low.bit_length() - 1
+            _, _, back, i, i_row, j_shift, j_col = by_cell[c] or table.step(c)
+            if t & back:
+                continue  # j reaches i: a cycle
+            grown = t | (((t >> i) & col0) | i_row) * (
+                ((t >> j_shift) & row_mask) | j_col)
+            if not grown & ~allowed:
+                stack.append(grown)
+    return None

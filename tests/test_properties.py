@@ -1,7 +1,8 @@
 """Property tests on 4 items: the interval walk, the extension filter,
 the catalog step, the distinguishing sets and the witness kernel against
-the brute-force references and the independent deciders; and the root
-search's decision against the witness scan on 3 to 5 items."""
+the brute-force references and the independent deciders; the root
+search's decision against the witness scan on 3 to 5 items; and the
+root search's returned order against its eager form."""
 
 from __future__ import annotations
 
@@ -45,7 +46,7 @@ from ufgkit.ufg import (
 from ufgkit.connectedness import random_pool
 from ufgkit.oracles import is_generic, is_ufg_by_distinguishing, is_union_free_bruteforce
 
-from oracles import brute_force_interval
+from oracles import brute_force_interval, eager_escape
 
 G4 = GroundSet.numbered(4)
 ORDERS4 = tuple(enumerate_all_posets(G4))
@@ -91,6 +92,23 @@ def test_pruned_walk_is_the_plain_walk_filtered(lower, extra, outside):
                 _size_table(4))
     assert (t is None) == (not kept)
     assert t is None or _matrix_to_bits(G4, t) in {q.bits for q in kept}
+
+
+def _escape_as_eager(m, allowed, subs, table):
+    # the lazy search returns what the eager one does: both None, or one matrix
+    t = _escape(m, allowed, subs, table)
+    assert t == eager_escape(m, allowed, subs, table)
+    return t
+
+
+@seeded
+@given(orders, st.integers(0, G4.full_bits), st.lists(sub_intervals, max_size=4))
+@example(ORDERS4[0], G4.full_bits, [])
+@example(ORDERS4[0], G4.full_bits, EVERYTHING)
+def test_lazy_search_returns_the_eager_searchs_order(lower, extra, outside):
+    subs = [(_bits_to_matrix(G4, lo), _bits_to_matrix(G4, up)) for lo, up in outside]
+    _escape_as_eager(_bits_to_matrix(G4, lower.bits), _bits_to_matrix(G4, lower.bits | extra),
+                     subs, _size_table(4))
 
 
 @seeded
@@ -160,7 +178,10 @@ def _root_decision(members):
     lower = _bits_to_matrix(ground, loo[0][0] & bits[0])
     upper = _bits_to_matrix(ground, loo[0][1] | bits[0])
     loo = [(_bits_to_matrix(ground, lo), _bits_to_matrix(ground, up)) for lo, up in loo]
-    return _decides(_size_table(ground.size), lower, upper, loo)
+    table = _size_table(ground.size)
+    decided = _decides(table, lower, upper, loo)
+    assert decided == (_escape_as_eager(lower, upper, loo, table) is not None)
+    return decided
 
 
 @seeded
