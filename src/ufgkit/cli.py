@@ -71,8 +71,9 @@ def _relation_str(p: BinaryRelation) -> str:
 def _emit(args, human_lines, payload) -> None:
     """Text, JSON or both; ``payload()`` builds the JSON only when written."""
     if args.out:
+        text = jsonio.dumps_canonical(payload())  # before the file: a failure leaves none
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(jsonio.dumps_canonical(payload()))
+            fh.write(text)
     elif args.json:
         sys.stdout.write(jsonio.dumps_canonical(payload()))
         return
@@ -85,14 +86,14 @@ def _load_inputs(args) -> tuple[GroundSet, list[Poset] | None]:
         if not args.cap_override_ack:  # before the ground: N items take N*(N-1) bits
             check_cap(args.size)
         return GroundSet.numbered(args.size), None
-    if args.cap_override_ack and args.command != "posets":  # a pool file: nothing to cap
-        raise UfgkitError("a family file is a pool, never capped: it takes no --cap-override-ack")
     return jsonio.load_family_file(args.input)
 
 
 def _load_pool(args) -> tuple[GroundSet, list[Poset]]:
     """The ground and the pool a command walks: every order on ``-n N``
     items, enumerated once under the size cap, or the family file's orders."""
+    if args.input is not None and args.cap_override_ack:  # a pool file: nothing to cap
+        raise UfgkitError("a family file is a pool, never capped: it takes no --cap-override-ack")
     ground, members = _load_inputs(args)
     if members is None:
         cap = ground.size if args.cap_override_ack else None
@@ -103,10 +104,12 @@ def _load_pool(args) -> tuple[GroundSet, list[Poset]]:
 _INPUT_HELP = "family file: {\"elements\": [...], \"posets\": [...]}"
 
 
-def _add_output_flags(sub) -> None:
-    sub.add_argument("--json", action="store_true",
+def _add_output_flags(sub) -> argparse._MutuallyExclusiveGroup:
+    grp = sub.add_mutually_exclusive_group()
+    grp.add_argument("--json", action="store_true",
                      help="machine JSON on stdout instead of text")
-    sub.add_argument("--out", metavar="FILE", help="write machine JSON to a file")
+    grp.add_argument("--out", metavar="FILE", help="write machine JSON to a file")
+    return grp
 
 
 def _add_cap_flag(sub) -> None:
@@ -114,13 +117,13 @@ def _add_cap_flag(sub) -> None:
                      help="acknowledge ground sets beyond the size cap")
 
 
-def _add_io_flags(sub) -> None:
+def _add_io_flags(sub) -> argparse._MutuallyExclusiveGroup:
     grp = sub.add_mutually_exclusive_group(required=True)
     grp.add_argument("-n", "--size", type=_positive_int, metavar="N",
                      help="ground set of N items labelled x1..xN")
     grp.add_argument("--input", metavar="FILE.json", help=_INPUT_HELP)
     _add_cap_flag(sub)
-    _add_output_flags(sub)
+    return _add_output_flags(sub)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -129,8 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     sub = subs.add_parser("posets", help="count (and list) all partial orders")
-    _add_io_flags(sub)
-    sub.add_argument("--list", action="store_true", help="stream every order")
+    _add_io_flags(sub).add_argument("--list", action="store_true", help="stream every order")
     sub.set_defaults(func=cmd_posets)
 
     sub = subs.add_parser("closure", help="interval form of a family's closure")
@@ -153,10 +155,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_io_flags(sub)
     sub.add_argument("--max-size", type=_positive_int, default=None)
     sub.add_argument("--budget", type=_positive_int, default=DEFAULT_SUBSET_BUDGET)
-    sub.add_argument("--strategy", choices=("exhaustive", "connected"),
+    grp = sub.add_mutually_exclusive_group()
+    grp.add_argument("--strategy", choices=("exhaustive", "connected"),
                      help="enumerator to run (default connected)")
-    sub.add_argument("--verify", action="store_true",
-                     help="run both strategies and compare; takes no --strategy")
+    grp.add_argument("--verify", action="store_true", help="run both strategies and compare")
     sub.set_defaults(func=cmd_enumerate)
 
     sub = subs.add_parser("connectedness", help="verify the predecessor property")
@@ -186,8 +188,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_posets(args) -> int:
-    if args.list and (args.json or args.out):
-        raise UfgkitError("--list streams JSON lines to stdout; it takes no --json or --out")
     ground, _ = _load_inputs(args)
     stream = enumerate_all_posets(ground, ground.size if args.cap_override_ack else None)
     if args.list:
@@ -268,8 +268,6 @@ def _run_enumeration(args, ground, pool, strategy: str):
 
 
 def cmd_enumerate(args) -> int:
-    if args.verify and args.strategy:
-        raise UfgkitError("--verify runs both strategies; it takes no --strategy")
     ground, pool = _load_pool(args)  # once, also under --verify
     if args.verify:
         connected = _run_enumeration(args, ground, pool, "connected")

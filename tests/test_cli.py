@@ -413,6 +413,14 @@ def test_usage_errors_exit_one(capsys):
         ("connectedness", "--input", "POOL", "--cap-override-ack", "--out", "f.json"),
         ("enumerate", "-n", "2", "--verify", "--strategy", "exhaustive"),
         ("enumerate", "-n", "2", "--verify", "--strategy", "connected", "--out", "f.json"),
+        # --json and --out exclude each other, for every command
+        ("posets", "-n", "2", "--json", "--out", "f.json"),
+        ("closure", "--input", "POOL", "--json", "--out", "f.json"),
+        ("check-ufg", "--input", "POOL", "--json", "--out", "f.json"),
+        ("enumerate", "-n", "2", "--json", "--out", "f.json"),
+        ("connectedness", "-n", "2", "--json", "--out", "f.json"),
+        ("corrigendum", "--json", "--out", "f.json"),
+        ("falsify", "-n", "2", "--budget", "1", "--json", "--out", "f.json"),
     ],
 )
 def test_bad_input_exits_one_without_traceback(capsys, monkeypatch, tmp_path, tmp_path_factory,
@@ -451,6 +459,18 @@ def test_out_of_memory_exits_one_without_traceback(capsys, monkeypatch):
     code, out, err = run(capsys, "enumerate", "-n", "4", "--max-size", "3", "--json")
     assert code == EXIT_ERROR
     assert out == "" and err == "error: out of memory\n"
+
+
+def test_out_of_memory_while_serializing_leaves_no_file(capsys, monkeypatch, tmp_path):
+    # the JSON is built before --out opens its file
+    def exhaust(_catalog):
+        raise MemoryError
+
+    monkeypatch.setattr(jsonio, "catalog_to_obj", exhaust)
+    path = tmp_path / "f.json"
+    code, _, err = run(capsys, "enumerate", "-n", "2", "--out", str(path))
+    assert code == EXIT_ERROR and err == "error: out of memory\n"
+    assert not path.exists()
 
 
 @pytest.mark.parametrize(

@@ -74,6 +74,13 @@ sub_intervals = st.tuples(
     st.tuples(*[st.integers(0, G4.full_bits)] * 2).map(lambda t: t[0] | t[1]),
 )
 EVERYTHING = [(0, G4.full_bits)]
+# sub-intervals anchored at a lower bound, as (lo, up) masks read against it:
+# lo = lower & lo-mask and up = lower | up-mask, a sparse AND of three, so
+# the root lies inside and the search must branch past a small upper bound
+anchored_masks = st.tuples(
+    st.integers(0, G4.full_bits),
+    st.tuples(*[st.integers(0, G4.full_bits)] * 3).map(lambda t: t[0] & t[1] & t[2]),
+)
 
 
 @seeded
@@ -102,11 +109,13 @@ def _escape_as_eager(m, allowed, subs, table):
 
 
 @seeded
-@given(orders, st.integers(0, G4.full_bits), st.lists(sub_intervals, max_size=4))
-@example(ORDERS4[0], G4.full_bits, [])
-@example(ORDERS4[0], G4.full_bits, EVERYTHING)
-def test_lazy_search_returns_the_eager_searchs_order(lower, extra, outside):
-    subs = [(_bits_to_matrix(G4, lo), _bits_to_matrix(G4, up)) for lo, up in outside]
+@given(orders, st.integers(0, G4.full_bits), st.lists(sub_intervals, max_size=4),
+       st.lists(anchored_masks, max_size=3))
+@example(ORDERS4[0], G4.full_bits, [], [])
+@example(ORDERS4[0], G4.full_bits, EVERYTHING, [])
+def test_lazy_search_returns_the_eager_searchs_order(lower, extra, outside, masks):
+    anchored = [(lower.bits & lo, lower.bits | up) for lo, up in masks]
+    subs = [(_bits_to_matrix(G4, lo), _bits_to_matrix(G4, up)) for lo, up in anchored + outside]
     _escape_as_eager(_bits_to_matrix(G4, lower.bits), _bits_to_matrix(G4, lower.bits | extra),
                      subs, _size_table(4))
 
