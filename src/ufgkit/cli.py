@@ -102,6 +102,7 @@ def _load_pool(args) -> tuple[GroundSet, list[Poset]]:
 
 
 _INPUT_HELP = "family file: {\"elements\": [...], \"posets\": [...]}"
+_MAX_SIZE_HELP = "largest family size (default min(2n(n-1), pool size) on n items)"
 
 
 def _add_output_flags(sub) -> argparse._MutuallyExclusiveGroup:
@@ -153,8 +154,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("enumerate", help="catalog all ufg families")
     _add_io_flags(sub)
-    sub.add_argument("--max-size", type=_positive_int, default=None)
-    sub.add_argument("--budget", type=_positive_int, default=DEFAULT_SUBSET_BUDGET)
+    sub.add_argument("--max-size", type=_positive_int, metavar="K", help=_MAX_SIZE_HELP)
+    sub.add_argument("--budget", type=_positive_int, default=DEFAULT_SUBSET_BUDGET, metavar="B",
+                     help="the exhaustive strategy refuses more than B subsets of 2..K pool "
+                          "orders, counted before it starts; the connected one stops once it "
+                          f"has tested more than B families (default {DEFAULT_SUBSET_BUDGET})")
     grp = sub.add_mutually_exclusive_group()
     grp.add_argument("--strategy", choices=("exhaustive", "connected"),
                      help="enumerator to run (default connected)")
@@ -163,8 +167,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("connectedness", help="verify the predecessor property")
     _add_io_flags(sub)
-    sub.add_argument("--max-size", type=_positive_int, default=None)
-    sub.add_argument("--budget", type=_positive_int, default=DEFAULT_SUBSET_BUDGET)
+    sub.add_argument("--max-size", type=_positive_int, metavar="K", help=_MAX_SIZE_HELP)
+    sub.add_argument("--budget", type=_positive_int, default=DEFAULT_SUBSET_BUDGET, metavar="B",
+                     help="refuse more than B subsets of 2..K pool orders, counted before "
+                          f"the run starts (default {DEFAULT_SUBSET_BUDGET})")
     sub.set_defaults(func=cmd_connectedness)
 
     sub = subs.add_parser("corrigendum",
@@ -176,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("-n", "--sizes", type=_positive_ints, default="4",
                      metavar="N[,N...]", help="comma-separated ground sizes (default 4)")
     sub.add_argument("--budget", type=_positive_int, default=1000, help="trial count")
-    sub.add_argument("--seed", type=int, default=0)
+    sub.add_argument("--seed", type=int, default=0, help="seed of every random draw (default 0)")
     _add_cap_flag(sub)
     _add_output_flags(sub)
     sub.add_argument("--threads", type=_positive_int, default=1,

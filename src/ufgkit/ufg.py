@@ -23,7 +23,7 @@ from __future__ import annotations
 import time
 from bisect import bisect
 from dataclasses import dataclass
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from math import comb
 
 from .context import (
@@ -210,6 +210,10 @@ def candidate_filter(Q: Iterable[Poset], p: Poset) -> bool:
     return _prefilter(bits_list, p.ground.full_bits) is not None
 
 
+# a child's key, its leave-one-out closures and its verdict, as the step returns them
+_Child = tuple[tuple[int, ...], list[tuple[int, int]], bool]
+
+
 class UfgCatalog:
     """All union-free generic families found by one enumeration run.
 
@@ -219,7 +223,8 @@ class UfgCatalog:
     one step that decides a family, for both enumerators and for the
     falsification trials: from a family's state, its key beside its
     leave-one-out closures, and a pool index, it returns the child's
-    state, so no caller builds a key.  ``singleton`` is that for one order.
+    state, so no caller builds a key (``singleton`` is that for one
+    order); ``walk`` yields it for each child of the exhaustive tree.
 
     The catalog works in the matrix layout of
     :func:`ufgkit.orders._bits_to_matrix`: each pool order is unpacked
@@ -255,12 +260,7 @@ class UfgCatalog:
         """Keep a ufg family; a None ``cert`` is walked on first read."""
         self._families[family] = cert
 
-    def step(
-        self,
-        family: tuple[int, ...],
-        loo: list[tuple[int, int]],
-        k: int,
-    ) -> tuple[tuple[int, ...], list[tuple[int, int]], bool] | None:
+    def step(self, family: tuple[int, ...], loo: list[tuple[int, int]], k: int) -> _Child | None:
         """Decide the child ``family`` plus pool index ``k`` and return
         its state and verdict: its key, sorted, its leave-one-out closures
         as ``(and, or)`` pairs, and whether it is ufg.  None when the
@@ -307,6 +307,27 @@ class UfgCatalog:
         loo.insert(pos, (whole_and, whole_or))
         self.stats["families_tested"] += 1
         return child, loo, _decides(self._table, whole_and & bk, whole_or | bk, loo)
+
+    def walk(self, firsts: Iterable[int]) -> Iterator[_Child]:
+        """The set-enumeration tree (Rymon 1992) from the roots ``(i,)``,
+        ``i`` in ``firsts``: every child of at most ``max_size`` members
+        that passes the prefilter, as ``step`` returns it.  A family grows
+        only by pool indices after its last member, so each subset is met
+        at most once.  The prefilter is hereditary: adding members only
+        shrinks the others' AND and grows their OR, so a member that keeps
+        no distinguishing attribute keeps none in any superset, and no
+        superset is ufg (the Apriori rule of Agrawal & Srikant 1994).  A
+        child it turns away is neither yielded nor grown.  The walk
+        stores nothing: callers ``add`` what they keep."""
+        stack = [((i,), self.singleton) for i in firsts] if self.max_size >= 2 else []
+        while stack:
+            family, loo = stack.pop()
+            for k in range(family[-1] + 1, len(self.pool)):
+                state = self.step(family, loo, k)
+                if state is not None:
+                    yield state
+                    if len(family) + 1 < self.max_size:
+                        stack.append(state[:2])
 
     def __len__(self) -> int:
         return len(self._families)
@@ -372,23 +393,14 @@ def enumerate_ufg_exhaustive(
     premises: Iterable[Poset] | None = None,
     budget: int = DEFAULT_SUBSET_BUDGET,
 ) -> UfgCatalog:
-    """Every ufg family of at most ``max_size`` pool orders, found by
-    walking subsets of the pool as a set-enumeration tree (Rymon 1992).
-    The pool is ``premises``, or every order on the ground under the size
-    cap; a caller that lifts the cap passes the orders it enumerated.
-
-    A family is a sorted tuple of pool indices and is extended only by
-    pool orders after its last member, so each subset is reached at most
-    once.  The distinguishing prefilter is hereditary: adding members
-    only shrinks the others' AND and grows their OR, so a member that
-    keeps no distinguishing attribute keeps none in any superset, and no
-    superset is ufg (the Apriori rule of Agrawal & Srikant 1994).  A
-    family failing it is neither tested nor extended; every other family
-    of two or more members goes to the root search.  The budget still
-    counts every subset up to ``max_size``.  ``stats`` record the
-    families tested and the subtrees pruned.  The tests and
-    ``bench/make_references.py`` check the tree against deciding every
-    subset.
+    """Every ufg family of at most ``max_size`` pool orders: the ufg
+    verdicts of :meth:`UfgCatalog.walk` from every pool index.  The pool
+    is ``premises``, or every order on the ground under the size cap; a
+    caller that lifts the cap passes the orders it enumerated.  The
+    budget counts every subset up to ``max_size``, pruned or not.
+    ``stats`` record the families tested and the subtrees pruned.  The
+    tests and ``bench/make_references.py`` check the tree against
+    deciding every subset.
     """
     pool, max_size = _resolve_pool(ground, premises, max_size)
     planned = sum(comb(len(pool), k) for k in range(2, max_size + 1))
@@ -398,17 +410,9 @@ def enumerate_ufg_exhaustive(
         )
     catalog = UfgCatalog(ground, pool, max_size)
     start = time.perf_counter()
-    # each family beside its leave-one-out closures, as the step returns them
-    stack = [((i,), catalog.singleton) for i in range(len(pool))] if max_size >= 2 else []
-    while stack:
-        family, loo = stack.pop()
-        for k in range(family[-1] + 1, len(pool)):
-            state = catalog.step(family, loo, k)
-            if state is not None:
-                if state[2]:
-                    catalog.add(state[0])
-                if len(family) + 1 < max_size:
-                    stack.append(state[:2])
+    for family, _, ufg in catalog.walk(range(len(pool))):
+        if ufg:
+            catalog.add(family)
     catalog.stats["elapsed_seconds"] = time.perf_counter() - start
     return catalog
 

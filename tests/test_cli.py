@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import resource
@@ -388,6 +389,22 @@ def test_usage_errors_exit_one(capsys):
     assert run(capsys, "posets")[0] == EXIT_ERROR  # missing -n/--input
     assert run(capsys, "no-such-command")[0] == EXIT_ERROR
     assert run(capsys, "falsify", "-n", "wat")[0] == EXIT_ERROR
+
+
+COMMANDS = ("posets", "closure", "check-ufg", "enumerate", "connectedness", "corrigendum",
+            "falsify")
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_help_exits_zero_and_every_option_has_help(capsys, command):
+    code, out, _ = run(capsys, command, "--help")
+    assert code == EXIT_OK and out.startswith(f"usage: ufgkit {command} ")
+    (subs,) = [a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction)]
+    assert sorted(subs.choices) == sorted(COMMANDS)
+    for action in subs.choices[command]._actions:
+        if not isinstance(action, argparse._HelpAction):
+            assert action.option_strings and action.help, action
 
 
 @pytest.mark.parametrize(

@@ -473,25 +473,6 @@ def test_tree_equals_distinguishing_decider_on_three_items(catalog3, pool3):
     assert catalog3.keys() == oracle
 
 
-def _counted_tree(ground, pool, max_size, firsts=None):
-    """The exhaustive tree's walk on a fresh catalog, which adds each ufg
-    verdict; ``firsts`` limits it to the families whose first pool index
-    it names."""
-    catalog = UfgCatalog(ground, pool, max_size)
-    firsts = range(len(pool)) if firsts is None else firsts
-    stack = [((i,), catalog.singleton) for i in firsts]
-    while stack:
-        family, loo = stack.pop()
-        for k in range(family[-1] + 1, len(pool)):
-            state = catalog.step(family, loo, k)
-            if state is not None:
-                if state[2]:
-                    catalog.add(state[0])
-                if len(family) + 1 < max_size:
-                    stack.append(state[:2])
-    return catalog
-
-
 def _no_walk(*args, **kwargs):
     raise AssertionError("a witness was walked")
 
@@ -508,7 +489,10 @@ def test_counting_catalog_finds_the_exhaustive_keys(monkeypatch, items, pool_see
     exhaustive = enumerate_ufg_exhaustive(ground, premises=pool)
     monkeypatch.setattr(ufg, "_is_ufg_sorted", _no_walk)
     monkeypatch.setattr(orders, "_interval_bits", _no_walk)
-    counted = _counted_tree(ground, exhaustive.pool, exhaustive.max_size)
+    counted = UfgCatalog(ground, exhaustive.pool, exhaustive.max_size)
+    for family, _, verdict in counted.walk(range(len(counted.pool))):
+        if verdict:
+            counted.add(family)
     connected = enumerate_ufg_connected(ground, premises=pool)
     assert counted.keys() == connected.keys() == exhaustive.keys()
     assert counted.count_by_size() == exhaustive.count_by_size()
@@ -523,7 +507,10 @@ def test_four_item_slice_is_pinned():
     ground = GroundSet.numbered(4)
     pool = tuple(enumerate_all_posets(ground))
     assert len(pool) == 219
-    catalog = _counted_tree(ground, pool, 6, firsts=[150])
+    catalog = UfgCatalog(ground, pool, 6)
+    for family, _, verdict in catalog.walk([150]):
+        if verdict:
+            catalog.add(family)
     assert catalog.count_by_size() == {2: 66, 3: 1163, 4: 3351, 5: 1524, 6: 144}
     assert catalog.stats["families_tested"] == 14039
     for family in catalog.families()[::500]:
@@ -541,7 +528,10 @@ def test_a_certificate_is_walked_once_on_first_read(monkeypatch, pool3, g3):
         return scan(members)
 
     monkeypatch.setattr(ufg, "_is_ufg_sorted", spy)
-    catalog = _counted_tree(g3, pool3, 3)
+    catalog = UfgCatalog(g3, pool3, 3)
+    for family, _, verdict in catalog.walk(range(len(pool3))):
+        if verdict:
+            catalog.add(family)
     assert walked == []
     family = catalog.families()[0]
     cert = catalog.get(family)
@@ -563,6 +553,29 @@ def test_a_ufg_step_stores_nothing(corr):
     assert len(catalog) == 0
     assert child not in catalog
     assert catalog.stats["families_tested"] == 2
+
+
+def test_the_walk_yields_each_passing_child_once_and_stores_nothing(g3, pool3):
+    # all 19 orders on 3 items up to size 4: the walk yields every subset
+    # of 2..4 pool indices the prefilter passes, each once, with the
+    # decider's verdict, and keeps none of them; a catalog that stops at
+    # one member has no child to yield
+    catalog = UfgCatalog(g3, pool3, 4)
+    walked = [(family, verdict) for family, _, verdict in catalog.walk(range(len(pool3)))]
+    passing = [
+        combo
+        for size in range(2, 5)
+        for combo in combinations(range(len(pool3)), size)
+        if _prefilter([pool3[i].bits for i in combo], g3.full_bits) is not None
+    ]
+    assert len(passing) == 618
+    assert sorted(family for family, _ in walked) == sorted(passing)
+    for family, verdict in walked:
+        assert verdict == (is_ufg([pool3[i] for i in family]) is not None)
+    assert len(catalog) == 0
+    singles = UfgCatalog(g3, pool3, 1)
+    assert list(singles.walk(range(len(pool3)))) == []
+    assert singles.stats["families_tested"] == 0
 
 
 @pytest.mark.parametrize("n", range(3, 8))
